@@ -20,7 +20,7 @@ from coreach.specfile import parse_spec
 
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--bound", type=int, default=4)
+    ap.add_argument("--bound", type=int, default=8)
     ap.add_argument("--systems", default="systems")
     args = ap.parse_args()
 
@@ -30,7 +30,7 @@ def main() -> int:
         terms = [d.formula.lhs for d in spec.goals]
         terms += [ConstrainedTerm(r.lhs, r.guard) for r in spec.system.rules]
         n_vars = max((len(free_vars(ct)) for ct in terms), default=1)
-        dom = Domain(min(args.bound, 3) if n_vars > 2 else args.bound)
+        dom = Domain(min(args.bound, 4) if n_vars > 2 else args.bound)
         t0 = time.monotonic()
         failures = []
         for ct in terms:

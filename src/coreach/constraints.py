@@ -8,7 +8,9 @@ ship to the solver untouched.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
+from typing import Callable
 
 from .errors import SortMismatch
 from .formulas import (
@@ -62,6 +64,27 @@ def euclid_mod(a: int, b: int) -> int:
     if b == 0:
         return a
     return a - b * euclid_div(a, b)
+
+
+# The one definition of what the builtin operators compute on ground values,
+# keyed by (symbol, arity); the solver-free oracle and constant folding both
+# read it.  The bundled solver keeps its own evaluator.
+BUILTIN_SEMANTICS: dict[tuple[str, int], Callable] = {
+    ("+", 2): operator.add,
+    ("-", 2): operator.sub,
+    ("-", 1): operator.neg,
+    ("*", 2): operator.mul,
+    ("div", 2): euclid_div,
+    ("mod", 2): euclid_mod,
+    ("<", 2): operator.lt,
+    ("<=", 2): operator.le,
+    (">", 2): operator.gt,
+    (">=", 2): operator.ge,
+    ("=", 2): operator.eq,
+    ("and", 2): lambda a, b: a and b,
+    ("or", 2): lambda a, b: a or b,
+    ("not", 1): operator.not_,
+}
 
 
 def _is_builtin_valued(sig: Signature, t: Term) -> bool:
@@ -146,11 +169,9 @@ def fold_term(t: Term) -> Term:
         return t
     args = tuple(fold_term(a) for a in t.args)
     t = App(t.symbol, args, t.sort)
-    if all(isinstance(a, Lit) for a in args):
-        vals = [a.value for a in args]
-        out = _eval_builtin(t.symbol, vals)
-        if out is not None:
-            return Lit(out)
+    fn = BUILTIN_SEMANTICS.get((t.symbol, len(args)))
+    if fn is not None and all(isinstance(a, Lit) for a in args):
+        return Lit(fn(*(a.value for a in args)))
     # Unit laws over Int, valid in the standard model.
     if t.symbol == "+" and len(args) == 2:
         if args[0] == Lit(0):
@@ -167,37 +188,6 @@ def fold_term(t: Term) -> Term:
         if args[1] == Lit(1):
             return args[0]
     return t
-
-
-def _eval_builtin(symbol: str, vals: list):
-    match symbol:
-        case "+":
-            return vals[0] + vals[1]
-        case "-":
-            return -vals[0] if len(vals) == 1 else vals[0] - vals[1]
-        case "*":
-            return vals[0] * vals[1]
-        case "div":
-            return euclid_div(vals[0], vals[1])
-        case "mod":
-            return euclid_mod(vals[0], vals[1])
-        case "<":
-            return bool(vals[0] < vals[1])
-        case "<=":
-            return bool(vals[0] <= vals[1])
-        case ">":
-            return bool(vals[0] > vals[1])
-        case ">=":
-            return bool(vals[0] >= vals[1])
-        case "=":
-            return bool(vals[0] == vals[1])
-        case "and":
-            return bool(vals[0] and vals[1])
-        case "or":
-            return bool(vals[0] or vals[1])
-        case "not":
-            return not vals[0]
-    return None
 
 
 # -- formula simplification -------------------------------------------------------

@@ -9,11 +9,15 @@ so validity checking can answer "inconclusive" instead of guessing.
 
 from __future__ import annotations
 
+import functools
+import weakref
 from collections import deque
 from dataclasses import dataclass, field
 from itertools import product
+from operator import itemgetter
+from typing import Callable, Iterator, NamedTuple
 
-from .constraints import euclid_div, euclid_mod, fold_term
+from .constraints import BUILTIN_SEMANTICS, fold_term
 from .errors import MalformedPath, UnsupportedQuantifier
 from .formulas import (
     And,
@@ -31,9 +35,9 @@ from .formulas import (
     TrueF,
     free_vars,
 )
-from .rewriting import Lctrs
+from .rewriting import Lctrs, RewriteRule
 from .signature import Signature
-from .terms import App, Lit, Term, Var, positions, replace_at, subterm_at
+from .terms import BOOL, App, Lit, Term, Var, positions, replace_at, subterm_at
 
 StatePredicate = frozenset  # of ground Terms
 
@@ -70,60 +74,230 @@ def _key(t: Term) -> str:
     return repr(t)
 
 
-# -- ground evaluation -------------------------------------------------------------
+# -- compiled ground evaluation ------------------------------------------------------
+#
+# Terms and formulas are compiled once into closures over a positional
+# valuation `env`, a list in which every variable in scope (free, bound by a
+# quantifier, or bound by matching a rule) owns one slot.
+
+Code = Callable[[list], object]
+
+
+def _const(v) -> Code:
+    return lambda env: v
+
+
+def _and(a: Code, b: Code) -> Code:
+    return lambda env: a(env) and b(env)
+
+
+def _or(a: Code, b: Code) -> Code:
+    return lambda env: a(env) or b(env)
+
+
+class _Compiler:
+    """Compiles terms and formulas over one signature and domain.
+
+    `slots` arguments map the variables in scope to their valuation slots;
+    `size` is the length of a valuation list the compiled code may use.
+    """
+
+    def __init__(self, sig: Signature, dom: Domain | None):
+        self.sig, self.dom, self.size = sig, dom, 0
+
+    def new_slot(self) -> int:
+        self.size += 1
+        return self.size - 1
+
+    def env(self, values=()) -> list:
+        env = list(values)
+        return env + [None] * (self.size - len(env))
+
+    def values(self, sorts: list) -> Callable[[], list[tuple]]:
+        """Every tuple of values of `sorts`, built on the first call: a sort
+        the oracle cannot enumerate raises only if code needing it runs."""
+        sig, dom = self.sig, self.dom
+
+        @functools.cache
+        def pool():
+            return list(product(*(sort_values(sig, s, dom) for s in sorts)))
+
+        return pool
+
+    def _builtin(self, t: Term):
+        if isinstance(t, App) and self.sig.is_builtin_symbol(t.symbol, len(t.args)):
+            return BUILTIN_SEMANTICS[(t.symbol, len(t.args))]
+        return None
+
+    def value(self, t: Term, slots: dict[Var, int]) -> Code:
+        """Code computing the value of `t`: an int, a bool, or a ground term."""
+        if isinstance(t, Var):
+            return itemgetter(slots[t])
+        if isinstance(t, Lit):
+            return _const(t.value)
+        fn = self._builtin(t)
+        if fn is None:
+            return self.term(t, slots)
+        args = [self.value(a, slots) for a in t.args]
+        if len(args) == 1:
+            (a,) = args
+            return lambda env: fn(a(env))
+        a, b = args
+        return lambda env: fn(a(env), b(env))
+
+    def term(self, t: Term, slots: dict[Var, int]) -> Code:
+        """Code building the ground instance of `t`, builtin values as literals."""
+        if isinstance(t, Var):
+            i = slots[t]
+            return (lambda env: Lit(env[i])) if t.sort.builtin else itemgetter(i)
+        if isinstance(t, Lit) or not t.args:
+            return _const(t)
+        if self._builtin(t) is not None:
+            v = self.value(t, slots)
+            return lambda env: Lit(v(env))
+        sym, sort = t.symbol, t.sort
+        args = tuple(self.term(a, slots) for a in t.args)
+        if len(args) == 1:
+            (a,) = args
+            return lambda env: App(sym, (a(env),), sort)
+        if len(args) == 2:
+            a, b = args
+            return lambda env: App(sym, (a(env), b(env)), sort)
+        return lambda env: App(sym, tuple([a(env) for a in args]), sort)
+
+    def formula(self, f: Formula, slots: dict[Var, int]) -> Code:
+        """Code deciding `f`; quantifiers range over the domain only."""
+        if isinstance(f, (TrueF, FalseF)):
+            return _const(isinstance(f, TrueF))
+        if isinstance(f, Atom):
+            return self.value(f.term, slots)
+        if isinstance(f, Eq):
+            lhs, rhs = self.value(f.lhs, slots), self.value(f.rhs, slots)
+            return lambda env: lhs(env) == rhs(env)
+        if isinstance(f, Not):
+            body = self.formula(f.body, slots)
+            return lambda env: not body(env)
+        if isinstance(f, (And, Or)):
+            if not f.parts:
+                return _const(isinstance(f, And))
+            join = _and if isinstance(f, And) else _or
+            parts = [self.formula(p, slots) for p in f.parts]
+            code = parts[-1]
+            for p in reversed(parts[:-1]):
+                code = join(p, code)
+            return code
+        if isinstance(f, Implies):
+            premise, conclusion = self.formula(f.premise, slots), self.formula(f.conclusion, slots)
+            return lambda env: not premise(env) or conclusion(env)
+        if isinstance(f, Iff):
+            lhs, rhs = self.formula(f.lhs, slots), self.formula(f.rhs, slots)
+            return lambda env: lhs(env) == rhs(env)
+        if isinstance(f, (Exists, Forall)):
+            return self._quantifier(f, slots)
+        raise TypeError(f"cannot compile formula {f!r}")
+
+    def _quantifier(self, f: Exists | Forall, slots: dict[Var, int]) -> Code:
+        # The bound variables get fresh slots, which shadow any free variable
+        # of the same name inside the body only.
+        if not f.bound:
+            return self.formula(f.body, slots)
+        bound = [self.new_slot() for _ in f.bound]
+        inner = dict(slots)
+        inner.update(zip(f.bound, bound))
+        body = self.formula(f.body, inner)
+        lo, hi = bound[0], bound[-1] + 1
+        pool = self.values([v.sort for v in f.bound])
+        want = isinstance(f, Exists)
+
+        def quantifier(env):
+            for combo in pool():
+                env[lo:hi] = combo
+                if body(env) == want:
+                    return want
+            return not want
+
+        return quantifier
+
+    def matcher(self, pat: Term, slots: dict[Var, int], deferred: list):
+        """Code matching a ground term against the rule pattern `pat`.
+
+        The matcher writes the slot of each variable it binds (allocated here,
+        in the order the match visits them) and compares repeated ones.  A
+        builtin-operator subpattern matches any literal, whose value goes to a
+        slot; `(pattern, slot)` is appended to `deferred`, to be checked once
+        every rule variable has a value.
+        """
+        if isinstance(pat, Var):
+            if pat in slots:
+                i = slots[pat]
+                return lambda g, env: env[i] == (g.value if type(g) is Lit else g)
+            i = slots[pat] = self.new_slot()
+            if pat.sort.builtin:
+                is_bool = pat.sort == BOOL
+
+                def bind_value(g, env):
+                    if type(g) is not Lit or isinstance(g.value, bool) != is_bool:
+                        return False
+                    env[i] = g.value
+                    return True
+
+                return bind_value
+            sig, sort = self.sig, pat.sort
+
+            def bind_term(g, env):
+                if type(g) is not App or not sig.is_subsort(sig.least_sort(g), sort):
+                    return False
+                env[i] = g
+                return True
+
+            return bind_term
+        if isinstance(pat, Lit):
+            v = pat.value
+            return lambda g, env: type(g) is Lit and g.value == v
+        if self._builtin(pat) is not None:
+            i = self.new_slot()
+            deferred.append((pat, i))
+
+            def bind_literal(g, env):
+                if type(g) is not Lit:
+                    return False
+                env[i] = g.value
+                return True
+
+            return bind_literal
+        sym, arity = pat.symbol, len(pat.args)
+        subs = [self.matcher(a, slots, deferred) for a in pat.args]
+
+        def match_app(g, env):
+            if type(g) is not App or g.symbol != sym or len(g.args) != arity:
+                return False
+            for m, a in zip(subs, g.args):
+                if not m(a, env):
+                    return False
+            return True
+
+        return match_app
 
 
 def eval_ground_term(sig: Signature, t: Term, val: dict[Var, object]):
     """Value of a term under a ground valuation: int, bool, or a ground term."""
-    if isinstance(t, Var):
-        return val[t]
-    if isinstance(t, Lit):
-        return t.value
-    args = [eval_ground_term(sig, a, val) for a in t.args]
-    if sig.is_builtin_symbol(t.symbol, len(t.args)):
-        return _apply_builtin(t.symbol, args)
-    return App(t.symbol, tuple(_as_term(a) for a in args), t.sort)
+    comp = _Compiler(sig, None)
+    code = comp.value(t, {v: comp.new_slot() for v in val})
+    return code(comp.env(val.values()))
 
 
-def _apply_builtin(symbol: str, vals: list):
-    match symbol:
-        case "+":
-            return vals[0] + vals[1]
-        case "-":
-            return -vals[0] if len(vals) == 1 else vals[0] - vals[1]
-        case "*":
-            return vals[0] * vals[1]
-        case "div":
-            return euclid_div(vals[0], vals[1])
-        case "mod":
-            return euclid_mod(vals[0], vals[1])
-        case "<":
-            return vals[0] < vals[1]
-        case "<=":
-            return vals[0] <= vals[1]
-        case ">":
-            return vals[0] > vals[1]
-        case ">=":
-            return vals[0] >= vals[1]
-        case "=":
-            return vals[0] == vals[1]
-        case "and":
-            return vals[0] and vals[1]
-        case "or":
-            return vals[0] or vals[1]
-        case "not":
-            return not vals[0]
-    raise ValueError(symbol)
+def eval_formula(sig: Signature, f: Formula, val: dict[Var, object], dom: Domain) -> bool:
+    """Truth under the bounded-domain semantics: quantifiers range over the
+    domain only.  Sound for the fixtures, which keep witnesses in range."""
+    comp = _Compiler(sig, dom)
+    code = comp.formula(f, {v: comp.new_slot() for v in val})
+    return code(comp.env(val.values()))
 
 
 def _as_term(v) -> Term:
     if isinstance(v, (bool, int)):
         return Lit(v)
     return v
-
-
-def ground_instance(sig: Signature, t: Term, val: dict[Var, object]) -> Term:
-    return _as_term(eval_ground_term(sig, t, val))
 
 
 def sort_values(sig: Signature, sort, dom: Domain, _seen: frozenset = frozenset()):
@@ -145,41 +319,6 @@ def sort_values(sig: Signature, sort, dom: Domain, _seen: frozenset = frozenset(
     return out
 
 
-def eval_formula(sig: Signature, f: Formula, val: dict[Var, object], dom: Domain) -> bool:
-    """Truth under the bounded-domain semantics: quantifiers range over the
-    domain only.  Sound for the fixtures, which keep witnesses in range."""
-    if isinstance(f, TrueF):
-        return True
-    if isinstance(f, FalseF):
-        return False
-    if isinstance(f, Atom):
-        v = eval_ground_term(sig, f.term, val)
-        assert isinstance(v, bool)
-        return v
-    if isinstance(f, Eq):
-        return eval_ground_term(sig, f.lhs, val) == eval_ground_term(sig, f.rhs, val)
-    if isinstance(f, Not):
-        return not eval_formula(sig, f.body, val, dom)
-    if isinstance(f, And):
-        return all(eval_formula(sig, p, val, dom) for p in f.parts)
-    if isinstance(f, Or):
-        return any(eval_formula(sig, p, val, dom) for p in f.parts)
-    if isinstance(f, Implies):
-        return (not eval_formula(sig, f.premise, val, dom)) or eval_formula(sig, f.conclusion, val, dom)
-    if isinstance(f, Iff):
-        return eval_formula(sig, f.lhs, val, dom) == eval_formula(sig, f.rhs, val, dom)
-    if isinstance(f, (Exists, Forall)):
-        want_any = isinstance(f, Exists)
-        pools = [sort_values(sig, v.sort, dom) for v in f.bound]
-        for combo in product(*pools):
-            inner = dict(val)
-            inner.update(zip(f.bound, combo))
-            if eval_formula(sig, f.body, inner, dom) == want_any:
-                return want_any
-        return not want_any
-    raise TypeError(f"eval_formula: {f!r}")
-
-
 # -- state predicates ---------------------------------------------------------------
 
 
@@ -187,17 +326,21 @@ def enumerate_instances(sig: Signature, ct: ConstrainedTerm, dom: Domain) -> Sta
     """All ground instances of the term whose valuation satisfies the constraint."""
     vs = sorted(free_vars(ct), key=lambda v: v.name)
     pools = [sort_values(sig, v.sort, dom) for v in vs]
+    comp = _Compiler(sig, dom)
+    slots = {v: comp.new_slot() for v in vs}
+    holds, instance = comp.formula(ct.constraint, slots), comp.term(ct.term, slots)
+    env, n = comp.env(), len(vs)
     out = set()
     for combo in product(*pools):
-        val = dict(zip(vs, combo))
-        if eval_formula(sig, ct.constraint, val, dom):
-            out.add(ground_instance(sig, ct.term, val))
+        env[:n] = combo
+        if holds(env):
+            out.add(instance(env))
     return frozenset(out)
 
 
 def in_domain(t: Term, dom: Domain) -> bool:
     if isinstance(t, Lit):
-        return not isinstance(t.value, int) or dom.contains_int(t.value)
+        return isinstance(t.value, bool) or dom.contains_int(t.value)
     if isinstance(t, App):
         return all(in_domain(a, dom) for a in t.args)
     return True
@@ -206,59 +349,73 @@ def in_domain(t: Term, dom: Domain) -> bool:
 # -- the transition relation ----------------------------------------------------------
 
 
-def _match(sig: Signature, pat: Term, g: Term, binding: dict[Var, object], deferred: list):
-    """Structural match binding rule variables; builtin-operator subpatterns
-    are deferred as equations checked after enumeration."""
-    if isinstance(pat, Var):
-        want = g.value if isinstance(g, Lit) else g
-        if pat in binding:
-            return binding[pat] == want
-        if pat.sort.builtin != isinstance(g, Lit):
-            return False
-        if isinstance(g, Lit) and g.sort != pat.sort:
-            return False
-        if isinstance(g, App) and not sig.is_subsort(sig.least_sort(g), pat.sort):
-            return False
-        binding[pat] = want
-        return True
-    if isinstance(pat, Lit):
-        return isinstance(g, Lit) and pat.value == g.value
-    if sig.is_builtin_symbol(pat.symbol, len(pat.args)):
-        if not isinstance(g, Lit):
-            return False
-        deferred.append((pat, g.value))
-        return True
-    if not isinstance(g, App) or g.symbol != pat.symbol or len(g.args) != len(pat.args):
-        return False
-    return all(_match(sig, p, a, binding, deferred) for p, a in zip(pat.args, g.args))
+class _RuleCode(NamedTuple):
+    size: int  # valuation slots the rule's code uses
+    match: Callable[[Term, list], bool]  # binds the variables the LHS pins down
+    results: Callable[[list], Iterator[Term]]  # RHS instances over the remaining variables
+
+
+def _equals_slot(code: Code, i: int) -> Code:
+    return lambda env: code(env) == env[i]
+
+
+def _compile_rule(sig: Signature, dom: Domain, rule: RewriteRule) -> _RuleCode:
+    comp = _Compiler(sig, dom)
+    slots: dict[Var, int] = {}
+    deferred: list = []
+    match = comp.matcher(rule.lhs, slots, deferred)
+    rest = sorted((v for v in rule.variables() if v not in slots), key=lambda v: v.name)
+    lo = comp.size
+    for v in rest:
+        slots[v] = comp.new_slot()
+    hi = comp.size
+    check = comp.formula(rule.guard, slots)
+    for pat, i in reversed(deferred):
+        check = _and(_equals_slot(comp.value(pat, slots), i), check)
+    rhs = comp.term(rule.rhs, slots)
+    pool = comp.values([v.sort for v in rest])
+
+    def results(env):
+        for combo in pool():
+            env[lo:hi] = combo
+            if check(env):
+                yield rhs(env)
+
+    return _RuleCode(comp.size, match, results)
+
+
+# Compiled rules per system, then per domain.  The keys are weak, so the code
+# lives no longer than the system it was compiled for.
+_RULE_CODE: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def _rule_code(system: Lctrs, dom: Domain) -> list[_RuleCode]:
+    sig = system.signature
+    # The code depends on the rules and, through its value pools, on the
+    # signature's operations and subsorts, which only ever grow.
+    stamp = (tuple(system.rules), sig, len(sig.operations), len(sig.subsort_pairs))
+    per_domain = _RULE_CODE.setdefault(system, {})
+    hit = per_domain.get(dom)
+    if hit is None or hit[0] != stamp:
+        hit = per_domain[dom] = (stamp, [_compile_rule(sig, dom, r) for r in system.rules])
+    return hit[1]
 
 
 def ground_step(system: Lctrs, gamma: Term, dom: Domain) -> StatePredicate:
     """All one-step successors of a ground term: any rule, any position, any
     rule-variable valuation over the domain that satisfies the guard."""
     sig = system.signature
+    rules = _rule_code(system, dom)
     out = set()
     for pos in positions(gamma):
         sub = subterm_at(gamma, pos)
         if isinstance(sub, Lit) or (isinstance(sub, App) and sig.least_sort(sub).builtin):
             continue  # builtin values are never rewritten
-        for rule in system.rules:
-            binding: dict[Var, object] = {}
-            deferred: list = []
-            if not _match(sig, rule.lhs, sub, binding, deferred):
-                continue
-            rest = sorted(
-                (v for v in rule.variables() if v not in binding), key=lambda v: v.name
-            )
-            pools = [sort_values(sig, v.sort, dom) for v in rest]
-            for combo in product(*pools):
-                val = dict(binding)
-                val.update(zip(rest, combo))
-                if any(eval_ground_term(sig, p, val) != want for p, want in deferred):
-                    continue
-                if not eval_formula(sig, rule.guard, val, dom):
-                    continue
-                out.add(fold_term(replace_at(gamma, pos, ground_instance(sig, rule.rhs, val))))
+        for code in rules:
+            env = [None] * code.size
+            if code.match(sub, env):
+                for rhs in code.results(env):
+                    out.add(fold_term(replace_at(gamma, pos, rhs)))
     return frozenset(out)
 
 

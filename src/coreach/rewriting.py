@@ -57,7 +57,7 @@ class ReachabilityFormula:
         return free_vars(self.lhs) & free_vars(self.rhs)
 
 
-@dataclass
+@dataclass(eq=False)
 class Lctrs:
     signature: Signature
     rules: list[RewriteRule] = field(default_factory=list)

@@ -66,6 +66,13 @@ class Signature:
     subsort_pairs: set[tuple[str, str]] = field(default_factory=set)  # (sub, super), declared
     operations: list[Operation] = field(default_factory=list)
     variables: dict[str, Sort] = field(default_factory=dict)
+    # Indexes over `operations` and `subsort_pairs`, and resolved overloads,
+    # kept current by the mutators below; the fields themselves are never
+    # mutated elsewhere.
+    _by_name: dict[str, list[Operation]] = field(default_factory=dict, init=False, repr=False, compare=False)
+    _builtin: set[tuple[str, int]] = field(default_factory=set, init=False, repr=False, compare=False)
+    _above: dict[str, set[str]] = field(default_factory=dict, init=False, repr=False, compare=False)
+    _resolved: dict[tuple, Operation] = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if "Int" not in self.sorts:
@@ -73,6 +80,23 @@ class Signature:
             self.sorts["Bool"] = BOOL
             for name, args, res in BUILTIN_OPS:
                 self.operations.append(Operation(name, args, res, builtin=True))
+        for op in self.operations:
+            self._index(op)
+        for sub, sup in self.subsort_pairs:
+            self._close(sub, sup)
+
+    def _index(self, op: Operation) -> None:
+        self._resolved.clear()
+        self._by_name.setdefault(op.name, []).append(op)
+        if op.builtin:
+            self._builtin.add((op.name, op.arity))
+
+    def _close(self, sub: str, sup: str) -> None:
+        """Extend the transitive closure `_above` by the pair sub < sup."""
+        self._resolved.clear()
+        uppers = {sup} | self._above.get(sup, set())
+        for s in [sub] + [s for s, ups in self._above.items() if sub in ups]:
+            self._above.setdefault(s, set()).update(uppers)
 
     # -- declaration helpers (used by the frontend and tests) ----------------
 
@@ -88,10 +112,12 @@ class Signature:
             if n not in self.sorts:
                 raise UnknownSort(n)
         self.subsort_pairs.add((sub, sup))
+        self._close(sub, sup)
 
     def add_operation(self, name: str, arg_sorts: list[Sort], result: Sort) -> Operation:
         op = Operation(name, tuple(arg_sorts), result)
         self.operations.append(op)
+        self._index(op)
         return op
 
     def add_variable(self, name: str, sort: Sort) -> Var:
@@ -105,19 +131,7 @@ class Signature:
         for s in (s1, s2):
             if self.sorts.get(s.name) != s:
                 raise UnknownSort(s.name)
-        if s1 == s2:
-            return True
-        seen = {s1.name}
-        stack = [s1.name]
-        while stack:
-            cur = stack.pop()
-            for sub, sup in self.subsort_pairs:
-                if sub == cur and sup not in seen:
-                    if sup == s2.name:
-                        return True
-                    seen.add(sup)
-                    stack.append(sup)
-        return False
+        return s1 == s2 or s2.name in self._above.get(s1.name, ())
 
     def leq_word(self, w1: tuple[Sort, ...], w2: tuple[Sort, ...]) -> bool:
         return len(w1) == len(w2) and all(self.is_subsort(a, b) for a, b in zip(w1, w2))
@@ -142,13 +156,19 @@ class Signature:
     # -- overload resolution ---------------------------------------------------
 
     def overloads(self, name: str) -> list[Operation]:
-        return [op for op in self.operations if op.name == name]
+        return list(self._by_name.get(name, ()))
 
     def resolve(self, name: str, arg_sorts: tuple[Sort, ...]) -> Operation:
         """Least applicable overload for the given argument sorts."""
+        op = self._resolved.get((name, arg_sorts))
+        if op is None:
+            op = self._resolved[(name, arg_sorts)] = self._least_overload(name, arg_sorts)
+        return op
+
+    def _least_overload(self, name: str, arg_sorts: tuple[Sort, ...]) -> Operation:
         applicable = [
             op
-            for op in self.overloads(name)
+            for op in self._by_name.get(name, ())
             if op.arity == len(arg_sorts) and self.leq_word(arg_sorts, op.arg_sorts)
         ]
         if not applicable:
@@ -174,11 +194,7 @@ class Signature:
         return self.resolve(t.symbol, tuple(self.least_sort(a) for a in t.args)).result
 
     def is_builtin_symbol(self, name: str, arity: int) -> bool:
-        return any(op.builtin and op.arity == arity for op in self.overloads(name))
-
-    def is_constructor_term(self, t: Term) -> bool:
-        """Headed by a non-builtin symbol."""
-        return isinstance(t, App) and not any(op.builtin for op in self.overloads(t.symbol))
+        return (name, arity) in self._builtin
 
     # -- validation --------------------------------------------------------------
 

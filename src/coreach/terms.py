@@ -122,10 +122,6 @@ def term_vars(t: Term) -> set[Var]:
     return out
 
 
-def var_names(t: Term) -> set[str]:
-    return {v.name for v in term_vars(t)}
-
-
 @dataclass(frozen=True)
 class Substitution:
     """Finite sort-respecting map from variables to terms; identity elsewhere."""
@@ -165,10 +161,6 @@ class Substitution:
 
     def __bool__(self) -> bool:
         return bool(self.mapping)
-
-
-def apply_substitution(sigma: Substitution, t: Term) -> Term:
-    return sigma.apply(t)
 
 
 class FreshCounter:

@@ -1,11 +1,13 @@
 """Finite-domain semantics: instance sets, transition graphs, validity checking."""
 
+import gc
 import random
+import weakref
 
 import pytest
 
 from coreach.errors import MalformedPath, UnsupportedQuantifier
-from coreach.formulas import Atom, ConstrainedTerm, Eq, Exists, FALSE, TRUE, conj
+from coreach.formulas import And, Atom, ConstrainedTerm, Eq, Exists, FALSE, Forall, Or, TRUE, conj
 from coreach.oracle import (
     Domain,
     Path,
@@ -15,12 +17,15 @@ from coreach.oracle import (
     check_dvp,
     edge_list,
     enumerate_instances,
+    eval_formula,
     ground_step,
+    in_domain,
     path_satisfies,
     to_dot,
 )
+from coreach.rewriting import Lctrs, RewriteRule
 from coreach.signature import Signature
-from coreach.terms import App, INT, Lit, Var
+from coreach.terms import App, BOOL, INT, Lit, Var
 
 n, i, u = Var("n", INT), Var("i", INT), Var("u", INT)
 
@@ -53,6 +58,98 @@ def test_enumerate_rejects_recursive_sorts():
     sig.add_operation("node", [tree], tree)
     with pytest.raises(UnsupportedQuantifier):
         enumerate_instances(sig, ConstrainedTerm(Var("t", tree), TRUE), Domain(2))
+
+
+def test_enumerate_builtin_conventions(comp_sig):
+    mk = comp_sig.make_app
+    split = ConstrainedTerm(mk("loop", (mk("div", (n, Lit(0))), mk("mod", (n, Lit(0))))), TRUE)
+    assert enumerate_instances(comp_sig, split, Domain(2)) == frozenset(
+        mk("loop", (Lit(0), Lit(v))) for v in range(-2, 3)
+    )
+    neg = ConstrainedTerm(mk("init", (mk("-", (n,)),)), Eq(mk("-", (n,)), Lit(2)))
+    assert enumerate_instances(comp_sig, neg, Domain(3)) == frozenset({mk("init", (Lit(2),))})
+
+
+def test_quantifier_shadows_free_variable(comp_sig):
+    mk = comp_sig.make_app
+    # inside the quantifier n is the bound variable; outside it is the free one
+    shadow = conj([Atom(mk("<=", (Lit(1), n))), Exists((n,), Eq(n, Lit(-1)))])
+    got = enumerate_instances(comp_sig, ConstrainedTerm(mk("init", (n,)), shadow), Domain(3))
+    assert got == frozenset(mk("init", (Lit(v),)) for v in (1, 2, 3))
+    dom = Domain(3)
+    assert eval_formula(comp_sig, Exists((n,), Eq(n, Lit(2))), {n: 5}, dom)
+    assert not eval_formula(comp_sig, Forall((n,), Eq(n, Lit(5))), {n: 5}, dom)
+    assert eval_formula(comp_sig, conj([Exists((n,), Eq(n, Lit(0))), Eq(n, Lit(5))]), {n: 5}, dom)
+
+
+def test_unsupported_quantifier_raises_only_when_evaluated(comp_sig):
+    tree = comp_sig.add_sort("Tree")
+    comp_sig.add_operation("leaf", [], tree)
+    comp_sig.add_operation("node", [tree], tree)
+    t = Var("t", tree)
+    every_tree = Forall((t,), Eq(t, t))
+    init_n = comp_sig.make_app("init", (n,))
+    dom = Domain(2)
+    assert enumerate_instances(comp_sig, ConstrainedTerm(init_n, And((FALSE, every_tree))), dom) == frozenset()
+    assert len(enumerate_instances(comp_sig, ConstrainedTerm(init_n, Or((TRUE, every_tree))), dom)) == 5
+    with pytest.raises(UnsupportedQuantifier):
+        enumerate_instances(comp_sig, ConstrainedTerm(init_n, And((TRUE, every_tree))), dom)
+
+
+def test_ground_step_nonlinear_and_builtin_patterns(comp_sig):
+    mk = comp_sig.make_app
+    dom = Domain(5)
+    system = Lctrs(comp_sig)
+    system.add_rule(RewriteRule(mk("loop", (n, n)), mk("comp", ()), TRUE))  # repeated variable
+    system.add_rule(RewriteRule(mk("init", (mk("+", (n, Lit(1))),)), mk("loop", (n, n)), TRUE))  # n + 1 = value
+    system.add_rule(RewriteRule(mk("loop", (mk("*", (i, Lit(2))), i)), mk("init", (i,)), TRUE))  # both at once
+    assert ground_step(system, mk("loop", (Lit(3), Lit(3))), dom) == frozenset({mk("comp", ())})
+    assert ground_step(system, mk("loop", (Lit(3), Lit(4))), dom) == frozenset()
+    assert ground_step(system, mk("init", (Lit(4),)), dom) == frozenset({mk("loop", (Lit(3), Lit(3)))})
+    assert ground_step(system, mk("loop", (Lit(4), Lit(2))), dom) == frozenset({mk("init", (Lit(2),))})
+    assert ground_step(system, mk("loop", (Lit(4), Lit(3))), dom) == frozenset()
+    assert ground_step(system, mk("loop", (Lit(0), Lit(0))), dom) == frozenset(
+        {mk("comp", ()), mk("init", (Lit(0),))}
+    )
+
+
+def test_ground_step_follows_later_rules_and_constructors(comp_sig):
+    mk = comp_sig.make_app
+    cfg = comp_sig.sorts["Cfg"]
+    w = Var("w", cfg)
+    dom = Domain(0)
+    system = Lctrs(comp_sig)
+    system.add_rule(RewriteRule(mk("comp", ()), w, TRUE))  # the environment picks any Cfg
+    everything = {mk("init", (Lit(0),)), mk("loop", (Lit(0), Lit(0))), mk("comp", ())}
+    assert ground_step(system, mk("comp", ()), dom) == frozenset(everything)
+    done = comp_sig.add_operation("done", [], cfg)
+    assert ground_step(system, mk("comp", ()), dom) == frozenset(everything | {App("done", (), done.result)})
+    system.add_rule(RewriteRule(mk("init", (n,)), mk("comp", ()), TRUE))
+    assert ground_step(system, mk("init", (Lit(0),)), dom) == frozenset({mk("comp", ())})
+
+
+def test_compiled_rules_do_not_keep_the_system_alive(comp_sig):
+    mk = comp_sig.make_app
+    system = Lctrs(comp_sig)
+    system.add_rule(RewriteRule(mk("init", (n,)), mk("loop", (n, Lit(2))), TRUE))
+    assert ground_step(system, mk("init", (Lit(4),)), Domain(6)) == frozenset({mk("loop", (Lit(4), Lit(2)))})
+    ref = weakref.ref(system)
+    del system
+    gc.collect()
+    assert ref() is None
+
+
+def test_bool_literals_are_inside_every_domain():
+    assert in_domain(Lit(True), Domain(0)) and in_domain(Lit(False), Domain(0))
+    assert not in_domain(Lit(1), Domain(0))
+    sig = Signature()
+    flag = sig.add_sort("Flag")
+    sig.add_operation("st", [BOOL], flag)
+    b = Var("b", BOOL)
+    system = Lctrs(sig)
+    system.add_rule(RewriteRule(sig.make_app("st", (b,)), sig.make_app("st", (sig.make_app("not", (b,)),)), TRUE))
+    g = build_graph(system, frozenset({sig.make_app("st", (Lit(True),))}), Domain(0), 10)
+    assert len(g.nodes) == 2 and not g.frontier_exceeded
 
 
 def test_ground_step_examples(comp_sig, comp_system):

@@ -90,6 +90,14 @@ def test_is_subsort_transitive():
     sig.add_operation("mkA", [], a)
     assert sig.is_subsort(a, c)
     assert not sig.is_subsort(c, a)  # antisymmetry on distinct sorts
+    # the closure holds whatever order the pairs are declared in
+    d, e = sig.add_sort("D"), sig.add_sort("E")
+    sig.add_subsort("D", "E")
+    sig.add_subsort("C", "D")
+    assert all(sig.is_subsort(x, e) for x in (a, b, c, d))
+    assert not sig.is_subsort(e, a)
+    rebuilt = Signature(sorts=dict(sig.sorts), subsort_pairs=set(sig.subsort_pairs))
+    assert rebuilt.is_subsort(a, e) and not rebuilt.is_subsort(e, a)
 
 
 def test_is_subsort_unknown_sort_raises(comp_sig):
