@@ -2,6 +2,10 @@
 """Prove every system under systems/ and print a verdict/timing table.
 
     python scripts/run_corpus.py [--solver CMD] [--timeout-ms N]
+
+Exit codes as for `coreach prove`: 0 all goals proved, 1 a goal failed,
+2 otherwise inconclusive (a solver unknown blocked a rule, or the solver
+could not run).
 """
 
 import argparse
@@ -11,7 +15,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from coreach.prover import PROVED, Prover, SearchConfig
+from coreach.prover import FAILED, PROVED, Prover, SearchConfig
 from coreach.smt import resolve_solver
 from coreach.specfile import parse_spec
 
@@ -26,7 +30,7 @@ def main() -> int:
     solver = resolve_solver(args.solver, timeout_ms=args.timeout_ms)
     print(f"solver: {' '.join(solver.command)}")
     print(f"{'system':<18} {'goals':>5} {'proved':>6} {'time':>8}")
-    failures = 0
+    failures = unproved = 0
     for path in sorted(Path(args.systems).glob("*.lrw")):
         spec = parse_spec(path.read_text())
         depth = spec.options.get("max-depth", 30)
@@ -36,8 +40,11 @@ def main() -> int:
         dt = time.monotonic() - t0
         good = sum(1 for r in result.per_goal if r.status == PROVED)
         print(f"{path.stem:<18} {len(result.per_goal):>5} {good:>6} {dt:>7.2f}s")
-        failures += len(result.per_goal) - good
-    return 1 if failures else 0
+        failures += sum(1 for r in result.per_goal if r.status == FAILED)
+        unproved += len(result.per_goal) - good
+    if failures:
+        return 1
+    return 2 if unproved else 0
 
 
 if __name__ == "__main__":

@@ -16,7 +16,7 @@ import sys
 from itertools import product
 
 from .errors import CoreachError, ParseError
-from .formulas import ConstrainedTerm, pretty_constrained, pretty_term, subst_formula
+from .formulas import ConstrainedTerm, pretty_constrained, pretty_formula, pretty_term, subst_formula
 from .oracle import (
     Domain,
     build_graph,
@@ -26,7 +26,17 @@ from .oracle import (
     sort_values,
     to_dot,
 )
-from .prover import FAILED, PROVED, Prover, SearchConfig, check_guarded, render_json, render_text
+from .prover import (
+    FAILED,
+    INCONCLUSIVE,
+    PROVED,
+    UNKNOWN,
+    Prover,
+    SearchConfig,
+    check_guarded,
+    render_json,
+    render_text,
+)
 from .rewriting import derivatives
 from .smt import DEFAULT_TIMEOUT_MS, SolverConfig, resolve_solver
 from .specfile import SpecFile, parse_spec, parse_cterm_in
@@ -125,10 +135,14 @@ def cmd_prove(args) -> int:
                 print(render_text(res.tree, indent=1))
             elif args.dump_proof == "json":
                 print(render_json(res.tree))
-        elif res.status == FAILED:
-            had_failure = True
+        elif res.status in (FAILED, INCONCLUSIVE):
+            had_failure = had_failure or res.status == FAILED
+            inconclusive = inconclusive or res.status == INCONCLUSIVE
             for og in res.frontier:
-                print(f"  open [{og.reason}]: {pretty_constrained(og.formula.lhs)}", file=sys.stderr)
+                reason = f"{og.reason} {og.role}" if og.reason == UNKNOWN else og.reason
+                print(f"  open [{reason}]: {pretty_constrained(og.formula.lhs)}", file=sys.stderr)
+                if og.reason == UNKNOWN:
+                    print(f"    query: {pretty_formula(og.query)}", file=sys.stderr)
         else:
             inconclusive = True
             print(f"  aborted: {res.detail}", file=sys.stderr)

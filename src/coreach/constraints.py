@@ -35,6 +35,7 @@ from .formulas import (
     free_vars,
     subst_formula,
 )
+from .minismt.arith import euclid_div, euclid_mod
 from .signature import Signature
 from .terms import App, FRESH_SEP, Lit, Substitution, Term, Var, term_vars
 
@@ -51,24 +52,10 @@ class SolvedForm:
         return conj(eqs + list(self.residual))
 
 
-def euclid_div(a: int, b: int) -> int:
-    if b == 0:
-        return 0
-    if b > 0:
-        return a // b
-    return -(a // -b)
-
-
-def euclid_mod(a: int, b: int) -> int:
-    # Remainder in [0, |b|); by convention a mod 0 = a.
-    if b == 0:
-        return a
-    return a - b * euclid_div(a, b)
-
-
 # The one definition of what the builtin operators compute on ground values,
 # keyed by (symbol, arity); the solver-free oracle and constant folding both
-# read it.  The bundled solver keeps its own evaluator.
+# read it.  Integer division and remainder are the bundled solver's, so the
+# prover, the oracle and the solver agree on them.
 BUILTIN_SEMANTICS: dict[tuple[str, int], Callable] = {
     ("+", 2): operator.add,
     ("-", 2): operator.sub,

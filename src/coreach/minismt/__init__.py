@@ -6,6 +6,15 @@ quantifier instantiation, bounded case splits) certifies unsat, and
 everything else is unknown.  Runs standalone as `python -m coreach.minismt`.
 """
 
-from .solver import run_script, solve_text
-
 __all__ = ["run_script", "solve_text"]
+
+
+def __getattr__(name: str):
+    # The solver module loads on first use: the frontend imports `arith` for
+    # the division semantics at start-up and should not pay for the solver.
+    if name in __all__:
+        from . import solver
+
+        value = globals()[name] = getattr(solver, name)
+        return value
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -142,6 +142,11 @@ def _key_value(k: Key, key: Key, by: Poly) -> Poly:
     return pvar(k)
 
 
+# SMT-LIB integer division: the remainder lies in [0, |b|).  By convention
+# a div 0 = 0 and a mod 0 = a.  This is the package's one definition; the
+# frontend's constant folding and the ground oracle use it too.
+
+
 def euclid_div(a: int, b: int) -> int:
     if b == 0:
         return 0

@@ -1,16 +1,20 @@
 """SMT-LIB script interpretation: model search for sat, refutation for unsat.
 
-Formulas are kept in negation normal form.  Atoms hold term trees; they are
-lowered to polynomial constraints only when asserted into a refutation core.
-Quantifier evaluation during model search derives finite candidate ranges
-from the atoms that bound the quantified variable; when no finite range is
-implied the result degrades to unknown, never to a wrong verdict.
+Formulas are kept in negation normal form.  Model search compiles the tree
+once per query into closures over a positional valuation and runs them on
+every candidate valuation; refutation works on the tree itself, whose atoms
+hold term trees that are lowered to polynomial constraints only when
+asserted into a refutation core.  Quantifier evaluation during model search
+derives finite candidate ranges from the atoms that bound the quantified
+variable; when no finite range is implied the result degrades to unknown,
+never to a wrong verdict.
 """
 
 from __future__ import annotations
 
 import time
-from itertools import product
+from itertools import compress, product
+from operator import itemgetter
 
 from .arith import (
     EQ0,
@@ -266,84 +270,146 @@ def term_numerals(node) -> set[int]:
     return out
 
 
-# -- ground evaluation ---------------------------------------------------------
+# -- compiled model search -----------------------------------------------------
+#
+# Model search compiles the asserted tree once per query into closures over a
+# positional valuation `env`: one slot per declared constant (integers first,
+# then booleans, each in name order) and a fresh slot for every
+# quantifier-bound variable, so an inner binder shadows an outer name without
+# copying the valuation.  A formula closure returns True, False, or None when a
+# quantifier could not be decided; a term closure returns an int.
+
+_DIV_MOD = {"div": euclid_div, "mod": euclid_mod}
 
 
-def eval_term(t, env: dict) -> int:
+def _const(v):
+    return lambda env: v
+
+
+def _term_code(t, slots: dict):
     tag = t[0]
     if tag == "int":
-        return t[1]
+        return _const(t[1])
     if tag == "var":
-        return env[t[1]]
-    a = eval_term(t[1], env)
-    b = eval_term(t[2], env)
-    match tag:
-        case "+":
-            return a + b
-        case "-":
-            return a - b
-        case "*":
-            return a * b
-        case "div":
-            return euclid_div(a, b)
-        case "mod":
-            return euclid_mod(a, b)
-    raise SolveError(tag)
+        return itemgetter(slots[t[1]])
+    a, b = _term_code(t[1], slots), _term_code(t[2], slots)
+    if tag == "+":
+        return lambda env: a(env) + b(env)
+    if tag == "-":
+        return lambda env: a(env) - b(env)
+    if tag == "*":
+        return lambda env: a(env) * b(env)
+    op = _DIV_MOD[tag]
+    return lambda env: op(a(env), b(env))
 
 
-def eval_nnf(node, env: dict):
-    """Three-valued truth: True, False, or None when a quantifier defeats us."""
-    tag = node[0]
-    if tag == "true":
-        return True
-    if tag == "false":
-        return False
-    if tag == "bvar":
-        return env[node[1]] == node[2]
-    if tag == "cmp":
-        a, b = eval_term(node[2], env), eval_term(node[3], env)
-        return {"le": a <= b, "eq": a == b, "ne": a != b}[node[1]]
-    if tag in ("and", "or"):
-        want_all = tag == "and"
+def _cmp_code(op: str, ta, tb, slots: dict):
+    a, b = _term_code(ta, slots), _term_code(tb, slots)
+    if op == "le":
+        return lambda env: a(env) <= b(env)
+    if op == "eq":
+        return lambda env: a(env) == b(env)
+    return lambda env: a(env) != b(env)
+
+
+class _ModelCompiler:
+    """Compiles NNF trees for model search; `size` is the valuation length
+    the compiled code needs."""
+
+    def __init__(self, size: int):
+        self.size = size
+
+    def formula(self, node, slots: dict):
+        """(code, may_be_none): only code under a quantifier can answer None."""
+        tag = node[0]
+        if tag in ("true", "false"):
+            return _const(tag == "true"), False
+        if tag == "bvar":
+            i, pol = slots[node[1]], node[2]
+            return (lambda env: env[i] is pol), False
+        if tag == "cmp":
+            return _cmp_code(node[1], node[2], node[3], slots), False
+        if tag in ("and", "or"):
+            return self._junction(tag, node[1], slots)
+        if tag in ("exists", "forall"):
+            return self._quantifier(node, slots), True
+        raise SolveError(tag)
+
+    def _junction(self, tag: str, parts, slots: dict):
+        flat = []
+        for p in parts:
+            flat.extend(p[1] if p[0] == tag else (p,))  # and/or are associative
+        compiled = [self.formula(p, slots) for p in flat]
+        codes = [c for c, _ in compiled]
+        if not codes:
+            return _const(tag == "and"), False
+        if len(codes) == 1:
+            return compiled[0]
+        decisive = tag == "or"  # the part value that settles the junction
+        if not any(none for _, none in compiled):
+
+            def settle(env):
+                for c in codes:
+                    if c(env) is decisive:
+                        return decisive
+                return not decisive
+
+            return settle, False
+
+        def junction(env):
+            saw_none = False
+            for c in codes:
+                r = c(env)
+                if r is decisive:
+                    return decisive
+                if r is None:
+                    saw_none = True
+            return None if saw_none else not decisive
+
+        return junction, True
+
+    def _quantifier(self, node, slots: dict):
+        """Bound variables are tried one at a time, outermost first.  An Int
+        variable ranges over candidates read off the matrix (the body for a
+        witness, its negation for a counterexample); the candidate list is
+        exhaustive when the matrix bounds the variable."""
+        tag, bound, body = node
+        want = tag == "exists"
+        inner_slots = dict(slots)
+        own = []
+        for name, _srt in bound:
+            own.append(self.size)
+            inner_slots[name] = self.size
+            self.size += 1
+        code, _ = self.formula(body, inner_slots)
+        matrix = body if want else negate_nnf(body)
+        for k in range(len(bound) - 1, -1, -1):
+            name, srt = bound[k]
+            if srt == BOOLS:
+                candidates = _const(([False, True], True))
+            else:
+                deeper = {n for n, _ in bound[k + 1 :]}
+                candidates = _candidates_code(name, matrix, deeper, inner_slots)
+            code = _level(own[k], candidates, code, want)
+        return code
+
+
+def _level(i: int, candidates, inner, want: bool):
+    def quantifier(env):
+        vals, exhaustive = candidates(env)
         saw_none = False
-        for p in node[1]:
-            r = eval_nnf(p, env)
+        for v in vals:
+            env[i] = v
+            r = inner(env)
+            if r is want:
+                return want
             if r is None:
                 saw_none = True
-            elif r is not want_all:
-                return not want_all
-        return None if saw_none else want_all
-    if tag == "exists":
-        return _eval_quant(node, env, want_witness=True)
-    if tag == "forall":
-        return _eval_quant(node, env, want_witness=False)
-    raise SolveError(tag)
+        if exhaustive and not saw_none:
+            return not want
+        return None
 
-
-def _eval_quant(node, env: dict, want_witness: bool):
-    tag, bound, body = node
-    if not bound:
-        return eval_nnf(body, env)
-    (name, srt), rest = bound[0], bound[1:]
-    inner = (tag, rest, body)
-    if srt == BOOLS:
-        vals, exhaustive = [False, True], True
-    else:
-        matrix = body if want_witness else negate_nnf(body)
-        deeper = {n for n, _ in rest}
-        vals, exhaustive = _candidates(name, matrix, env, deeper)
-    saw_none = False
-    for v in vals:
-        env2 = dict(env)
-        env2[name] = v
-        r = eval_nnf(inner, env2)
-        if r is want_witness:
-            return want_witness
-        if r is None:
-            saw_none = True
-    if exhaustive and not saw_none:
-        return not want_witness
-    return None
+    return quantifier
 
 
 def _spine_atoms(node, skip: set[str]):
@@ -373,125 +439,147 @@ def _term_names(t) -> set[str]:
     return out
 
 
-def _linear_in(t, name: str, env: dict):
-    """(a, c) with value = a*name + c under env, or None if not linear in name."""
+def _linear_code(t, name: str, slots: dict):
+    """Code giving (a, c) with value = a*name + c under the valuation, or None
+    if `t` is not linear in `name` there."""
+    if name not in _term_names(t):
+        value = _term_code(t, slots)
+        return lambda env: (0, value(env))
     tag = t[0]
-    if tag == "int":
-        return (0, t[1])
     if tag == "var":
-        if t[1] == name:
-            return (1, 0)
-        if t[1] in env:
-            return (0, env[t[1]])
-        return None
-    la = _linear_in(t[1], name, env)
-    lb = _linear_in(t[2], name, env)
-    if la is None or lb is None:
-        return None
-    a1, c1 = la
-    a2, c2 = lb
-    match tag:
-        case "+":
+        return _const((1, 0))
+    fa, fb = _linear_code(t[1], name, slots), _linear_code(t[2], name, slots)
+
+    def linear(env):
+        la = fa(env)
+        lb = fb(env)
+        if la is None or lb is None:
+            return None
+        a1, c1 = la
+        a2, c2 = lb
+        if tag == "+":
             return (a1 + a2, c1 + c2)
-        case "-":
+        if tag == "-":
             return (a1 - a2, c1 - c2)
-        case "*":
+        if tag == "*":
             if a1 == 0:
                 return (c1 * a2, c1 * c2)
             if a2 == 0:
                 return (a1 * c2, c1 * c2)
             return None
-        case "div" | "mod":
-            if a1 == 0 and a2 == 0:
-                v = euclid_div(c1, c2) if tag == "div" else euclid_mod(c1, c2)
-                return (0, v)
-            return None
-    return None
+        if a1 == 0 and a2 == 0:  # div or mod of values not depending on name
+            return (0, _DIV_MOD[tag](c1, c2))
+        return None
+
+    return linear
 
 
-def _candidates(name: str, matrix, env: dict, deeper: set[str]):
-    """Candidate values for a quantified integer variable, and exhaustiveness."""
-    atoms = _spine_atoms(matrix, deeper)
-    lo = hi = None
-    eq_vals: set[int] | None = None
-    empty = False
-    for atom in atoms:
-        _, op, ta, tb = atom
-        la = _linear_in(ta, name, env)
-        lb = _linear_in(tb, name, env)
-        if la is None or lb is None:
-            continue
-        a = la[0] - lb[0]
-        c = la[1] - lb[1]
-        # atom is (a*name + c) op 0 with op over le/eq/ne after moving rhs left
-        if op == "le":
-            if a > 0:
-                b = (-c) // a  # floor(-c/a)
-                hi = b if hi is None else min(hi, b)
-            elif a < 0:
-                b = -((-c) // (-a))  # ceil(c/|a|)
-                lo = b if lo is None else max(lo, b)
-            elif c > 0:
-                empty = True
-        elif op == "eq":
-            if a != 0:
-                if (-c) % a == 0:
-                    v = (-c) // a
-                    eq_vals = {v} if eq_vals is None else (eq_vals & {v})
-                else:
-                    eq_vals = set()
-            elif c != 0:
-                empty = True
-        # ne atoms do not bound
-    if empty or (eq_vals is not None and not eq_vals):
-        return [], True
-    if eq_vals is not None:
-        vals = sorted(eq_vals)
-        if lo is not None:
-            vals = [v for v in vals if v >= lo]
-        if hi is not None:
-            vals = [v for v in vals if v <= hi]
-        return vals, True
-    if lo is not None and hi is not None:
-        if hi - lo > QRANGE_WIDTH_CAP:
-            return list(range(lo, lo + QRANGE_WIDTH_CAP + 1)), False
-        return list(range(lo, hi + 1)), True
-    nums = term_numerals(matrix)
+def _candidates_code(name: str, matrix, deeper: set[str], slots: dict):
+    """Code giving the candidate values of a quantified integer variable and
+    whether they are exhaustive, from the atoms that bound it."""
+    atoms = [
+        (op, _linear_code(ta, name, slots), _linear_code(tb, name, slots))
+        for _, op, ta, tb in _spine_atoms(matrix, deeper)
+    ]
     window = set(range(-WINDOW, WINDOW + 1))
-    for k in nums:
+    for k in term_numerals(matrix):
         window.update((k - 1, k, k + 1))
-    if lo is not None:
-        window = {v for v in window if v >= lo} | {lo, lo + 1}
-    if hi is not None:
-        window = {v for v in window if v <= hi} | {hi, hi - 1}
-    return sorted(window), False
+    unbounded = sorted(window)
+
+    def candidates(env):
+        lo = hi = None
+        eq_vals: set[int] | None = None
+        empty = False
+        for op, fa, fb in atoms:
+            la = fa(env)
+            lb = fb(env)
+            if la is None or lb is None:
+                continue
+            a = la[0] - lb[0]
+            c = la[1] - lb[1]
+            # atom is (a*name + c) op 0 with op over le/eq/ne after moving rhs left
+            if op == "le":
+                if a > 0:
+                    b = (-c) // a  # floor(-c/a)
+                    hi = b if hi is None else min(hi, b)
+                elif a < 0:
+                    b = -((-c) // (-a))  # ceil(c/|a|)
+                    lo = b if lo is None else max(lo, b)
+                elif c > 0:
+                    empty = True
+            elif op == "eq":
+                if a != 0:
+                    if (-c) % a == 0:
+                        v = (-c) // a
+                        eq_vals = {v} if eq_vals is None else (eq_vals & {v})
+                    else:
+                        eq_vals = set()
+                elif c != 0:
+                    empty = True
+            # ne atoms do not bound
+        if empty or (eq_vals is not None and not eq_vals):
+            return [], True
+        if eq_vals is not None:
+            vals = sorted(eq_vals)
+            if lo is not None:
+                vals = [v for v in vals if v >= lo]
+            if hi is not None:
+                vals = [v for v in vals if v <= hi]
+            return vals, True
+        if lo is not None and hi is not None:
+            if hi - lo > QRANGE_WIDTH_CAP:
+                return range(lo, lo + QRANGE_WIDTH_CAP + 1), False
+            return range(lo, hi + 1), True
+        if lo is not None:
+            return sorted({v for v in window if v >= lo} | {lo, lo + 1}), False
+        if hi is not None:
+            return sorted({v for v in window if v <= hi} | {hi, hi - 1}), False
+        return unbounded, False
+
+    return candidates
 
 
-# -- model search ----------------------------------------------------------------
+def compile_model_check(tree, decls: dict[str, str]):
+    """(code, size, ints, bools): `code` decides the tree on a valuation list
+    of length `size` whose first slots hold the values of the declared
+    integer names `ints`, then of the boolean names `bools`, each in sorted
+    order."""
+    ints = sorted(n for n, s in decls.items() if s == INT)
+    bools = sorted(n for n, s in decls.items() if s == BOOLS)
+    comp = _ModelCompiler(len(ints) + len(bools))
+    code, _ = comp.formula(tree, {n: i for i, n in enumerate(ints + bools)})
+    return code, comp.size, ints, bools
 
 
-def model_search(tree, decls: dict[str, str], deadline: float, bounds_seq=MODEL_BOUNDS):
-    names = sorted(decls)
-    if not names:
-        return eval_nnf(tree, {}), {}
-    ints = [n for n in names if decls[n] == INT]
-    bools = [n for n in names if decls[n] == BOOLS]
+def model_search(compiled, decls: dict[str, str], deadline: float, bounds_seq=MODEL_BOUNDS):
+    """First valuation of the declared names satisfying the compiled tree.
+
+    Integer tuples are tried in lexicographic order of `_value_order(b)` for
+    each bound b in turn, skipping tuples an earlier bound covered; each
+    integer tuple is tried with every boolean tuple.  One candidate costs one
+    unit of MODEL_EVAL_BUDGET.
+    """
+    code, size, ints, bools = compiled
+    env = [None] * size
+    if not decls:
+        return code(env), {}
+    n_ints, n_decl = len(ints), len(ints) + len(bools)
+    bool_choices = list(product([False, True], repeat=len(bools)))
     budget = MODEL_EVAL_BUDGET
     prev = -1
     for b in bounds_seq:
         vals = _value_order(b)
-        bool_choices = list(product([False, True], repeat=len(bools)))
-        for ivals in product(vals, repeat=len(ints)):
-            if max((abs(v) for v in ivals), default=0) <= prev:
-                continue  # already tried at a smaller bound
+        for ivals in _fresh_tuples(vals, 2 * prev + 1 if prev >= 0 else 0, n_ints):
+            env[:n_ints] = ivals
             for bvals in bool_choices:
                 budget -= 1
                 if budget < 0 or time.monotonic() > deadline:
                     return None, None
-                env = dict(zip(ints, ivals))
-                env.update(zip(bools, bvals))
-                if eval_nnf(tree, env) is True:
-                    return True, env
+                env[n_ints:n_decl] = bvals
+                if code(env) is True:
+                    model = dict(zip(ints, ivals))
+                    model.update(zip(bools, bvals))
+                    return True, model
         prev = b
     return None, None
 
@@ -501,6 +589,15 @@ def _value_order(b: int) -> list[int]:
     for k in range(1, b + 1):
         out.extend((k, -k))
     return out
+
+
+def _fresh_tuples(vals: list[int], n_old: int, n: int):
+    """The n-tuples over `vals` in lexicographic order, leaving out those whose
+    components all lie in the prefix vals[:n_old]."""
+    if n_old == 0:
+        return product(vals, repeat=n)
+    fresh = [i >= n_old for i in range(len(vals))]
+    return compress(product(vals, repeat=n), map(any, product(fresh, repeat=n)))
 
 
 # -- refutation -------------------------------------------------------------------
@@ -939,12 +1036,13 @@ def check_formula(assertions, decls: dict[str, str], timeout_s: float):
     scope = dict(decls)
     tree = ("and", tuple(to_formula(a, scope, True) for a in assertions))
     deadline = time.monotonic() + timeout_s
+    compiled = compile_model_check(tree, decls)
 
     # Phase 1: cheap model scan, sized down as the variable count grows.
     n_ints = sum(1 for s in decls.values() if s == INT)
     cheap_cap = {0: 16, 1: 16, 2: 12, 3: 6, 4: 4}.get(n_ints, 2)
     cheap = tuple(b for b in MODEL_BOUNDS if b <= cheap_cap)
-    verdict, env = model_search(tree, decls, deadline, cheap)
+    verdict, env = model_search(compiled, decls, deadline, cheap)
     if verdict is True:
         return "sat", env
     if verdict is False:
@@ -967,7 +1065,7 @@ def check_formula(assertions, decls: dict[str, str], timeout_s: float):
     # Phase 3: a deeper model scan with whatever time is left.
     deep = tuple(b for b in MODEL_BOUNDS if b > cheap_cap)
     if deep:
-        verdict, env = model_search(tree, decls, deadline, deep)
+        verdict, env = model_search(compiled, decls, deadline, deep)
         if verdict is True:
             return "sat", env
     return "unknown", None

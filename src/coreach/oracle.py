@@ -102,7 +102,7 @@ class _Compiler:
     `size` is the length of a valuation list the compiled code may use.
     """
 
-    def __init__(self, sig: Signature, dom: Domain | None):
+    def __init__(self, sig: Signature, dom: Domain):
         self.sig, self.dom, self.size = sig, dom, 0
 
     def new_slot(self) -> int:
@@ -252,8 +252,7 @@ class _Compiler:
 
             return bind_term
         if isinstance(pat, Lit):
-            v = pat.value
-            return lambda g, env: type(g) is Lit and g.value == v
+            return lambda g, env: g == pat
         if self._builtin(pat) is not None:
             i = self.new_slot()
             deferred.append((pat, i))
@@ -277,13 +276,6 @@ class _Compiler:
             return True
 
         return match_app
-
-
-def eval_ground_term(sig: Signature, t: Term, val: dict[Var, object]):
-    """Value of a term under a ground valuation: int, bool, or a ground term."""
-    comp = _Compiler(sig, None)
-    code = comp.value(t, {v: comp.new_slot() for v in val})
-    return code(comp.env(val.values()))
 
 
 def eval_formula(sig: Signature, f: Formula, val: dict[Var, object], dom: Domain) -> bool:
@@ -406,6 +398,9 @@ def ground_step(system: Lctrs, gamma: Term, dom: Domain) -> StatePredicate:
     rule-variable valuation over the domain that satisfies the guard."""
     sig = system.signature
     rules = _rule_code(system, dom)
+    # Rule right-hand sides yield builtin values as literals, so successors of
+    # a folded state need no folding of their own.
+    gamma = fold_term(gamma)
     out = set()
     for pos in positions(gamma):
         sub = subterm_at(gamma, pos)
@@ -415,7 +410,7 @@ def ground_step(system: Lctrs, gamma: Term, dom: Domain) -> StatePredicate:
             env = [None] * code.size
             if code.match(sub, env):
                 for rhs in code.results(env):
-                    out.add(fold_term(replace_at(gamma, pos, rhs)))
+                    out.add(replace_at(gamma, pos, rhs))
     return frozenset(out)
 
 

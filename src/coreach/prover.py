@@ -91,10 +91,15 @@ class SearchConfig:
 @dataclass(frozen=True)
 class OpenGoal:
     formula: ReachabilityFormula
-    reason: str  # depth | no-rule | budget
+    reason: str  # depth | no-rule | budget | unknown
+    role: str | None = None  # for `unknown`: the side condition that got the verdict
+    query: Formula | None = None  # for `unknown`: exactly what was sent to the solver
 
 
-PROVED, FAILED, ABORTED = "proved", "failed", "aborted"
+# A goal is inconclusive when its search failed and an unknown verdict
+# blocked a rule somewhere in it: that rule might have closed the goal.
+PROVED, FAILED, INCONCLUSIVE, ABORTED = "proved", "failed", "inconclusive", "aborted"
+UNKNOWN = "unknown"
 
 
 @dataclass
@@ -130,17 +135,27 @@ class Prover:
         self.ctr = FreshCounter()
         self.nodes = 0
         self.unknowns = 0
+        self._unknown: tuple[str, Formula] | None = None  # of the last rule application
 
     # -- solver wrappers -----------------------------------------------------------
 
-    def _sat(self, f: Formula) -> SmtResult:
+    def _sat(self, role: str, f: Formula) -> SmtResult:
         try:
             res = check_sat(self.sig, f, self.cfg.solver)
         except NonBuiltinResidue:
             res = SmtResult(Verdict.UNKNOWN)
         if res.verdict == Verdict.UNKNOWN:
             self.unknowns += 1
+            self._unknown = (role, f)
         return res
+
+    def _take_unknown(self, goal: Goal) -> list[OpenGoal]:
+        """The unknown verdict that blocked the rule application just tried,
+        as an open goal; each application sends at most one query."""
+        hit, self._unknown = self._unknown, None
+        if hit is None:
+            return []
+        return [OpenGoal(goal.formula, UNKNOWN, *hit)]
 
     # -- single rule applications -----------------------------------------------------
 
@@ -150,7 +165,7 @@ class Prover:
         if isinstance(lhs.constraint, FalseF):
             cond = SideCondition("lhs-unsat", lhs.constraint, Verdict.UNSAT)
             return ProofNode(AXIOM, goal.formula, (cond,))
-        res = self._sat(lhs.constraint)
+        res = self._sat("lhs-unsat", lhs.constraint)
         if res.verdict != Verdict.UNSAT:
             return None
         return ProofNode(AXIOM, goal.formula, (SideCondition("lhs-unsat", lhs.constraint, Verdict.UNSAT),))
@@ -169,7 +184,7 @@ class Prover:
         if isinstance(phi, FalseF):
             return None
         query = conj([rf.lhs.constraint, phi])
-        res = self._sat(query)
+        res = self._sat("inclusion-sat", query)
         if res.verdict != Verdict.SAT:
             return None
         protected = frozenset(v.name for v in free_vars(rf.rhs))
@@ -205,7 +220,7 @@ class Prover:
         if isinstance(phi, FalseF):
             return None
         query = conj([rf.lhs.constraint, phi])
-        res = self._sat(query)
+        res = self._sat("circ-sat", query)
         if res.verdict != Verdict.SAT:
             return None
         protected = frozenset(v.name for v in free_vars(rf.rhs))
@@ -233,7 +248,7 @@ class Prover:
             return None
         total = simplify(self.sig, totality_condition(rf.lhs, [d.ct for d in ds]))
         neg = simplify(self.sig, Not(total))
-        res = self._sat(neg)
+        res = self._sat("totality", neg)
         if res.verdict != Verdict.UNSAT:
             return None
         conds = [SideCondition("totality", neg, Verdict.UNSAT)]
@@ -249,7 +264,7 @@ class Prover:
         rf = goal.formula
         phi1, phi2 = split
         iff = Iff(rf.lhs.constraint, Or((phi1, phi2)))
-        res = self._sat(simplify(self.sig, Not(iff)))
+        res = self._sat("split", simplify(self.sig, Not(iff)))
         if res.verdict != Verdict.UNSAT:
             raise InvalidSplit(pretty_formula(iff))
         g1 = Goal(
@@ -270,6 +285,7 @@ class Prover:
 
     def prove_goal(self, rf: ReachabilityFormula, split: tuple[Formula, Formula] | None = None) -> GoalResult:
         self.nodes = 0
+        self._unknown = None
         protected = frozenset(v.name for v in free_vars(rf.rhs))
         lhs = simplify_constrained(self.sig, rf.lhs, protected)
         root = Goal(ReachabilityFormula(lhs, rf.rhs))
@@ -283,13 +299,14 @@ class Prover:
                 if n1 is not None and n2 is not None:
                     tree = ProofNode(DISJ, root.formula, (cond,), (n1, n2))
                     return GoalResult(PROVED, tree)
-                return GoalResult(FAILED, frontier=f1 + f2)
-            node, frontier = self._search(root)
+                node, frontier = None, f1 + f2
+            else:
+                node, frontier = self._search(root)
         except SolverUnavailable as exc:
             return GoalResult(ABORTED, detail=str(exc))
         if node is not None:
             return GoalResult(PROVED, node)
-        status = FAILED
+        status = INCONCLUSIVE if any(og.reason == UNKNOWN for og in frontier) else FAILED
         return GoalResult(status, frontier=frontier)
 
     def prove_all(self, splits: dict[int, tuple[Formula, Formula]] | None = None) -> ProveResult:
@@ -300,6 +317,9 @@ class Prover:
         return ProveResult(results)
 
     def _search(self, goal: Goal) -> tuple[ProofNode | None, list[OpenGoal]]:
+        """A proof of the goal, or the open goals of the failed search: its
+        open leaves and, for every rule application at or below this node
+        that an unknown verdict blocked, an `unknown` entry."""
         self.nodes += 1
         if self.nodes > NODE_BUDGET:
             return None, [OpenGoal(goal.formula, "budget")]
@@ -307,31 +327,38 @@ class Prover:
         node = self.apply_axiom(goal)
         if node is not None:
             return node, []
+        unknown = self._take_unknown(goal)
 
         if goal.last_rule != SUBS:
             hit = self.apply_subs(goal)
+            unknown += self._take_unknown(goal)
             if hit is not None:
                 cond, child = hit
                 sub, frontier = self._search(child)
                 if sub is not None:
                     return ProofNode(SUBS, goal.formula, (cond,), (sub,)), []
+                unknown += _unknown_only(frontier)
 
         if goal.has_der_ancestor:
             for index in range(len(self.goals)):
                 hit = self.apply_circ(goal, index)
+                unknown += self._take_unknown(goal)
                 if hit is None:
                     continue
                 cond, g1, g2 = hit
                 n1, f1 = self._search(g1)
                 if n1 is None:
+                    unknown += _unknown_only(f1)
                     continue
                 n2, f2 = self._search(g2)
                 if n2 is None:
+                    unknown += _unknown_only(f2)
                     continue
                 return ProofNode(CIRC, goal.formula, (cond,), (n1, n2), circularity_used=index), []
 
         if goal.depth < self.cfg.max_der_depth:
             hit = self.apply_der(goal)
+            unknown += self._take_unknown(goal)
             if hit is not None:
                 conds, children = hit
                 subs: list[ProofNode] = []
@@ -344,11 +371,15 @@ class Prover:
                         subs.append(n)
                 if not frontier:
                     return ProofNode(DER, goal.formula, conds, tuple(subs)), []
-                return None, frontier
-            reason = "no-rule"
-        else:
-            reason = "depth"
-        return None, [OpenGoal(goal.formula, reason)]
+                return None, frontier + unknown
+            if unknown:
+                return None, unknown  # the unknowns are why no rule applied
+            return None, [OpenGoal(goal.formula, "no-rule")]
+        return None, [OpenGoal(goal.formula, "depth")] + unknown
+
+
+def _unknown_only(frontier: list[OpenGoal]) -> list[OpenGoal]:
+    return [og for og in frontier if og.reason == UNKNOWN]
 
 
 def _match_onto(sig: Signature, pattern: ConstrainedTerm, target: ConstrainedTerm) -> Substitution | None:

@@ -40,6 +40,17 @@ class Var:
 class Lit:
     value: Union[int, bool]
 
+    # The value's type takes part in equality and hashing: Python has
+    # True == 1, but the literals `true` and `1` are different terms.
+    def __eq__(self, other) -> bool:
+        return (
+            type(other) is Lit and type(self.value) is type(other.value) and self.value == other.value
+        )
+
+    def __hash__(self) -> int:
+        v = self.value
+        return hash((bool, v)) if type(v) is bool else hash(v)
+
     @property
     def sort(self) -> Sort:
         return BOOL if isinstance(self.value, bool) else INT

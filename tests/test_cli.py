@@ -1,6 +1,7 @@
 """Exit codes and rendered output of every CLI command."""
 
 import json
+import stat
 import subprocess
 import sys
 from pathlib import Path
@@ -33,6 +34,20 @@ def test_prove_failure_without_circularity(tmp_path):
     assert proc.returncode == 1
     assert "[failed]" in proc.stdout
     assert "open [depth]" in proc.stderr
+
+
+def test_prove_solver_unknowns_exit_two(tmp_path):
+    # A solver that answers unknown to everything enables no rule: the goals
+    # are inconclusive, not failed, and each unknown is reported with its query.
+    fake = tmp_path / "unknown-solver"
+    fake.write_text("#!/bin/sh\ncat > /dev/null\necho unknown\n")
+    fake.chmod(fake.stat().st_mode | stat.S_IEXEC)
+    proc = run_cli("prove", "systems/sum.lrw", "--solver", str(fake))
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stdout.count("[inconclusive]") == 2
+    assert "open [unknown lhs-unsat]" in proc.stderr
+    assert "query:" in proc.stderr
+    assert "open [no-rule]" not in proc.stderr
 
 
 def test_prove_parse_error_exit_three(tmp_path):

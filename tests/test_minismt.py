@@ -1,7 +1,10 @@
 """The bundled solver: verdict battery, euclidean semantics, script interface."""
 
+import math
+import re
 import subprocess
 import sys
+from itertools import product
 
 from hypothesis import given, strategies as st
 
@@ -103,65 +106,194 @@ def test_declare_fun_constants():
     assert verdict("(declare-fun x () Int)(assert (= x 2))(assert (= x 3))(check-sat)") == "unsat"
 
 
+# -- an evaluator independent of the solver --------------------------------------
+#
+# Formulas are nested lists in SMT-LIB shape.  Quantifiers range over Bool or
+# over the integers in [-6, 6]; every generated formula relativizes its
+# integer binders to that range, so the enumeration is the exact truth.
+
+QRANGE = range(-6, 7)
+
+
+def _smt(sx) -> str:
+    if isinstance(sx, list):
+        return "(" + " ".join(_smt(a) for a in sx) + ")"
+    return str(sx)
+
+
+def _ediv(a: int, b: int) -> int:
+    # SMT-LIB integer division: a = b*q + r with 0 <= r < |b|; a div 0 = 0
+    return 0 if b == 0 else (a - a % abs(b)) // b
+
+
+def _value(sx, env: dict):
+    if isinstance(sx, int):
+        return sx
+    if isinstance(sx, str):
+        return {"true": True, "false": False}[sx] if sx in ("true", "false") else env[sx]
+    head, args = sx[0], sx[1:]
+    if head in ("exists", "forall"):
+        names = [name for name, _ in args[0]]
+        pools = [(False, True) if srt == "Bool" else QRANGE for _, srt in args[0]]
+        truths = (_value(args[1], {**env, **dict(zip(names, combo))}) for combo in product(*pools))
+        return any(truths) if head == "exists" else all(truths)
+    vals = [_value(a, env) for a in args]
+    match head, vals:
+        case "+", _:
+            return sum(vals)
+        case "-", [a]:
+            return -a
+        case "-", [a, b]:
+            return a - b
+        case "*", [a, b]:
+            return a * b
+        case "div", [a, b]:
+            return _ediv(a, b)
+        case "mod", [a, b]:
+            return a - b * _ediv(a, b)
+        case "<", [a, b]:
+            return a < b
+        case "<=", [a, b]:
+            return a <= b
+        case ">", [a, b]:
+            return a > b
+        case ">=", [a, b]:
+            return a >= b
+        case "=", [a, b]:
+            return a == b
+        case "not", [a]:
+            return not a
+        case "and", _:
+            return all(vals)
+        case "or", _:
+            return any(vals)
+        case "=>", [a, b]:
+            return not a or b
+    raise ValueError(f"cannot evaluate {sx!r}")
+
+
+def _in_range(v: str) -> list:
+    return ["and", ["<=", ["-", 6], v], ["<=", v, 6]]
+
+
+def _truth_over_range(body, names: list[str]) -> bool:
+    """Whether some valuation of `names` in [-6, 6] satisfies the formula."""
+    return any(_value(body, dict(zip(names, combo))) for combo in product(QRANGE, repeat=len(names)))
+
+
 def _rand_term(rng, depth, names):
     if depth == 0 or rng.random() < 0.4:
         if rng.random() < 0.5:
             return rng.choice(names)
-        return str(rng.randint(-4, 4))
+        return rng.randint(-4, 4)
     op = rng.choice(["+", "-", "*", "div", "mod"])
-    return f"({op} {_rand_term(rng, depth - 1, names)} {_rand_term(rng, depth - 1, names)})"
+    return [op, _rand_term(rng, depth - 1, names), _rand_term(rng, depth - 1, names)]
 
 
 def _rand_formula(rng, depth, names):
     if depth == 0 or rng.random() < 0.45:
         op = rng.choice(["<", "<=", "=", ">", ">="])
-        return f"({op} {_rand_term(rng, 1, names)} {_rand_term(rng, 1, names)})"
+        return [op, _rand_term(rng, 1, names), _rand_term(rng, 1, names)]
     kinds = ["and", "or", "not"] + (["exists"] if len(names) < 3 else [])
     kind = rng.choice(kinds)
     if kind == "not":
-        return f"(not {_rand_formula(rng, depth - 1, names)})"
+        return ["not", _rand_formula(rng, depth - 1, names)]
     if kind == "exists":
         v = f"q{len(names)}"
         inner = _rand_formula(rng, depth - 1, names + [v])
-        return f"(exists (({v} Int)) (and (<= (- 6) {v}) (<= {v} 6) {inner}))"
-    return f"({kind} {_rand_formula(rng, depth - 1, names)} {_rand_formula(rng, depth - 1, names)})"
+        return ["exists", [[v, "Int"]], ["and", *_in_range(v)[1:], inner]]
+    return [kind, _rand_formula(rng, depth - 1, names), _rand_formula(rng, depth - 1, names)]
+
+
+def _mismatch(body, names: list[str], timeout=5.0):
+    """None when the solver's verdict on `body` over [-6, 6] is right or
+    unknown and any model it gives satisfies `body`, else (formula, answer,
+    truth)."""
+    decls = "".join(f"(declare-const {v} Int)" for v in names)
+    asserted = ["and", *(_in_range(v) for v in names), body]
+    out = solve_text(f"{decls}(assert {_smt(asserted)})(check-sat)(get-model)", timeout).splitlines()
+    truth = "sat" if _truth_over_range(asserted, names) else "unsat"
+    if out[0] == "sat":
+        model = {}
+        for line in out[2:-1]:
+            name, value = re.fullmatch(r"  \(define-fun (\S+) \(\) Int (.+)\)", line).groups()
+            model[name] = -int(value[3:-1]) if value.startswith("(- ") else int(value)
+        if not _value(asserted, model):
+            return _smt(body), f"model {model}", truth
+    if out[0] in ("unknown", truth):
+        return None
+    return _smt(body), out[0], truth
 
 
 def test_fuzzed_verdicts_match_exhaustive_truth():
     # Formulas relativized to [-6, 6] so enumeration is a complete oracle;
     # unknown is tolerated, a wrong verdict is not.
     import random
-    from itertools import product
-
-    from coreach.minismt.solver import eval_nnf, to_formula
 
     rng = random.Random(1729)
     mismatches = []
     for _ in range(150):
         names = ["x", "y"][: rng.randint(1, 2)]
-        body = _rand_formula(rng, 3, names)
-        rel = " ".join(f"(and (<= (- 6) {v}) (<= {v} 6))" for v in names)
-        decls = "".join(f"(declare-const {v} Int)" for v in names)
-        verdict = solve_text(f"{decls}(assert (and {rel} {body}))(check-sat)", 5.0)
-        if verdict == "unknown":
-            continue
-        scope = {v: "Int" for v in names}
-        parts = [["and", ["<=", ["-", 6], v], ["<=", v, 6]] for v in names]
-        parts.append(parse_all(body)[0])
-        tree = to_formula(["and"] + parts, scope, True)
-        found, complete = False, True
-        for combo in product(range(-6, 7), repeat=len(names)):
-            r = eval_nnf(tree, dict(zip(names, combo)))
-            if r is True:
-                found = True
-                break
-            if r is None:
-                complete = False
-        if found and verdict != "sat":
-            mismatches.append((body, verdict, "sat"))
-        elif not found and complete and verdict != "unsat":
-            mismatches.append((body, verdict, "unsat"))
+        miss = _mismatch(_rand_formula(rng, 3, names), names)
+        if miss:
+            mismatches.append(miss)
     assert not mismatches, mismatches[:3]
+
+
+def test_nested_and_bool_quantifiers_match_exhaustive_truth():
+    # Universal and existential binders, nested and over Bool, with free
+    # variables under them: the cases where model search reads candidate
+    # ranges off the matrix and negates it for a universal.
+    def forall(v, body):
+        return ["forall", [[v, "Int"]], ["=>", _in_range(v), body]]
+
+    def exists(v, body):
+        return ["exists", [[v, "Int"]], ["and", _in_range(v), body]]
+
+    cases = [
+        forall("u", ["or", ["<", "u", "x"], [">", "u", "y"]]),
+        forall("u", ["<", "u", "x"]),
+        forall("u", forall("w", ["<=", ["+", "u", "w"], ["+", "x", "y"]])),
+        forall("u", exists("w", ["=", "w", ["+", "u", "x"]])),
+        ["and", ["not", ["=", "x", 0]], forall("u", exists("w", ["=", "w", ["+", "u", "x"]]))],
+        exists("u", exists("w", ["and", [">", "u", 1], [">", "w", 1], ["=", ["*", "u", "w"], "x"], [">", "x", "y"]])),
+        ["not", exists("u", ["and", ["<", 1, "u"], ["<", "u", "x"], ["=", ["mod", "x", "u"], 0]])],
+        ["exists", [["b", "Bool"]], forall("u", ["and", ["=>", "b", ["<=", "u", "x"]], ["=>", ["not", "b"], [">=", "u", "y"]]])],
+        ["forall", [["b", "Bool"]], ["and", ["or", "b", [">", "x", 2]], ["or", ["not", "b"], ["<", "y", -2]]]],
+        ["forall", [["b", "Bool"], ["u", "Int"]], ["=>", ["and", "b", _in_range("u")], ["<=", "u", ["+", "y", 3]]]],
+        ["exists", [["u", "Int"], ["b", "Bool"]], ["and", _in_range("u"), ["=", "b", [">", "u", "y"]], "b", ["=", "u", "x"]]],
+    ]
+    mismatches = [m for body in cases if (m := _mismatch(body, ["x", "y"], 10.0))]
+    assert not mismatches, mismatches
+
+
+def test_unbounded_universal_is_never_taken_to_hold():
+    # Nothing bounds u, so the candidates tried for it are not exhaustive;
+    # for x = 0 the counterexample u = 1000 lies outside them.  A model may
+    # only be reported for an x that really has no such u.
+    out = solve_text("(declare-const x Int)(assert (forall ((u Int)) (not (= (* u u) (+ x 1000000)))))(check-sat)(get-model)")
+    lines = out.splitlines()
+    assert lines[0] in ("sat", "unknown")
+    if lines[0] == "sat":
+        x = int(re.search(r"define-fun x \(\) Int (\S+)\)", out).group(1))
+        assert math.isqrt(x + 1_000_000) ** 2 != x + 1_000_000
+
+
+def test_model_search_order_is_pinned():
+    # Candidates are tried in the order 0, 1, -1, 2, -2, ... per variable,
+    # lexicographically over the declared names; the first model is stable.
+    out = solve_text("(declare-const x Int)(declare-const y Int)(assert (and (> x 2) (< y (- 1))))(check-sat)(get-model)")
+    assert out.splitlines() == [
+        "sat",
+        "(",
+        "  (define-fun x () Int 3)",
+        "  (define-fun y () Int (- 2))",
+        ")",
+    ]
+    out = solve_text(f"(declare-const n Int)(assert {PSI})(check-sat)(get-model)")
+    assert "(define-fun n () Int 4)" in out
+    out = solve_text("(declare-const b Bool)(declare-const x Int)(assert (and b (= x (- 1))))(check-sat)(get-model)")
+    assert out.splitlines()[1:3] == ["(", "  (define-fun b () Bool true)"]
 
 
 @given(st.integers(-30, 30), st.integers(-10, 10))

@@ -113,6 +113,25 @@ def test_ground_step_nonlinear_and_builtin_patterns(comp_sig):
     )
 
 
+def test_ground_step_folds_a_caller_supplied_state(comp_sig):
+    # Successors are folded even when the given state is not: the builtin
+    # subterm 2 + 3 outside the redex comes back as 5, and the one inside a
+    # redex is folded before matching.
+    mk = comp_sig.make_app
+    cfg = comp_sig.sorts["Cfg"]
+    comp_sig.add_operation("pair", [cfg, cfg], cfg)
+    system = Lctrs(comp_sig)
+    system.add_rule(RewriteRule(mk("init", (n,)), mk("loop", (n, Lit(2))), TRUE))
+    five = mk("+", (Lit(2), Lit(3)))
+    state = mk("pair", (mk("init", (Lit(4),)), mk("init", (five,))))
+    assert ground_step(system, state, Domain(6)) == frozenset(
+        {
+            mk("pair", (mk("loop", (Lit(4), Lit(2))), mk("init", (Lit(5),)))),
+            mk("pair", (mk("init", (Lit(4),)), mk("loop", (Lit(5), Lit(2))))),
+        }
+    )
+
+
 def test_ground_step_follows_later_rules_and_constructors(comp_sig):
     mk = comp_sig.make_app
     cfg = comp_sig.sorts["Cfg"]

@@ -18,6 +18,8 @@ from coreach.prover import (
     CIRC,
     DER,
     FAILED,
+    INCONCLUSIVE,
+    UNKNOWN,
     Goal,
     PROVED,
     ProofNode,
@@ -32,6 +34,8 @@ from coreach.prover import (
     to_json_dict,
 )
 from coreach.rewriting import ReachabilityFormula
+from coreach.smt import SmtResult, Verdict
+from coreach.specfile import parse_spec
 from coreach.terms import INT, Lit, Var
 
 n, i, x, y = Var("n", INT), Var("i", INT), Var("x", INT), Var("y", INT)
@@ -252,3 +256,74 @@ def test_first_circularity_tree_shape(prover):
     cont, residual = circ.children
     assert cont.kind == SUBS and cont.children[0].kind == AXIOM
     assert residual.kind == AXIOM
+
+
+def test_unknowns_that_touch_a_failed_search_make_it_inconclusive(monkeypatch, solver_cfg):
+    # The sum goal without its circularity fails at depth 3 after 13 queries.
+    # Turn each one of them in turn into an unknown: the goal is then
+    # inconclusive, with the role and the exact query in its frontier,
+    # unless the node whose rule the unknown blocked was closed another way.
+    import coreach.prover as prover_mod
+
+    with open("systems/sum.lrw", encoding="utf-8") as fh:
+        spec = parse_spec(fh.read())
+    cfg = SearchConfig(max_der_depth=3, solver=solver_cfg)
+
+    def run():
+        return Prover(spec.system, [spec.goals[0].formula], cfg).prove_all().per_goal[0]
+
+    res = run()
+    assert res.status == FAILED and {og.reason for og in res.frontier} == {"depth"}
+    real_check_sat = prover_mod.check_sat
+    queries = []
+
+    def counting(sig, f, solver):
+        queries.append(f)
+        return real_check_sat(sig, f, solver)
+
+    monkeypatch.setattr(prover_mod, "check_sat", counting)
+    run()
+    assert len(queries) == 13
+    statuses = []
+    for k in range(len(queries)):
+        calls = []
+
+        def unknown_at_k(sig, f, solver):
+            calls.append(f)
+            if len(calls) - 1 == k:
+                return SmtResult(Verdict.UNKNOWN)
+            return real_check_sat(sig, f, solver)
+
+        monkeypatch.setattr(prover_mod, "check_sat", unknown_at_k)
+        res = run()
+        statuses.append(res.status)
+        blocked = [og for og in res.frontier if og.reason == UNKNOWN]
+        if res.status == FAILED:
+            assert not blocked and {og.reason for og in res.frontier} == {"depth"}, k
+            continue
+        assert res.status == INCONCLUSIVE, k
+        assert [og.query for og in blocked] == [calls[k]], k
+        assert blocked[0].role in ("lhs-unsat", "inclusion-sat", "circ-sat", "totality")
+    # Only queries 7 and 10 are harmless: each asks about the satisfiable
+    # left constraint of a leaf that subsumption then closes.
+    expected = [INCONCLUSIVE] * len(queries)
+    expected[7] = expected[10] = FAILED
+    assert statuses == expected
+
+
+def test_unknowns_do_not_touch_a_proof(monkeypatch, prover):
+    # The root's axiom query is satisfiable anyway: an unknown there changes
+    # nothing, and a proved goal stays proved.
+    import coreach.prover as prover_mod
+
+    real_check_sat = prover_mod.check_sat
+    calls = []
+
+    def first_unknown(sig, f, solver):
+        calls.append(f)
+        return SmtResult(Verdict.UNKNOWN) if len(calls) == 1 else real_check_sat(sig, f, solver)
+
+    monkeypatch.setattr(prover_mod, "check_sat", first_unknown)
+    result = prover.prove_all()
+    assert prover.unknowns == 1
+    assert [r.status for r in result.per_goal] == [PROVED, PROVED]

@@ -5,6 +5,7 @@ from coreach.errors import InvalidPosition
 from coreach.signature import Signature
 from coreach.terms import (
     INT,
+    App,
     FreshCounter,
     Lit,
     Substitution,
@@ -128,3 +129,17 @@ def test_free_vars_of_substituted_term(t, a):
     sigma = Substitution({n: a})
     expected = (term_vars(t) - {n}) | (term_vars(a) if n in term_vars(t) else set())
     assert term_vars(sigma.apply(t)) == expected
+
+
+def test_bool_and_int_literals_are_different_terms():
+    assert Lit(True) != Lit(1) and Lit(False) != Lit(0)
+    assert Lit(1) == Lit(1) and hash(Lit(1)) == hash(Lit(1))
+    assert Lit(True).sort != Lit(1).sort
+    wrapped_bool = App("loop", (Lit(True), Lit(0)), CFG)
+    wrapped_int = App("loop", (Lit(1), Lit(0)), CFG)
+    assert wrapped_bool != wrapped_int
+    assert len({Lit(True), Lit(1), Lit(False), Lit(0)}) == 4
+    assert len({wrapped_bool, wrapped_int}) == 2
+    table = {wrapped_bool: "true", wrapped_int: "1"}
+    assert table[App("loop", (Lit(True), Lit(0)), CFG)] == "true"
+    assert table[App("loop", (Lit(1), Lit(0)), CFG)] == "1"
