@@ -16,7 +16,7 @@ import sys
 from itertools import product
 
 from .errors import CoreachError, ParseError
-from .formulas import ConstrainedTerm, pretty_constrained, pretty_formula, pretty_term, subst_formula
+from .formulas import pretty_constrained, pretty_formula, pretty_term, subst_constrained
 from .oracle import (
     Domain,
     build_graph,
@@ -171,9 +171,10 @@ def _goal_predicates(spec: SpecFile, goal, dom: Domain):
         sigma = Substitution(
             {v: (Lit(c) if isinstance(c, (bool, int)) else c) for v, c in zip(shared, combo)}
         )
-        lhs = ConstrainedTerm(sigma.apply(goal.formula.lhs.term), subst_formula(sigma, goal.formula.lhs.constraint))
-        rhs = ConstrainedTerm(sigma.apply(goal.formula.rhs.term), subst_formula(sigma, goal.formula.rhs.constraint))
-        yield enumerate_instances(sig, lhs, dom), enumerate_instances(sig, rhs, dom)
+        yield (
+            enumerate_instances(sig, subst_constrained(sigma, goal.formula.lhs), dom),
+            enumerate_instances(sig, subst_constrained(sigma, goal.formula.rhs), dom),
+        )
 
 
 def cmd_oracle(args) -> int:

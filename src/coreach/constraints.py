@@ -14,6 +14,7 @@ from typing import Callable
 
 from .errors import SortMismatch
 from .formulas import (
+    JUNCTIONS,
     And,
     Atom,
     ConstrainedTerm,
@@ -21,7 +22,6 @@ from .formulas import (
     Exists,
     FALSE,
     FalseF,
-    Forall,
     Formula,
     Iff,
     Implies,
@@ -29,10 +29,13 @@ from .formulas import (
     Or,
     TRUE,
     TrueF,
+    atom_terms,
+    children,
     conj,
     disj,
     exists,
     free_vars,
+    junction,
     subst_formula,
 )
 from .minismt.arith import euclid_div, euclid_mod
@@ -198,13 +201,16 @@ def simplify(sig: Signature, f: Formula) -> Formula:
 def _simp(sig: Signature, f: Formula) -> Formula:
     if isinstance(f, (TrueF, FalseF)):
         return f
+    if isinstance(f, (And, Or)):
+        return _simp_junction(sig, f)
     if isinstance(f, Atom):
-        t = fold_term(f.term)
+        (t,) = atom_terms(f)
+        t = fold_term(t)
         if isinstance(t, Lit):
             return TRUE if t.value else FALSE
         return Atom(t)
     if isinstance(f, Eq):
-        lt, rt = fold_term(f.lhs), fold_term(f.rhs)
+        lt, rt = map(fold_term, atom_terms(f))
         if lt == rt:
             return TRUE
         if isinstance(lt, Lit) and isinstance(rt, Lit):
@@ -216,50 +222,18 @@ def _simp(sig: Signature, f: Formula) -> Formula:
         except SortMismatch:
             return FALSE
         return disj([sf.as_formula() for sf in forms])
+    kids = [_simp(sig, k) for k in children(f)]
     if isinstance(f, Not):
-        b = _simp(sig, f.body)
+        (b,) = kids
         if isinstance(b, TrueF):
             return FALSE
         if isinstance(b, FalseF):
             return TRUE
         if isinstance(b, Not):
-            return b.body
+            return children(b)[0]
         return Not(b)
-    if isinstance(f, And):
-        parts: list[Formula] = []
-        for p in f.parts:
-            sp = _simp(sig, p)
-            if isinstance(sp, FalseF):
-                return FALSE
-            if isinstance(sp, TrueF):
-                continue
-            if isinstance(sp, And):
-                parts.extend(sp.parts)
-            elif sp not in parts:
-                parts.append(sp)
-        for p in parts:
-            if Not(p) in parts or (isinstance(p, Not) and p.body in parts):
-                return FALSE
-        parts = _propagate_bindings(sig, parts)
-        return conj(parts)
-    if isinstance(f, Or):
-        parts = []
-        for p in f.parts:
-            sp = _simp(sig, p)
-            if isinstance(sp, TrueF):
-                return TRUE
-            if isinstance(sp, FalseF):
-                continue
-            if isinstance(sp, Or):
-                parts.extend(sp.parts)
-            elif sp not in parts:
-                parts.append(sp)
-        for p in parts:
-            if Not(p) in parts or (isinstance(p, Not) and p.body in parts):
-                return TRUE
-        return disj(parts)
     if isinstance(f, Implies):
-        a, b = _simp(sig, f.premise), _simp(sig, f.conclusion)
+        a, b = kids
         if isinstance(a, TrueF):
             return b
         if isinstance(a, FalseF) or isinstance(b, TrueF):
@@ -270,7 +244,7 @@ def _simp(sig: Signature, f: Formula) -> Formula:
             return TRUE
         return Implies(a, b)
     if isinstance(f, Iff):
-        a, b = _simp(sig, f.lhs), _simp(sig, f.rhs)
+        a, b = kids
         if a == b:
             return TRUE
         if isinstance(a, TrueF):
@@ -282,21 +256,43 @@ def _simp(sig: Signature, f: Formula) -> Formula:
         if isinstance(b, FalseF):
             return _simp(sig, Not(a))
         return Iff(a, b)
-    if isinstance(f, (Exists, Forall)):
-        body = _simp(sig, f.body)
-        cls = type(f)
-        if isinstance(body, cls) and not (set(f.bound) & set(body.bound)):
-            body, bound = body.body, f.bound + body.bound
-        else:
-            bound = f.bound
-        if isinstance(f, Exists):
-            bound, body = _one_point(sig, bound, body)
-        fv = free_vars(body)
-        bound = tuple(v for v in bound if v in fv)
-        if isinstance(body, (TrueF, FalseF)) or not bound:
-            return body
-        return cls(bound, body)
-    raise TypeError(f"_simp: {f!r}")
+    (body,) = kids  # a binder
+    cls = type(f)
+    if isinstance(body, cls) and not (set(f.bound) & set(body.bound)):
+        bound = f.bound + body.bound
+        (body,) = children(body)
+    else:
+        bound = f.bound
+    if isinstance(f, Exists):
+        bound, body = _one_point(sig, bound, body)
+    fv = free_vars(body)
+    bound = tuple(v for v in bound if v in fv)
+    if isinstance(body, (TrueF, FalseF)) or not bound:
+        return body
+    return cls(bound, body)
+
+
+def _simp_junction(sig: Signature, f: And | Or) -> Formula:
+    """An And or Or with its parts simplified, flattened and deduplicated;
+    the absorbing element or a complementary pair of parts absorbs it."""
+    cls = type(f)
+    unit, absorbing = JUNCTIONS[cls]
+    parts: list[Formula] = []
+    for p in children(f):
+        sp = _simp(sig, p)
+        if type(sp) is type(absorbing):
+            return absorbing
+        if type(sp) is type(unit):
+            continue
+        if type(sp) is cls:
+            parts.extend(children(sp))
+        elif sp not in parts:
+            parts.append(sp)
+    if any(isinstance(p, Not) and children(p)[0] in parts for p in parts):
+        return absorbing
+    if cls is And:
+        parts = _propagate_bindings(sig, parts)
+    return junction(cls, parts)
 
 
 def _eligible_binding(p: Formula, candidates) -> tuple[Var, Term] | None:
@@ -344,7 +340,7 @@ def _one_point(sig: Signature, bound: tuple[Var, ...], body: Formula):
     changed = True
     while changed and bound:
         changed = False
-        parts = list(body.parts) if isinstance(body, And) else [body]
+        parts = list(children(body)) if isinstance(body, And) else [body]
         for i, p in enumerate(parts):
             hit = _eligible_binding(p, lambda v: v in bound)
             if hit is None:
@@ -372,7 +368,7 @@ def simplify_constrained(
     for _ in range(SIMPLIFY_PASS_CAP):
         if isinstance(constraint, FalseF):
             return ConstrainedTerm(term, FALSE)
-        parts = list(constraint.parts) if isinstance(constraint, And) else [constraint]
+        parts = list(children(constraint)) if isinstance(constraint, And) else [constraint]
         hit = None
         for i, p in enumerate(parts):
             found = _eligible_binding(p, lambda v: v.name not in protected)
@@ -409,12 +405,19 @@ def reduced_equation(sig: Signature, t1: Term, t2: Term) -> Formula:
     return disj([sf.as_formula() for sf in forms])
 
 
+def instance_condition(sig: Signature, t: Term, ct: ConstrainedTerm, private) -> Formula:
+    """∃private.(t = t' ∧ φ') for ct = ⟨t' | φ'⟩ with the equation reduced:
+    where it holds, `t` is an instance of `ct` that agrees with the caller
+    on every variable not in `private`.  Callers simplify it themselves."""
+    body = conj([reduced_equation(sig, t, ct.term), ct.constraint])
+    return exists(sorted(private, key=lambda v: v.name), body)
+
+
 def semantic_inclusion_condition(sig: Signature, ct1: ConstrainedTerm, ct2: ConstrainedTerm) -> Formula:
     """φ → ∃x̃.(t = t' ∧ φ') with x̃ the variables private to ct2.
 
     Validity of the result is equivalent to inclusion of the instance sets of
     ct1 in ct2 under every consistent instantiation of the shared variables.
     """
-    extra = sorted(free_vars(ct2) - free_vars(ct1), key=lambda v: v.name)
-    body = conj([reduced_equation(sig, ct1.term, ct2.term), ct2.constraint])
-    return Implies(ct1.constraint, exists(extra, body))
+    private = free_vars(ct2) - free_vars(ct1)
+    return Implies(ct1.constraint, instance_condition(sig, ct1.term, ct2, private))

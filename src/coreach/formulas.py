@@ -1,13 +1,15 @@
 """First-order constraint formulas over the full signature, and constrained terms.
 
-Equality is structural.  `subst_formula` is capture-avoiding: binders are
-alpha-renamed on the fly when a replacement term would be captured.
+Equality is structural.  Every walker takes a formula apart with
+`atom_terms` and `children` and puts it back together with `rebuild`.
+`subst_formula` is capture-avoiding: binders are alpha-renamed on the fly
+when a replacement term would be captured.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Union
+from typing import Callable, Union
 
 from .terms import App, Lit, Substitution, Term, Var, term_vars
 
@@ -104,41 +106,85 @@ class Forall:
 
 
 Formula = Union[TrueF, FalseF, Eq, Atom, Not, And, Or, Implies, Iff, Exists, Forall]
+BINDERS = (Exists, Forall)
 
 TRUE = TrueF()
 FALSE = FalseF()
 
 
-def conj(parts) -> Formula:
+# -- structure ----------------------------------------------------------------
+#
+# The one way to take a formula apart and put it back together.  Per class:
+# its atom terms, its subformulas, and the rebuild from new ones; binders
+# keep their `bound` tuple.
+
+
+def _none(f) -> tuple:
+    return ()
+
+
+def _same(f, terms, kids) -> Formula:
+    return f
+
+
+_SHAPES: dict[type, tuple[Callable, Callable, Callable]] = {
+    TrueF: (_none, _none, _same),
+    FalseF: (_none, _none, _same),
+    Eq: (lambda f: (f.lhs, f.rhs), _none, lambda f, terms, kids: Eq(*terms)),
+    Atom: (lambda f: (f.term,), _none, lambda f, terms, kids: Atom(*terms)),
+    Not: (_none, lambda f: (f.body,), lambda f, terms, kids: Not(*kids)),
+    And: (_none, lambda f: f.parts, lambda f, terms, kids: And(tuple(kids))),
+    Or: (_none, lambda f: f.parts, lambda f, terms, kids: Or(tuple(kids))),
+    Implies: (_none, lambda f: (f.premise, f.conclusion), lambda f, terms, kids: Implies(*kids)),
+    Iff: (_none, lambda f: (f.lhs, f.rhs), lambda f, terms, kids: Iff(*kids)),
+    Exists: (_none, lambda f: (f.body,), lambda f, terms, kids: Exists(f.bound, *kids)),
+    Forall: (_none, lambda f: (f.body,), lambda f, terms, kids: Forall(f.bound, *kids)),
+}
+
+
+def atom_terms(f: Formula) -> tuple[Term, ...]:
+    """The terms of an atomic formula (`Eq`, `Atom`); () for any other."""
+    return _SHAPES[type(f)][0](f)
+
+
+def children(f: Formula) -> tuple[Formula, ...]:
+    """The immediate subformulas of `f` in order; a binder's is its body."""
+    return _SHAPES[type(f)][1](f)
+
+
+def rebuild(f: Formula, terms, kids) -> Formula:
+    """A formula of `f`'s class over new atom terms and subformulas, so that
+    `rebuild(f, atom_terms(f), children(f)) == f`; binders keep `f.bound`."""
+    return _SHAPES[type(f)][2](f, terms, kids)
+
+
+# The unit and the absorbing element of each junction.
+JUNCTIONS = {And: (TRUE, FALSE), Or: (FALSE, TRUE)}
+
+
+def junction(cls: type, parts) -> Formula:
+    """`cls` (And or Or) of `parts`, with nested `cls` parts flattened and
+    units dropped; no parts give the unit, one part stands alone."""
+    unit = JUNCTIONS[cls][0]
     flat: list[Formula] = []
     for p in parts:
-        if isinstance(p, TrueF):
-            continue
-        if isinstance(p, And):
-            flat.extend(p.parts)
-        else:
+        if type(p) is cls:
+            flat.extend(children(p))
+        elif type(p) is not type(unit):
             flat.append(p)
     if not flat:
-        return TRUE
+        return unit
     if len(flat) == 1:
         return flat[0]
-    return And(tuple(flat))
+    return cls(tuple(flat))
+
+
+def conj(parts) -> Formula:
+    return junction(And, parts)
 
 
 def disj(parts) -> Formula:
-    flat: list[Formula] = []
-    for p in parts:
-        if isinstance(p, FalseF):
-            continue
-        if isinstance(p, Or):
-            flat.extend(p.parts)
-        else:
-            flat.append(p)
-    if not flat:
-        return FALSE
-    if len(flat) == 1:
-        return flat[0]
-    return Or(tuple(flat))
+    return junction(Or, parts)
 
 
 def exists(bound, body: Formula) -> Formula:
@@ -163,72 +209,50 @@ def free_vars(x) -> set[Var]:
         return term_vars(x)
     if isinstance(x, ConstrainedTerm):
         return term_vars(x.term) | free_vars(x.constraint)
-    if isinstance(x, (TrueF, FalseF)):
-        return set()
-    if isinstance(x, Eq):
-        return term_vars(x.lhs) | term_vars(x.rhs)
-    if isinstance(x, Atom):
-        return term_vars(x.term)
-    if isinstance(x, Not):
-        return free_vars(x.body)
-    if isinstance(x, (And, Or)):
-        out: set[Var] = set()
-        for p in x.parts:
-            out |= free_vars(p)
-        return out
-    if isinstance(x, Implies):
-        return free_vars(x.premise) | free_vars(x.conclusion)
-    if isinstance(x, Iff):
-        return free_vars(x.lhs) | free_vars(x.rhs)
-    if isinstance(x, (Exists, Forall)):
-        return free_vars(x.body) - set(x.bound)
-    raise TypeError(f"free_vars: {x!r}")
+    out: set[Var] = set()
+    for t in atom_terms(x):
+        out |= term_vars(t)
+    for k in children(x):
+        out |= free_vars(k)
+    if isinstance(x, BINDERS):
+        out.difference_update(x.bound)
+    return out
 
 
 def subst_formula(sigma: Substitution, f: Formula) -> Formula:
-    if isinstance(f, (TrueF, FalseF)):
-        return f
-    if isinstance(f, Eq):
-        return Eq(sigma.apply(f.lhs), sigma.apply(f.rhs))
-    if isinstance(f, Atom):
-        return Atom(sigma.apply(f.term))
-    if isinstance(f, Not):
-        return Not(subst_formula(sigma, f.body))
-    if isinstance(f, And):
-        return And(tuple(subst_formula(sigma, p) for p in f.parts))
-    if isinstance(f, Or):
-        return Or(tuple(subst_formula(sigma, p) for p in f.parts))
-    if isinstance(f, Implies):
-        return Implies(subst_formula(sigma, f.premise), subst_formula(sigma, f.conclusion))
-    if isinstance(f, Iff):
-        return Iff(subst_formula(sigma, f.lhs), subst_formula(sigma, f.rhs))
-    if isinstance(f, (Exists, Forall)):
+    if isinstance(f, BINDERS):
         relevant = {v: t for v, t in sigma.mapping.items() if v not in f.bound}
         if not relevant:
             return f
-        inner = Substitution(relevant)
-        img_vars: set[Var] = set()
-        for t in relevant.values():
-            img_vars |= term_vars(t)
-        bound = list(f.bound)
-        body = f.body
-        if img_vars & set(bound):
-            # Alpha-rename captured binders before substituting under them.
-            taken = {v.name for v in img_vars | free_vars(body) | set(bound)}
-            ren: dict[Var, Term] = {}
-            for i, b in enumerate(bound):
-                if b in img_vars:
-                    k = 1
-                    while f"{b.name}!{k}" in taken:
-                        k += 1
-                    nb = Var(f"{b.name}!{k}", b.sort)
-                    taken.add(nb.name)
-                    ren[b] = nb
-                    bound[i] = nb
-            body = subst_formula(Substitution(ren), body)
-        cls = type(f)
-        return cls(tuple(bound), subst_formula(inner, body))
-    raise TypeError(f"subst_formula: {f!r}")
+        sigma = Substitution(relevant)
+        f = _rename_captured(f, set().union(*map(term_vars, relevant.values())))
+    return rebuild(
+        f,
+        [sigma.apply(t) for t in atom_terms(f)],
+        [subst_formula(sigma, k) for k in children(f)],
+    )
+
+
+def _rename_captured(f: Exists | Forall, img_vars: set[Var]) -> Exists | Forall:
+    """`f` with every binder in `img_vars` alpha-renamed to a name fresh for
+    `img_vars` and `f`, so that substituting those variables under it
+    captures nothing."""
+    bound = list(f.bound)
+    if not img_vars & set(bound):
+        return f
+    (body,) = children(f)
+    taken = {v.name for v in img_vars | free_vars(body) | set(bound)}
+    ren: dict[Var, Term] = {}
+    for i, b in enumerate(bound):
+        if b in img_vars:
+            k = 1
+            while f"{b.name}!{k}" in taken:
+                k += 1
+            nb = Var(f"{b.name}!{k}", b.sort)
+            taken.add(nb.name)
+            ren[b] = nb
+            bound[i] = nb
+    return type(f)(tuple(bound), subst_formula(Substitution(ren), body))
 
 
 def subst_constrained(sigma: Substitution, ct: ConstrainedTerm) -> ConstrainedTerm:
@@ -247,7 +271,7 @@ def pretty_term(t: Term, prec: int = 0) -> str:
     if isinstance(t, Lit):
         if isinstance(t.value, bool):
             return "true" if t.value else "false"
-        return str(t.value) if t.value >= 0 else f"(- {-t.value})" if prec >= 9 else f"-{t.value}"
+        return str(t.value) if t.value >= 0 else f"(- {-t.value})" if prec >= 9 else str(t.value)
     if t.symbol in _TERM_PREC and len(t.args) == 2:
         p = _TERM_PREC[t.symbol]
         s = f"{pretty_term(t.args[0], p)} {t.symbol} {pretty_term(t.args[1], p + 1)}"
@@ -263,42 +287,38 @@ def pretty_term(t: Term, prec: int = 0) -> str:
     return f"{t.symbol}({', '.join(pretty_term(a) for a in t.args)})"
 
 
+# Infix connectives: (precedence, symbol, right-associative).  Operands
+# print one level tighter, except the last operand of a right-associative
+# connective.  `~` is 5 and atoms 6; `<->` parses left-associatively.
+_INFIX = {And: (4, "/\\", False), Or: (3, "\\/", False), Implies: (2, "->", True), Iff: (1, "<->", False)}
+
+
 def pretty_formula(f: Formula, prec: int = 0) -> str:
-    # Connective precedence: <-> 1, -> 2, \/ 3, /\ 4, ~ 5, atoms 6.
-    if isinstance(f, TrueF):
-        return "true"
-    if isinstance(f, FalseF):
-        return "false"
+    infix = _INFIX.get(type(f))
+    if infix is not None:
+        p, symbol, right = infix
+        kids = children(f)
+        last = len(kids) - 1
+        s = f" {symbol} ".join(
+            pretty_formula(k, p if right and j == last else p + 1) for j, k in enumerate(kids)
+        )
+        return f"({s})" if prec > p or len(kids) < 2 else s
+    if isinstance(f, Not):
+        return f"~{pretty_formula(children(f)[0], 5)}"
+    if isinstance(f, BINDERS):
+        kw = "exists" if isinstance(f, Exists) else "forall"
+        head = ", ".join(f"{v.name} : {v.sort.name}" for v in f.bound)
+        s = f"{kw} {head} . {pretty_formula(children(f)[0], 0)}"
+        return f"({s})" if prec > 0 else s
+    terms = atom_terms(f)
     if isinstance(f, Eq):
-        return f"{pretty_term(f.lhs, 7)} = {pretty_term(f.rhs, 7)}"
+        return " = ".join(pretty_term(t, 7) for t in terms)
     if isinstance(f, Atom):
-        t = f.term
+        (t,) = terms
         if isinstance(t, App) and t.symbol in _CMP and len(t.args) == 2:
             return f"{pretty_term(t.args[0], 7)} {t.symbol} {pretty_term(t.args[1], 7)}"
         return pretty_term(t)
-    if isinstance(f, Not):
-        return f"~{pretty_formula(f.body, 5)}"
-    if isinstance(f, And):
-        s = " /\\ ".join(pretty_formula(p, 5) for p in f.parts)
-        return f"({s})" if prec > 4 or len(f.parts) < 2 else s
-    if isinstance(f, Or):
-        s = " \\/ ".join(pretty_formula(p, 4) for p in f.parts)
-        return f"({s})" if prec > 3 or len(f.parts) < 2 else s
-    if isinstance(f, Implies):
-        s = f"{pretty_formula(f.premise, 3)} -> {pretty_formula(f.conclusion, 2)}"
-        return f"({s})" if prec > 2 else s
-    if isinstance(f, Iff):
-        s = f"{pretty_formula(f.lhs, 2)} <-> {pretty_formula(f.rhs, 1)}"
-        return f"({s})" if prec > 1 else s
-    if isinstance(f, (Exists, Forall)):
-        kw = "exists" if isinstance(f, Exists) else "forall"
-        if len(f.bound) == 1:
-            head = f"{f.bound[0].name} : {f.bound[0].sort.name}"
-        else:
-            head = ", ".join(f"{v.name} : {v.sort.name}" for v in f.bound)
-        s = f"{kw} {head} . {pretty_formula(f.body, 0)}"
-        return f"({s})" if prec > 0 else s
-    raise TypeError(f"pretty_formula: {f!r}")
+    return repr(f)  # true, false
 
 
 def pretty_constrained(ct: ConstrainedTerm) -> str:

@@ -20,6 +20,7 @@ from typing import Callable, Iterator, NamedTuple
 from .constraints import BUILTIN_SEMANTICS, fold_term
 from .errors import MalformedPath, UnsupportedQuantifier
 from .formulas import (
+    BINDERS,
     And,
     Atom,
     ConstrainedTerm,
@@ -28,11 +29,12 @@ from .formulas import (
     FalseF,
     Forall,
     Formula,
-    Iff,
     Implies,
     Not,
     Or,
     TrueF,
+    atom_terms,
+    children,
     free_vars,
 )
 from .rewriting import Lctrs, RewriteRule
@@ -167,44 +169,44 @@ class _Compiler:
 
     def formula(self, f: Formula, slots: dict[Var, int]) -> Code:
         """Code deciding `f`; quantifiers range over the domain only."""
+        if isinstance(f, BINDERS):
+            return self._quantifier(f, slots)
         if isinstance(f, (TrueF, FalseF)):
             return _const(isinstance(f, TrueF))
         if isinstance(f, Atom):
-            return self.value(f.term, slots)
+            (t,) = atom_terms(f)
+            return self.value(t, slots)
         if isinstance(f, Eq):
-            lhs, rhs = self.value(f.lhs, slots), self.value(f.rhs, slots)
+            lhs, rhs = (self.value(t, slots) for t in atom_terms(f))
             return lambda env: lhs(env) == rhs(env)
+        kids = [self.formula(k, slots) for k in children(f)]
         if isinstance(f, Not):
-            body = self.formula(f.body, slots)
+            (body,) = kids
             return lambda env: not body(env)
         if isinstance(f, (And, Or)):
-            if not f.parts:
+            if not kids:
                 return _const(isinstance(f, And))
             join = _and if isinstance(f, And) else _or
-            parts = [self.formula(p, slots) for p in f.parts]
-            code = parts[-1]
-            for p in reversed(parts[:-1]):
+            code = kids[-1]
+            for p in reversed(kids[:-1]):
                 code = join(p, code)
             return code
         if isinstance(f, Implies):
-            premise, conclusion = self.formula(f.premise, slots), self.formula(f.conclusion, slots)
+            premise, conclusion = kids
             return lambda env: not premise(env) or conclusion(env)
-        if isinstance(f, Iff):
-            lhs, rhs = self.formula(f.lhs, slots), self.formula(f.rhs, slots)
-            return lambda env: lhs(env) == rhs(env)
-        if isinstance(f, (Exists, Forall)):
-            return self._quantifier(f, slots)
-        raise TypeError(f"cannot compile formula {f!r}")
+        lhs, rhs = kids  # Iff
+        return lambda env: lhs(env) == rhs(env)
 
     def _quantifier(self, f: Exists | Forall, slots: dict[Var, int]) -> Code:
         # The bound variables get fresh slots, which shadow any free variable
         # of the same name inside the body only.
+        (body,) = children(f)
         if not f.bound:
-            return self.formula(f.body, slots)
+            return self.formula(body, slots)
         bound = [self.new_slot() for _ in f.bound]
         inner = dict(slots)
         inner.update(zip(f.bound, bound))
-        body = self.formula(f.body, inner)
+        body = self.formula(body, inner)
         lo, hi = bound[0], bound[-1] + 1
         pool = self.values([v.sort for v in f.bound])
         want = isinstance(f, Exists)
@@ -505,10 +507,6 @@ def check_dvp(g: TransitionGraph, p: StatePredicate, q: StatePredicate) -> DvpRe
 class Path:
     stem: tuple[Term, ...]
     cycle: tuple[Term, ...] = ()
-
-    @property
-    def is_lasso(self) -> bool:
-        return bool(self.cycle)
 
 
 def path_satisfies(g: TransitionGraph, path: Path, p: StatePredicate, q: StatePredicate) -> bool:

@@ -15,22 +15,23 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-from .constraints import reduced_equation, simplify, simplify_constrained
+from .constraints import instance_condition, simplify, simplify_constrained
 from .errors import GuardednessViolation, InvalidSplit, NonBuiltinResidue, SolverUnavailable
 from .formulas import (
+    BINDERS,
     ConstrainedTerm,
     FalseF,
     Formula,
     Iff,
     Not,
     Or,
-    TrueF,
+    atom_terms,
+    children,
     conj,
-    exists,
     free_vars,
     pretty_constrained,
     pretty_formula,
-    subst_formula,
+    subst_constrained,
 )
 from .rewriting import (
     Lctrs,
@@ -118,10 +119,6 @@ class ProveResult:
     def all_proved(self) -> bool:
         return all(r.status == PROVED for r in self.per_goal)
 
-    @property
-    def any_failed(self) -> bool:
-        return any(r.status == FAILED for r in self.per_goal)
-
 
 class Prover:
     """Bounded backtracking search in the four-rule calculus over a fixed
@@ -172,10 +169,8 @@ class Prover:
 
     def subsumption_constraint(self, rf: ReachabilityFormula) -> Formula:
         """∃(rhs-only vars). lhs-term = rhs-term ∧ rhs-constraint, reduced."""
-        lhs, rhs = rf.lhs, rf.rhs
-        extra = sorted(free_vars(rhs) - free_vars(lhs), key=lambda v: v.name)
-        body = conj([reduced_equation(self.sig, lhs.term, rhs.term), rhs.constraint])
-        return simplify(self.sig, exists(extra, body))
+        private = free_vars(rf.rhs) - free_vars(rf.lhs)
+        return simplify(self.sig, instance_condition(self.sig, rf.lhs.term, rf.rhs, private))
 
     def apply_subs(self, goal: Goal) -> tuple[SideCondition, Goal] | None:
         """Splits off the part of the goal already inside the right-hand side."""
@@ -205,17 +200,10 @@ class Prover:
         ren = _match_onto(self.sig, circ.rhs, rf.rhs)
         if ren is None:
             return None  # goals are only usable against their own right-hand side
-        lhs_only = sorted(
-            (free_vars(circ.lhs) - free_vars(circ.rhs)), key=lambda v: v.name
-        )
-        fresh = renaming_for(set(lhs_only), self.ctr)
-        sigma = Substitution({**ren.mapping, **fresh.mapping})
-        circ_lterm = sigma.apply(circ.lhs.term)
-        circ_lconstraint = subst_formula(sigma, circ.lhs.constraint)
-        bound = sorted((fresh.apply(v) for v in lhs_only), key=lambda v: v.name)
+        fresh = renaming_for(free_vars(circ.lhs) - free_vars(circ.rhs), self.ctr)
+        circ_lhs = subst_constrained(Substitution({**ren.mapping, **fresh.mapping}), circ.lhs)
         phi = simplify(
-            self.sig,
-            exists(bound, conj([reduced_equation(self.sig, rf.lhs.term, circ_lterm), circ_lconstraint])),
+            self.sig, instance_condition(self.sig, rf.lhs.term, circ_lhs, fresh.mapping.values())
         )
         if isinstance(phi, FalseF):
             return None
@@ -407,39 +395,26 @@ def _match_onto(sig: Signature, pattern: ConstrainedTerm, target: ConstrainedTer
         )
 
     def formulas(p: Formula, t: Formula) -> bool:
-        if type(p) is not type(t):
+        kids = children(p), children(t)
+        if type(p) is not type(t) or len(kids[0]) != len(kids[1]):
             return False
-        if isinstance(p, (TrueF, FalseF)):
-            return True
-        if hasattr(p, "term"):
-            return terms(p.term, t.term)
-        if hasattr(p, "lhs") and isinstance(getattr(p, "lhs"), (Var, Lit, App)):
-            return terms(p.lhs, t.lhs) and terms(p.rhs, t.rhs)
-        if hasattr(p, "parts"):
-            return len(p.parts) == len(t.parts) and all(
-                formulas(a, b) for a, b in zip(p.parts, t.parts)
-            )
-        if hasattr(p, "body") and hasattr(p, "bound"):
-            if len(p.bound) != len(t.bound):
-                return False
-            saved = dict(mapping)
-            for a, b in zip(p.bound, t.bound):
-                if a.sort != b.sort:
-                    return False
-                mapping[a] = b
-            ok = formulas(p.body, t.body)
-            if not ok:
-                mapping.clear()
-                mapping.update(saved)
-                return False
-            for a in p.bound:
-                mapping.pop(a, None)
-            return True
-        if hasattr(p, "body"):
-            return formulas(p.body, t.body)
-        if hasattr(p, "premise"):
-            return formulas(p.premise, t.premise) and formulas(p.conclusion, t.conclusion)
-        return formulas(p.lhs, t.lhs) and formulas(p.rhs, t.rhs)
+        if not all(map(terms, atom_terms(p), atom_terms(t))):
+            return False
+        if not isinstance(p, BINDERS):
+            return all(map(formulas, *kids))
+        if [a.sort for a in p.bound] != [b.sort for b in t.bound]:
+            return False
+        # Inside, the binders pair up, and an outer variable whose image the
+        # target's binder shadows matches nothing; after, the outer mapping
+        # holds again.
+        outer = dict(mapping)
+        mapping.update({v: None for v, img in outer.items() if img in t.bound})
+        mapping.update(zip(p.bound, t.bound))
+        ok = all(map(formulas, *kids))
+        for a in p.bound:
+            mapping.pop(a, None)
+        mapping.update({v: img for v, img in outer.items() if v in p.bound or img in t.bound})
+        return ok
 
     if not terms(pattern.term, target.term):
         return None

@@ -20,11 +20,11 @@ from enum import Enum
 
 from .errors import MalformedSolverOutput, NonBuiltinResidue, SolverUnavailable
 from .formulas import (
+    BINDERS,
     And,
     Atom,
     Eq,
     Exists,
-    FalseF,
     Forall,
     Formula,
     Iff,
@@ -32,6 +32,8 @@ from .formulas import (
     Not,
     Or,
     TrueF,
+    atom_terms,
+    children,
     free_vars,
 )
 from .signature import Signature
@@ -56,15 +58,12 @@ class Validity(Enum):
 @dataclass(frozen=True)
 class SmtResult:
     verdict: Verdict
-    model: tuple[tuple[str, object], ...] | None = None
 
 
 @dataclass(frozen=True)
 class SolverConfig:
     command: tuple[str, ...] = ("builtin",)
     timeout_ms: int = DEFAULT_TIMEOUT_MS
-    logic: str = "ALL"
-    want_model: bool = False
 
     def __post_init__(self):
         if self.timeout_ms <= 0:
@@ -111,51 +110,38 @@ def _enc_term(sig: Signature, t: Term) -> str:
     return f"({t.symbol} {args})"
 
 
+# The SMT-LIB operator of each connective; an And or Or without parts is
+# written as its unit.
+_SMT_OP = {Eq: "=", Not: "not", And: "and", Or: "or", Implies: "=>", Iff: "=", Exists: "exists", Forall: "forall"}
+
+
 def _enc_formula(sig: Signature, f: Formula) -> str:
-    if isinstance(f, TrueF):
-        return "true"
-    if isinstance(f, FalseF):
-        return "false"
-    if isinstance(f, Eq):
-        return f"(= {_enc_term(sig, f.lhs)} {_enc_term(sig, f.rhs)})"
     if isinstance(f, Atom):
-        return _enc_term(sig, f.term)
-    if isinstance(f, Not):
-        return f"(not {_enc_formula(sig, f.body)})"
-    if isinstance(f, And):
-        if not f.parts:
-            return "true"
-        return "(and " + " ".join(_enc_formula(sig, p) for p in f.parts) + ")"
-    if isinstance(f, Or):
-        if not f.parts:
-            return "false"
-        return "(or " + " ".join(_enc_formula(sig, p) for p in f.parts) + ")"
-    if isinstance(f, Implies):
-        return f"(=> {_enc_formula(sig, f.premise)} {_enc_formula(sig, f.conclusion)})"
-    if isinstance(f, Iff):
-        return f"(= {_enc_formula(sig, f.lhs)} {_enc_formula(sig, f.rhs)})"
-    if isinstance(f, (Exists, Forall)):
-        kw = "exists" if isinstance(f, Exists) else "forall"
+        (t,) = atom_terms(f)
+        return _enc_term(sig, t)
+    args = []
+    if isinstance(f, BINDERS):
         for v in f.bound:
             if not v.sort.builtin:
                 raise NonBuiltinResidue(f"quantifier over {v.sort.name}")
-        binders = " ".join(f"({_sym(v.name)} {v.sort.name})" for v in f.bound)
-        return f"({kw} ({binders}) {_enc_formula(sig, f.body)})"
-    raise TypeError(f"encode: {f!r}")
+        args.append("(" + " ".join(f"({_sym(v.name)} {v.sort.name})" for v in f.bound) + ")")
+    args += [_enc_term(sig, t) for t in atom_terms(f)]
+    args += [_enc_formula(sig, k) for k in children(f)]
+    if not args:
+        return "true" if isinstance(f, (TrueF, And)) else "false"
+    return f"({_SMT_OP[type(f)]} {' '.join(args)})"
 
 
-def encode(sig: Signature, f: Formula, cfg: SolverConfig = SolverConfig()) -> str:
+def encode(sig: Signature, f: Formula) -> str:
     """Deterministic SMT-LIB 2 script: declarations, one assertion, check-sat."""
     body = _enc_formula(sig, f)
-    lines = [f"(set-logic {cfg.logic})"]
+    lines = ["(set-logic ALL)"]
     for v in sorted(free_vars(f), key=lambda v: v.name):
         if not v.sort.builtin:
             raise NonBuiltinResidue(f"variable {v.name} of sort {v.sort.name}")
         lines.append(f"(declare-const {_sym(v.name)} {v.sort.name})")
     lines.append(f"(assert {body})")
     lines.append("(check-sat)")
-    if cfg.want_model:
-        lines.append("(get-model)")
     return "\n".join(lines) + "\n"
 
 
@@ -190,54 +176,22 @@ def _run_solver(script: str, cfg: SolverConfig) -> str:
     return proc.stdout
 
 
-def _parse_answer(output: str) -> tuple[Verdict, list[str]]:
-    lines = [ln.strip() for ln in output.splitlines() if ln.strip()]
-    if not lines:
+def _parse_answer(output: str) -> Verdict:
+    first = next((ln.strip() for ln in output.splitlines() if ln.strip()), None)
+    if first is None:
         raise MalformedSolverOutput("empty solver output")
-    first, rest = lines[0], lines[1:]
     if first == "sat":
-        return Verdict.SAT, rest
+        return Verdict.SAT
     if first == "unsat":
-        return Verdict.UNSAT, rest
+        return Verdict.UNSAT
     if first == "unknown" or first.startswith("(:reason-unknown"):
-        return Verdict.UNKNOWN, rest
+        return Verdict.UNKNOWN
     raise MalformedSolverOutput(f"unrecognized answer {first!r}")
-
-
-def _parse_model(lines: list[str]) -> tuple[tuple[str, object], ...] | None:
-    from .minismt.sexpr import SexprError, parse_all
-
-    try:
-        forms = parse_all("\n".join(lines))
-    except SexprError:
-        return None
-    out = []
-    stack = list(forms)
-    while stack:
-        form = stack.pop(0)
-        if not isinstance(form, list):
-            continue
-        if form and form[0] == "define-fun" and len(form) >= 5:
-            name, value = form[1], form[4]
-            if isinstance(value, list) and len(value) == 2 and value[0] == "-":
-                value = -value[1]
-            if value in ("true", "false"):
-                value = value == "true"
-            out.append((str(name), value))
-        elif form and form[0] == "model":
-            stack = form[1:] + stack
-        else:
-            stack = [x for x in form if isinstance(x, list)] + stack
-    return tuple(sorted(out)) if out else None
 
 
 def check_sat(sig: Signature, f: Formula, cfg: SolverConfig) -> SmtResult:
     """Satisfiability of f in the builtin model; timeout degrades to unknown."""
-    script = encode(sig, f, cfg)
-    output = _run_solver(script, cfg)
-    verdict, rest = _parse_answer(output)
-    model = _parse_model(rest) if cfg.want_model and verdict == Verdict.SAT else None
-    return SmtResult(verdict, model)
+    return SmtResult(_parse_answer(_run_solver(encode(sig, f), cfg)))
 
 
 def check_valid(sig: Signature, f: Formula, cfg: SolverConfig) -> tuple[Validity, SmtResult]:

@@ -41,6 +41,7 @@ from .formulas import (
     Or,
     TRUE,
     TrueF,
+    pretty_constrained,
     pretty_formula,
     pretty_term,
 )
@@ -107,9 +108,6 @@ class SpecFile:
     subsort_order: list[tuple[str, str]] = field(default_factory=list)
     symbol_order: list[tuple[str, list[str], str]] = field(default_factory=list)
     var_order: list[tuple[str, str]] = field(default_factory=list)
-
-    def prove_goals(self) -> list[GoalDecl]:
-        return [g for g in self.goals if g.kind == "prove"]
 
     def goal_set(self) -> list[ReachabilityFormula]:
         return [g.formula for g in self.goals]
@@ -544,10 +542,7 @@ def render_spec(spec: SpecFile) -> str:
                 f"  {pretty_term(r.lhs)} => {pretty_term(r.rhs)} if {pretty_formula(r.guard)};"
             )
     for g in spec.goals:
-        line = (
-            f"{g.kind} {pretty_term(g.formula.lhs.term, 5)} /\\ {pretty_formula(g.formula.lhs.constraint, 5)}"
-            f" => {pretty_term(g.formula.rhs.term, 5)} /\\ {pretty_formula(g.formula.rhs.constraint, 5)}"
-        )
+        line = f"{g.kind} {pretty_constrained(g.formula.lhs)} => {pretty_constrained(g.formula.rhs)}"
         if g.split:
             line += f" cases {pretty_formula(g.split[0])}, {pretty_formula(g.split[1])}"
         out.append(line + ";")

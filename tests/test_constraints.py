@@ -17,16 +17,22 @@ from coreach.formulas import (
     Eq,
     Exists,
     FALSE,
+    Forall,
+    Iff,
     Implies,
     Not,
     Or,
     TRUE,
+    atom_terms,
+    children,
     conj,
     free_vars,
     pretty_constrained,
+    rebuild,
+    subst_formula,
 )
 from coreach.oracle import Domain, enumerate_instances, eval_formula
-from coreach.terms import INT, Lit, Var
+from coreach.terms import INT, Lit, Substitution, Var
 
 n, i, k, u, s = (Var(x, INT) for x in "nikus")
 
@@ -206,7 +212,9 @@ def test_inclusion_agrees_with_bruteforce_on_shared_instances(comp_sig, mk):
 from hypothesis import given, settings, strategies as st
 
 
-def _hyp_formulas(mk):
+def _hyp_formulas(mk, binders=False):
+    """Random formulas over n and i; with `binders`, also Iff and quantifiers
+    over n or i (whose bounded semantics `simplify` does not preserve)."""
     lits = st.integers(-2, 2).map(Lit)
     vars_ = st.sampled_from([n, i])
     atoms_terms = st.one_of(lits, vars_)
@@ -226,12 +234,19 @@ def _hyp_formulas(mk):
     )
 
     def compound(children):
-        return st.one_of(
+        options = [
             st.tuples(children, children).map(lambda t: conj([t[0], t[1]])),
             st.tuples(children, children).map(lambda t: Or((t[0], t[1]))),
             children.map(Not),
             st.tuples(children, children).map(lambda t: Implies(t[0], t[1])),
-        )
+        ]
+        if binders:
+            options += [
+                st.tuples(children, children).map(lambda t: Iff(t[0], t[1])),
+                st.tuples(vars_, children).map(lambda t: Exists((t[0],), t[1])),
+                st.tuples(vars_, children).map(lambda t: Forall((t[0],), t[1])),
+            ]
+        return st.one_of(*options)
 
     return st.recursive(atom, compound, max_leaves=5)
 
@@ -253,3 +268,49 @@ def test_simplify_preserves_truth_everywhere(data):
     for combo in product(dom.ints(), repeat=len(vs)):
         val = dict(zip(vs, combo))
         assert eval_formula(comp_sig, f, val, dom) == eval_formula(comp_sig, g, val, dom)
+
+
+def test_subst_formula_renames_a_capturing_binder(mk):
+    # n := k under a binder of k: the binder becomes k!1, and n's image stays free
+    f = Exists((k,), Eq(n, mk("*", (i, k))))
+    g = subst_formula(Substitution({n: k}), f)
+    k1 = Var("k!1", INT)
+    assert g == Exists((k1,), Eq(k, mk("*", (i, k1))))
+    assert free_vars(g) == {k, i}
+
+
+def test_subst_formula_leaves_a_shadowed_variable_alone(mk):
+    bound = Exists((k,), Eq(n, mk("*", (i, k))))
+    f = conj([Atom(mk("<", (k, n))), bound])
+    g = subst_formula(Substitution({k: Lit(2)}), f)
+    assert g == conj([Atom(mk("<", (Lit(2), n))), bound])
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_subst_formula_keeps_quantified_truth(data):
+    # substituting a literal commutes with evaluation, binders and shadowing included
+    from coreach.signature import Signature
+
+    comp_sig = Signature()
+    mk = comp_sig.make_app
+    f = data.draw(_hyp_formulas(mk, binders=True))
+    v, c = data.draw(st.sampled_from([n, i])), data.draw(st.integers(-2, 2))
+    g = subst_formula(Substitution({v: Lit(c)}), f)
+    dom = Domain(2)
+    rest = sorted(free_vars(f) - {v}, key=lambda x: x.name)
+    assert free_vars(g) == set(rest)
+    for combo in product(dom.ints(), repeat=len(rest)):
+        val = dict(zip(rest, combo))
+        assert eval_formula(comp_sig, g, val, dom) == eval_formula(comp_sig, f, {**val, v: c}, dom)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_rebuild_inverts_atom_terms_and_children(data):
+    from coreach.signature import Signature
+
+    f = data.draw(_hyp_formulas(Signature().make_app, binders=True))
+    assert rebuild(f, atom_terms(f), children(f)) == f
+    for g in (TRUE, FALSE, conj([]), Or(())):
+        assert rebuild(g, atom_terms(g), children(g)) == g

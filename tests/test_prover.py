@@ -32,10 +32,11 @@ from coreach.prover import (
     render_text,
     reverify,
     to_json_dict,
+    _match_onto,
 )
 from coreach.rewriting import ReachabilityFormula
 from coreach.smt import SmtResult, Verdict
-from coreach.specfile import parse_spec
+from coreach.specfile import parse_cterm_in, parse_spec
 from coreach.terms import INT, Lit, Var
 
 n, i, x, y = Var("n", INT), Var("i", INT), Var("x", INT), Var("y", INT)
@@ -327,3 +328,37 @@ def test_unknowns_do_not_touch_a_proof(monkeypatch, prover):
     result = prover.prove_all()
     assert prover.unknowns == 1
     assert [r.status for r in result.per_goal] == [PROVED, PROVED]
+
+
+RENAMING_SPEC = (
+    "sorts Cfg;\nsymbols init : Int -> Cfg;\nvars x : Int, y : Int, z : Int, w : Int;\n"
+    "prove init(x) /\\ true => init(x) /\\ true;"
+)
+
+
+@pytest.mark.parametrize(
+    "target, expected",
+    [
+        # the shadowing binder must not end x's outer binding to y
+        ("init(y) /\\ y > 0 /\\ (exists y : Int . y = 1) /\\ z < 5", None),
+        ("init(y) /\\ y > 0 /\\ (exists y : Int . y = 1) /\\ y < 5", {"x": "y"}),
+        ("init(y) /\\ y > 0 /\\ (exists z : Int . z = 1) /\\ y < 5", {"x": "y"}),
+    ],
+    ids=["rebound-elsewhere", "restored", "renamed-binder"],
+)
+def test_match_onto_is_a_renaming_across_binders(target, expected):
+    spec = parse_spec(RENAMING_SPEC)
+    pattern = parse_cterm_in(spec, "init(x) /\\ x > 0 /\\ (exists x : Int . x = 1) /\\ x < 5")
+    ren = _match_onto(spec.signature, pattern, parse_cterm_in(spec, target))
+    if expected is None:
+        assert ren is None
+    else:
+        assert {v.name: t.name for v, t in ren.mapping.items()} == expected
+
+
+def test_match_onto_rejects_a_variable_captured_by_the_target_binder():
+    # x -> y outside, but inside the target's binder y is the bound variable
+    spec = parse_spec(RENAMING_SPEC)
+    pattern = parse_cterm_in(spec, "init(x) /\\ (exists w : Int . w = x)")
+    target = parse_cterm_in(spec, "init(y) /\\ (exists y : Int . y = y)")
+    assert _match_onto(spec.signature, pattern, target) is None

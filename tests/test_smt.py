@@ -101,13 +101,6 @@ def test_check_valid_guard_complementarity(comp_sig, solver_cfg):
     assert check_valid(comp_sig, f, solver_cfg)[0] == Validity.VALID
 
 
-def test_model_from_builtin_solver(comp_sig):
-    cfg = SolverConfig(command=("builtin",), timeout_ms=10_000, want_model=True)
-    res = check_sat(comp_sig, Eq(n, Lit(7)), cfg)
-    assert res.verdict == Verdict.SAT
-    assert res.model == (("n", 7),)
-
-
 def test_builtin_subprocess_path(comp_sig):
     cfg = SolverConfig(command=("builtin-subprocess",), timeout_ms=20_000)
     f = conj([psi(comp_sig.make_app), Eq(n, Lit(5))])

@@ -116,3 +116,50 @@ def test_parse_print_roundtrip(path):
     assert again.sort_order == spec.sort_order
     assert again.symbol_order == spec.symbol_order
     assert render_spec(again) == printed
+
+
+ROUNDTRIP_SPEC = """
+sorts S;
+symbols st : Int Int -> S;
+vars x : Int, y : Int, u : Int, b : Bool;
+prove st(x, -3) /\\ true => st(x, y) /\\ true;
+"""
+
+
+def _roundtrip_formulas(mk):
+    """Every connective in every operand position of every connective, over
+    leaves with negative literals, unary minus and a Bool variable."""
+    from coreach.formulas import And, Atom, Eq, Forall, Iff, Implies, Or
+    from coreach.terms import BOOL, INT, Lit, Var
+
+    x, y, u, b = Var("x", INT), Var("y", INT), Var("u", INT), Var("b", BOOL)
+    p = Atom(mk("<", (x, Lit(-3))))
+    q = Eq(y, mk("-", (mk("-", (x,)), Lit(-2))))
+    r = Atom(b)
+    s = Atom(mk("<=", (mk("*", (Lit(-1), u)), mk("-", (mk("+", (x, u)),)))))
+    unary = [Not, lambda f: Exists((u,), f), lambda f: Forall((u,), f)]
+    binary = [
+        lambda f, g: And((f, g)),
+        lambda f, g: Or((f, g)),
+        Implies,
+        Iff,
+        lambda f, g: And((p, f, g)),
+        lambda f, g: Or((f, p, g)),
+    ]
+    inner = [op(s) for op in unary] + [op(q, r) for op in binary]
+    out = [p, q, r, s]
+    for f in inner:
+        out += [op(f) for op in unary]
+        out += [op(f, p) for op in binary] + [op(p, f) for op in binary]
+    return out
+
+
+def test_every_connective_roundtrips_through_the_printer():
+    from coreach.formulas import ConstrainedTerm, pretty_constrained
+
+    spec = parse_spec(ROUNDTRIP_SPEC)
+    term = spec.goals[0].formula.lhs.term
+    for f in _roundtrip_formulas(spec.signature.make_app):
+        ct = ConstrainedTerm(term, f)
+        text = pretty_constrained(ct)
+        assert parse_cterm_in(spec, text) == ct, text
