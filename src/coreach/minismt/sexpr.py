@@ -2,44 +2,25 @@
 
 from __future__ import annotations
 
+import re
+
 
 class SexprError(ValueError):
     pass
 
 
+# Every match is a token, except a comment, which matches with an empty
+# group; whitespace matches nothing and is skipped.  An opening | or " with
+# no closer after it is a token of its own.
+_TOKEN = re.compile(r';[^\n]*|([()]|[^ \t\r\n();|"][^ \t\r\n();|]*|\|[^|]*\||"[^"]*"|[|"])')
+_UNTERMINATED = {"|": "unterminated |symbol|", '"': "unterminated string"}
+
+
 def tokenize(text: str) -> list[str]:
-    out: list[str] = []
-    i, n = 0, len(text)
-    while i < n:
-        c = text[i]
-        if c in " \t\r\n":
-            i += 1
-        elif c == ";":
-            while i < n and text[i] != "\n":
-                i += 1
-        elif c in "()":
-            out.append(c)
-            i += 1
-        elif c == "|":
-            j = text.find("|", i + 1)
-            if j < 0:
-                raise SexprError("unterminated |symbol|")
-            out.append(text[i : j + 1])
-            i = j + 1
-        elif c == '"':
-            j = i + 1
-            while j < n and text[j] != '"':
-                j += 1
-            if j >= n:
-                raise SexprError("unterminated string")
-            out.append(text[i : j + 1])
-            i = j + 1
-        else:
-            j = i
-            while j < n and text[j] not in " \t\r\n();|":
-                j += 1
-            out.append(text[i:j])
-            i = j
+    out = list(filter(None, _TOKEN.findall(text)))
+    bad = [out.index(t) for t in _UNTERMINATED if t in out]
+    if bad:
+        raise SexprError(_UNTERMINATED[out[min(bad)]])
     return out
 
 

@@ -872,10 +872,28 @@ def _node_contradicts(core: Core, node, state, depth: int = 2) -> bool:
     return False
 
 
+def _alive(core: Core, clause, state):
+    """The alternatives of a disjunction that the core does not refute, or
+    None when one of them holds already (the clause carries no information)."""
+    alive = []
+    for alt in clause[1]:
+        atoms = _flat_atoms(alt, [])
+        if atoms is not None:
+            if _definitely_true(core, atoms):
+                return None
+            if _probe_contradicts(core, atoms):
+                continue
+        elif _node_contradicts(core, alt, state):
+            continue
+        alive.append(alt)
+    return alive
+
+
 def refute(items, core: Core, universals, budget: Budget, state) -> bool:
     """True iff every branch closes; False means this engine cannot tell."""
     items = list(items)
     universals = list(universals)
+    saturated = False  # the core is closed under `saturate` since its last atom
     while items:
         if budget.spend():
             return False
@@ -891,26 +909,41 @@ def refute(items, core: Core, universals, budget: Budget, state) -> bool:
             items.extend(node[1])
             continue
         if tag == "or":
-            alive = []
-            satisfied = False
-            for alt in node[1]:
-                atoms = _flat_atoms(alt, [])
-                if atoms is not None:
-                    if _definitely_true(core, atoms):
-                        satisfied = True  # the clause holds already: no information
-                        break
-                    if _probe_contradicts(core, atoms):
-                        continue
-                elif _node_contradicts(core, alt, state):
-                    continue
-                alive.append(alt)
-            if satisfied:
+            alive = _alive(core, node, state)
+            if alive is None:
                 continue
             if not alive:
                 return True
             if len(alive) == 1:
                 items.append(alive[0])
                 continue
+            # Only disjunctions are pending.  Before splitting, settle the
+            # others against the core: units are asserted instead of split
+            # on, and once none is left the core is saturated so that the
+            # branches inherit its closure.
+            clauses, units = [(node, alive)], []
+            for clause in items:
+                alive = _alive(core, clause, state)
+                if alive is None:
+                    continue
+                if not alive:
+                    return True
+                if len(alive) == 1:
+                    units.append(alive[0])
+                else:
+                    clauses.append((clause, alive))
+            items = [clause for clause, _ in clauses] + units
+            if units:
+                continue
+            if not saturated:
+                core.saturate()
+                if core.closed:
+                    return True
+                saturated = True
+                continue
+            # Split on the narrowest clause.
+            node, alive = min(clauses, key=lambda ca: len(ca[1]))
+            items.remove(node)
             for alt in alive:
                 sub = core.clone()
                 st = dict(state)
@@ -933,11 +966,13 @@ def refute(items, core: Core, universals, budget: Budget, state) -> bool:
             core.add_bool(node[1], node[2])
             if core.closed:
                 return True
+            saturated = False
             continue
         if tag == "cmp":
             _add_atom(core, node)
             if core.closed:
                 return True
+            saturated = False
             continue
         raise SolveError(tag)
 

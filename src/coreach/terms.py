@@ -144,14 +144,6 @@ class Substitution:
             if v.sort.builtin and not t.sort.builtin:
                 raise SortMismatch(f"{v!r} := {t!r} crosses the builtin boundary")
 
-    @staticmethod
-    def of(*pairs: tuple[Var, Term]) -> "Substitution":
-        return Substitution({v: t for v, t in pairs if t != v})
-
-    @property
-    def domain(self) -> set[Var]:
-        return set(self.mapping)
-
     def get(self, v: Var) -> Term:
         return self.mapping.get(v, v)
 

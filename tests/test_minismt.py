@@ -1,15 +1,18 @@
 """The bundled solver: verdict battery, euclidean semantics, script interface."""
 
+import json
 import math
 import re
 import subprocess
 import sys
 from itertools import product
+from pathlib import Path
 
+import pytest
 from hypothesis import given, strategies as st
 
-from coreach.minismt.arith import euclid_div, euclid_mod
-from coreach.minismt.sexpr import parse_all
+from coreach.minismt.arith import Core, euclid_div, euclid_mod
+from coreach.minismt.sexpr import SexprError, parse_all, tokenize
 from coreach.minismt.solver import solve_text
 
 PSI = "(exists ((u Int)) (and (< 1 u) (< u n) (= (mod n u) 0)))"
@@ -43,13 +46,58 @@ def test_divisor_reasoning():
     assert verdict(f"(declare-const n Int)(assert {PSI})(assert (not {phi}))(check-sat)") == "unsat"
 
 
+# The compositeness loop step: invariant at i, no divisor at i, so the
+# invariant holds at i + 1.
+STEP_PRE = (
+    "(declare-const n Int)(declare-const i Int)"
+    "(assert (and (<= 2 i) (exists ((u Int)) (and (<= i u) (< u n) (= (mod n u) 0)))))"
+    "(assert (not (exists ((k Int)) (and (> k 1) (= n (* i k))))))"
+)
+STEP_POST = "(and (<= 2 (+ i 1)) (exists ((u Int)) (and (<= (+ i 1) u) (< u n) (= (mod n u) 0))))"
+
+
 def test_divisor_step_residual():
-    psi_i = "(and (<= 2 i) (exists ((u Int)) (and (<= i u) (< u n) (= (mod n u) 0))))"
-    psi_b = "(not (exists ((k Int)) (and (> k 1) (= n (* i k)))))"
-    psi_c = "(and (<= 2 (+ i 1)) (exists ((u Int)) (and (<= (+ i 1) u) (< u n) (= (mod n u) 0))))"
-    decls = "(declare-const n Int)(declare-const i Int)"
-    assert verdict(f"{decls}(assert {psi_i})(assert {psi_b})(assert (not {psi_c}))(check-sat)") == "unsat"
-    assert verdict(f"{decls}(assert {psi_i})(assert {psi_b})(assert {psi_c})(check-sat)") == "sat"
+    assert verdict(f"{STEP_PRE}(assert (not {STEP_POST}))(check-sat)") == "unsat"
+    assert verdict(f"{STEP_PRE}(assert {STEP_POST})(check-sat)") == "sat"
+
+
+def _count_clones(monkeypatch) -> list:
+    calls = []
+    clone = Core.clone
+
+    def counting(self):
+        calls.append(self)
+        return clone(self)
+
+    monkeypatch.setattr(Core, "clone", counting)
+    return calls
+
+
+def test_divisor_step_refutation_splits_narrowly(monkeypatch):
+    clones = _count_clones(monkeypatch)
+    assert verdict(f"{STEP_PRE}(assert (not {STEP_POST}))(check-sat)") == "unsat"
+    assert len(clones) <= 8
+
+
+def test_unit_clause_is_asserted_before_a_wide_split(monkeypatch):
+    # The three-way clause is popped first; by then y > 0 has left the other
+    # clause the single alternative x = 0, which refutes all three cases.
+    clones = _count_clones(monkeypatch)
+    script = (
+        "(declare-const x Int)(declare-const y Int)(assert (< 0 y))"
+        "(assert (or (< y 0) (= x 0)))(assert (or (= x 1) (= x 2) (= x 3)))(check-sat)"
+    )
+    assert verdict(script) == "unsat"
+    assert clones == []
+
+
+def test_corpus_queries_keep_their_verdicts():
+    # The distinct scripts `coreach prove --solver builtin` sends on the six
+    # systems/*.lrw, with the verdicts the solver gave when they were recorded.
+    queries = json.loads((Path(__file__).parent / "data" / "corpus_queries.json").read_text())
+    assert len(queries) == 53
+    wrong = [q["script"] for q in queries if solve_text(q["script"], 60.0) != q["verdict"]]
+    assert wrong == []
 
 
 def test_polynomial_invariants():
@@ -100,6 +148,24 @@ def test_script_subprocess_interface():
 def test_sexpr_parser_handles_comments_and_quotes():
     forms = parse_all("; comment\n(assert (= |weird name| 3))")
     assert forms == [["assert", ["=", "weird name", 3]]]
+
+
+def test_tokenize_tokens_comments_and_unterminated_quotes():
+    text = '(assert (= |a b;c| -3)) ; note (x\n(set-info :k "s |t;")(x"y|z|)\t\r\n'
+    assert tokenize(text) == [
+        "(", "assert", "(", "=", "|a b;c|", "-3", ")", ")",
+        "(", "set-info", ":k", '"s |t;"', ")",
+        "(", 'x"y', "|z|", ")",
+    ]  # fmt: skip
+    assert tokenize("; only a comment\n  ") == []
+    for text, message in (
+        ("(assert |open", "unterminated |symbol|"),
+        ('(echo "open', "unterminated string"),
+        ('(echo "open |x', "unterminated string"),
+        ('(|open "x"', "unterminated |symbol|"),
+    ):
+        with pytest.raises(SexprError, match=re.escape(message)):
+            tokenize(text)
 
 
 def test_declare_fun_constants():
