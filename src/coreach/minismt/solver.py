@@ -1,19 +1,24 @@
 """SMT-LIB script interpretation: model search for sat, refutation for unsat.
 
-Formulas are kept in negation normal form.  Model search compiles the tree
-once per query into closures over a positional valuation and runs them on
-every candidate valuation; refutation works on the tree itself, whose atoms
-hold term trees that are lowered to polynomial constraints only when
-asserted into a refutation core.  Quantifier evaluation during model search
-derives finite candidate ranges from the atoms that bound the quantified
-variable; when no finite range is implied the result degrades to unknown,
-never to a wrong verdict.
+Formulas are kept in negation normal form.  Model search compiles each
+top-level conjunct once per query into closures over a positional valuation
+and enumerates the declared names level by level, in a pinned order
+(integers, then booleans, each by name; values 0, 1, -1, 2, ...): a
+conjunct is checked at the level of the last name it mentions, and linear
+le/eq conjuncts bound their level's name.  Candidates ruled out early are
+still charged to the step budget one by one, so the first model and the
+budget cut-off are those of a plain scan.  Refutation works on the tree
+itself, whose atoms hold term trees that are lowered to polynomial
+constraints only when asserted into a refutation core.  Quantifier
+evaluation during model search derives finite candidate ranges from the
+atoms that bound the quantified variable; when no finite range is implied
+the result degrades to unknown, never to a wrong verdict.
 """
 
 from __future__ import annotations
 
 import time
-from itertools import compress, product
+from itertools import product
 from operator import itemgetter
 
 from .arith import (
@@ -272,9 +277,9 @@ def term_numerals(node) -> set[int]:
 
 # -- compiled model search -----------------------------------------------------
 #
-# Model search compiles the asserted tree once per query into closures over a
-# positional valuation `env`: one slot per declared constant (integers first,
-# then booleans, each in name order) and a fresh slot for every
+# Model search compiles the asserted conjuncts once per query into closures
+# over a positional valuation `env`: one slot per declared constant (integers
+# first, then booleans, each in name order) and a fresh slot for every
 # quantifier-bound variable, so an inner binder shadows an outer name without
 # copying the valuation.  A formula closure returns True, False, or None when a
 # quantifier could not be decided; a term closure returns an int.
@@ -292,7 +297,10 @@ def _term_code(t, slots: dict):
         return _const(t[1])
     if tag == "var":
         return itemgetter(slots[t[1]])
-    a, b = _term_code(t[1], slots), _term_code(t[2], slots)
+    return _op_code(tag, _term_code(t[1], slots), _term_code(t[2], slots))
+
+
+def _op_code(tag: str, a, b):
     if tag == "+":
         return lambda env: a(env) + b(env)
     if tag == "-":
@@ -442,13 +450,34 @@ def _term_names(t) -> set[str]:
 def _linear_code(t, name: str, slots: dict):
     """Code giving (a, c) with value = a*name + c under the valuation, or None
     if `t` is not linear in `name` there."""
-    if name not in _term_names(t):
-        value = _term_code(t, slots)
-        return lambda env: (0, value(env))
+    code, degree = _linear_parts(t, name, slots)
+    return code if degree else _offset(code)
+
+
+def _offset(value):
+    return lambda env: (0, value(env))
+
+
+def _linear_parts(t, name: str, slots: dict):
+    """(code, degree): the degree is 0 when `t` does not mention `name`, 1
+    when it is linear in it whatever the other names' values, else 2; the
+    code is that of `_linear_code` when `t` mentions `name`, else the code of
+    its value."""
     tag = t[0]
+    if tag == "int":
+        return _const(t[1]), 0
     if tag == "var":
-        return _const((1, 0))
-    fa, fb = _linear_code(t[1], name, slots), _linear_code(t[2], name, slots)
+        return (_const((1, 0)), 1) if t[1] == name else (itemgetter(slots[t[1]]), 0)
+    fa, da = _linear_parts(t[1], name, slots)
+    fb, db = _linear_parts(t[2], name, slots)
+    if not (da or db):
+        return _op_code(tag, fa, fb), 0
+    if tag in ("+", "-"):
+        degree = max(da, db)
+    else:
+        degree = min(da + db, 2) if tag == "*" else 2
+    fa = fa if da else _offset(fa)
+    fb = fb if db else _offset(fb)
 
     def linear(env):
         la = fa(env)
@@ -471,33 +500,25 @@ def _linear_code(t, name: str, slots: dict):
             return (0, _DIV_MOD[tag](c1, c2))
         return None
 
-    return linear
+    return linear, degree
 
 
-def _candidates_code(name: str, matrix, deeper: set[str], slots: dict):
-    """Code giving the candidate values of a quantified integer variable and
-    whether they are exhaustive, from the atoms that bound it."""
-    atoms = [
-        (op, _linear_code(ta, name, slots), _linear_code(tb, name, slots))
-        for _, op, ta, tb in _spine_atoms(matrix, deeper)
-    ]
-    window = set(range(-WINDOW, WINDOW + 1))
-    for k in term_numerals(matrix):
-        window.update((k - 1, k, k + 1))
-    unbounded = sorted(window)
+def _bounds_code(linear):
+    """The bound reader shared by model search and quantifier evaluation.
 
-    def candidates(env):
-        lo = hi = None
-        eq_vals: set[int] | None = None
-        empty = False
-        for op, fa, fb in atoms:
-            la = fa(env)
-            lb = fb(env)
-            if la is None or lb is None:
+    `linear` holds pairs (op, code) for atoms `a*x + c op 0` over an integer
+    x, op "le" or "eq", where the code gives (a, c) under the valuation, or
+    None where the atom is not linear in x.  The reader gives (lo, hi, eq),
+    each None when there is no such bound (eq is a value x must equal), or
+    None when no value of x satisfies the atoms."""
+
+    def bounds(env):
+        lo = hi = eq = None
+        for op, diff in linear:
+            ac = diff(env)
+            if ac is None:
                 continue
-            a = la[0] - lb[0]
-            c = la[1] - lb[1]
-            # atom is (a*name + c) op 0 with op over le/eq/ne after moving rhs left
+            a, c = ac  # the atom is (a*name + c) op 0
             if op == "le":
                 if a > 0:
                     b = (-c) // a  # floor(-c/a)
@@ -506,26 +527,38 @@ def _candidates_code(name: str, matrix, deeper: set[str], slots: dict):
                     b = -((-c) // (-a))  # ceil(c/|a|)
                     lo = b if lo is None else max(lo, b)
                 elif c > 0:
-                    empty = True
-            elif op == "eq":
-                if a != 0:
-                    if (-c) % a == 0:
-                        v = (-c) // a
-                        eq_vals = {v} if eq_vals is None else (eq_vals & {v})
-                    else:
-                        eq_vals = set()
-                elif c != 0:
-                    empty = True
-            # ne atoms do not bound
-        if empty or (eq_vals is not None and not eq_vals):
+                    return None
+            elif a != 0:
+                if (-c) % a:
+                    return None
+                v = (-c) // a
+                if eq is not None and eq != v:
+                    return None
+                eq = v
+            elif c != 0:
+                return None
+        return lo, hi, eq
+
+    return bounds
+
+
+def _candidates_code(name: str, matrix, deeper: set[str], slots: dict):
+    """Code giving the candidate values of a quantified integer variable and
+    whether they are exhaustive, from the atoms that bound it."""
+    atoms = _spine_atoms(matrix, deeper)
+    bounds = _bounds_code([(op, _linear_code(("-", ta, tb), name, slots)) for _, op, ta, tb in atoms if op != "ne"])
+    window = set(range(-WINDOW, WINDOW + 1))
+    for k in term_numerals(matrix):
+        window.update((k - 1, k, k + 1))
+    unbounded = sorted(window)
+
+    def candidates(env):
+        found = bounds(env)
+        if found is None:
             return [], True
-        if eq_vals is not None:
-            vals = sorted(eq_vals)
-            if lo is not None:
-                vals = [v for v in vals if v >= lo]
-            if hi is not None:
-                vals = [v for v in vals if v <= hi]
-            return vals, True
+        lo, hi, eq = found
+        if eq is not None:
+            return [eq], True
         if lo is not None and hi is not None:
             if hi - lo > QRANGE_WIDTH_CAP:
                 return range(lo, lo + QRANGE_WIDTH_CAP + 1), False
@@ -539,48 +572,168 @@ def _candidates_code(name: str, matrix, deeper: set[str], slots: dict):
     return candidates
 
 
-def compile_model_check(tree, decls: dict[str, str]):
-    """(code, size, ints, bools): `code` decides the tree on a valuation list
-    of length `size` whose first slots hold the values of the declared
-    integer names `ints`, then of the boolean names `bools`, each in sorted
-    order."""
-    ints = sorted(n for n, s in decls.items() if s == INT)
-    bools = sorted(n for n, s in decls.items() if s == BOOLS)
-    comp = _ModelCompiler(len(ints) + len(bools))
-    code, _ = comp.formula(tree, {n: i for i, n in enumerate(ints + bools)})
-    return code, comp.size, ints, bools
+def _conjuncts(node, out: list) -> list:
+    if node[0] == "and":
+        for p in node[1]:
+            _conjuncts(p, out)
+    elif node[0] != "true":
+        out.append(node)
+    return out
 
 
-def model_search(compiled, decls: dict[str, str], deadline: float, bounds_seq=MODEL_BOUNDS):
+def _last_slot(node, slots: dict) -> int:
+    """The largest slot of a name the formula mentions freely, -1 for none."""
+    tag = node[0]
+    if tag == "cmp":
+        return max(_term_last_slot(node[2], slots), _term_last_slot(node[3], slots))
+    if tag == "bvar":
+        return slots.get(node[1], -1)
+    if tag in ("and", "or"):
+        return max([_last_slot(p, slots) for p in node[1]], default=-1)
+    if tag in ("exists", "forall"):
+        bound = {n for n, _ in node[1]}
+        return _last_slot(node[2], {n: i for n, i in slots.items() if n not in bound})
+    return -1
+
+
+def _term_last_slot(t, slots: dict) -> int:
+    tag = t[0]
+    if tag == "int":
+        return -1
+    if tag == "var":
+        return slots.get(t[1], -1)
+    return max(_term_last_slot(t[1], slots), _term_last_slot(t[2], slots))
+
+
+def _exact_bound(node, name: str, slots: dict):
+    """The bound reader's (op, code) pair for an le or eq atom that is linear
+    in `name` whatever the other names' values, so that the bounds decide it
+    on their own; None for any other conjunct."""
+    if node[0] != "cmp" or node[1] == "ne":
+        return None
+    code, degree = _linear_parts(("-", node[2], node[3]), name, slots)
+    return (node[1], code) if degree == 1 else None
+
+
+class ModelCheck:
+    """The asserted tree compiled for level-wise model search.
+
+    `names` are the declared names, integers then booleans, each in sorted
+    order; name k has valuation slot k and search level k.  A top-level
+    conjunct belongs to the level of the last name it mentions freely;
+    `tests[k]` decides the conjuncts of level k (None when it has none),
+    cheap atoms before quantifiers, and for an integer level `bounds[k]`
+    reads the bounds its linear le/eq conjuncts put on the name (None when
+    it has none).  `root` decides the conjuncts that mention no declared
+    name; `size` is the valuation length the code needs."""
+
+    def __init__(self, tree, decls: dict[str, str]):
+        ints = sorted(n for n, s in decls.items() if s == INT)
+        self.names = ints + sorted(n for n, s in decls.items() if s == BOOLS)
+        self.n_ints = len(ints)
+        slots = {n: i for i, n in enumerate(self.names)}
+        comp = _ModelCompiler(len(self.names))
+        per_level: list[list] = [[] for _ in range(len(self.names) + 1)]
+        for part in _conjuncts(tree, []):
+            per_level[_last_slot(part, slots) + 1].append(part)
+        root = per_level.pop(0)
+        self.root = comp.formula(("and", tuple(root)), slots)[0]
+        self.tests, self.bounds = [], []
+        for k, parts in enumerate(per_level):
+            linear, rest = [], []
+            for p in parts:
+                bound = _exact_bound(p, self.names[k], slots) if k < self.n_ints else None
+                if bound is None:
+                    rest.append(p)
+                else:
+                    linear.append(bound)
+            rest.sort(key=lambda p: p[0] not in ("cmp", "bvar"))  # atoms before the rest
+            self.tests.append(comp.formula(("and", tuple(rest)), slots)[0] if rest else None)
+            self.bounds.append(_bounds_code(linear) if linear else None)
+        self.size = comp.size
+
+
+def model_search(check: ModelCheck, deadline: float, bounds_seq=MODEL_BOUNDS):
     """First valuation of the declared names satisfying the compiled tree.
 
     Integer tuples are tried in lexicographic order of `_value_order(b)` for
     each bound b in turn, skipping tuples an earlier bound covered; each
-    integer tuple is tried with every boolean tuple.  One candidate costs one
-    unit of MODEL_EVAL_BUDGET.
+    integer tuple is tried with every boolean tuple.  The search assigns one
+    name per level and leaves a value out, with every candidate below it,
+    as soon as the value lies outside the level's bounds or a conjunct of
+    the level is not true there.  Each candidate costs one unit of
+    MODEL_EVAL_BUDGET whether it is tried or left out, so the first model,
+    and a search that runs out of budget, are those of a plain scan over
+    all candidates.
     """
-    code, size, ints, bools = compiled
-    env = [None] * size
-    if not decls:
-        return code(env), {}
-    n_ints, n_decl = len(ints), len(ints) + len(bools)
-    bool_choices = list(product([False, True], repeat=len(bools)))
+    env = [None] * check.size
+    names, n_ints = check.names, check.n_ints
+    if not names:
+        return check.root(env), {}
+    if check.root(env) is not True:
+        return None, None
+    n = len(names)
+    tests, bounds = check.tests, check.bounds
     budget = MODEL_EVAL_BUDGET
+    # Per bound and level: the values tried, how many of them an earlier bound
+    # covered, and the candidates below one value when a value at or above
+    # its level is fresh (`full`) or when none is (`part`).
+    domains: list = []
+    n_old = 0
+    full: list[int] = []
+    part: list[int] = []
+
+    def visit(k: int, fresh: bool):
+        """Search level k: True when a model fills env, False when the level
+        holds none, None when budget or time ran out."""
+        nonlocal budget
+        domain, test = domains[k], tests[k]
+        lo = hi = eq = None
+        if bounds[k] is not None:
+            lo, hi, eq = bounds[k](env) or (1, 0, None)  # no value at all: an empty range
+        for idx, v in enumerate(domain):
+            now_fresh = fresh or idx >= n_old
+            below = full[k] if now_fresh else part[k]
+            if not below:  # the whole integer tuple lies inside an earlier bound
+                continue
+            if (lo is not None and v < lo) or (hi is not None and v > hi) or (eq is not None and v != eq):
+                skip = True
+            else:
+                if time.monotonic() > deadline:
+                    return None
+                env[k] = v
+                skip = test is not None and test(env) is not True
+            if skip:
+                budget -= below
+                if budget < 0:
+                    return None
+            elif k == n - 1:
+                budget -= 1
+                return None if budget < 0 else True
+            else:
+                found = visit(k + 1, now_fresh)
+                if found is not False:
+                    return found
+        return False
+
     prev = -1
     for b in bounds_seq:
         vals = _value_order(b)
-        for ivals in _fresh_tuples(vals, 2 * prev + 1 if prev >= 0 else 0, n_ints):
-            env[:n_ints] = ivals
-            for bvals in bool_choices:
-                budget -= 1
-                if budget < 0 or time.monotonic() > deadline:
-                    return None, None
-                env[n_ints:n_decl] = bvals
-                if code(env) is True:
-                    model = dict(zip(ints, ivals))
-                    model.update(zip(bools, bvals))
-                    return True, model
+        n_old = min(2 * prev + 1, len(vals)) if prev >= 0 else 0
         prev = b
+        if n_old and not n_ints:
+            continue  # the one empty integer tuple was covered already
+        domains = [vals] * n_ints + [(False, True)] * (n - n_ints)
+        bool_tuples = 2 ** (n - n_ints)
+        full = [len(vals) ** (n_ints - k - 1) * bool_tuples for k in range(n_ints)]
+        part = [f - n_old ** (n_ints - k - 1) * bool_tuples for k, f in enumerate(full)]
+        full += [2 ** (n - k - 1) for k in range(n_ints, n)]
+        part += full[n_ints:]
+        found = visit(0, not n_old)
+        if found is None:
+            return None, None
+        if found:
+            return True, dict(zip(names, env[:n]))
     return None, None
 
 
@@ -589,15 +742,6 @@ def _value_order(b: int) -> list[int]:
     for k in range(1, b + 1):
         out.extend((k, -k))
     return out
-
-
-def _fresh_tuples(vals: list[int], n_old: int, n: int):
-    """The n-tuples over `vals` in lexicographic order, leaving out those whose
-    components all lie in the prefix vals[:n_old]."""
-    if n_old == 0:
-        return product(vals, repeat=n)
-    fresh = [i >= n_old for i in range(len(vals))]
-    return compress(product(vals, repeat=n), map(any, product(fresh, repeat=n)))
 
 
 # -- refutation -------------------------------------------------------------------
@@ -1071,13 +1215,13 @@ def check_formula(assertions, decls: dict[str, str], timeout_s: float):
     scope = dict(decls)
     tree = ("and", tuple(to_formula(a, scope, True) for a in assertions))
     deadline = time.monotonic() + timeout_s
-    compiled = compile_model_check(tree, decls)
+    compiled = ModelCheck(tree, decls)
 
     # Phase 1: cheap model scan, sized down as the variable count grows.
     n_ints = sum(1 for s in decls.values() if s == INT)
     cheap_cap = {0: 16, 1: 16, 2: 12, 3: 6, 4: 4}.get(n_ints, 2)
     cheap = tuple(b for b in MODEL_BOUNDS if b <= cheap_cap)
-    verdict, env = model_search(compiled, decls, deadline, cheap)
+    verdict, env = model_search(compiled, deadline, cheap)
     if verdict is True:
         return "sat", env
     if verdict is False:
@@ -1100,7 +1244,7 @@ def check_formula(assertions, decls: dict[str, str], timeout_s: float):
     # Phase 3: a deeper model scan with whatever time is left.
     deep = tuple(b for b in MODEL_BOUNDS if b > cheap_cap)
     if deep:
-        verdict, env = model_search(compiled, decls, deadline, deep)
+        verdict, env = model_search(compiled, deadline, deep)
         if verdict is True:
             return "sat", env
     return "unknown", None

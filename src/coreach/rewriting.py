@@ -168,10 +168,6 @@ def derivatives(
     return [d.ct for d in derivatives_detailed(system, ct, ctr, cfg)]
 
 
-def is_derivable(system: Lctrs, ct: ConstrainedTerm, cfg: SolverConfig | None = None) -> bool:
-    return bool(derivatives(system, ct, FreshCounter(start=1_000_000), cfg))
-
-
 def totality_condition(ct: ConstrainedTerm, ds: list[ConstrainedTerm]) -> Formula:
     """The one-step totality claim: every instance of `ct` has a successor
     among the derivatives, stated as an implication into a disjunction of

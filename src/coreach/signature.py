@@ -275,6 +275,3 @@ class Signature:
                             changed = True
         return done
 
-
-def validate_signature(sig: Signature) -> list[Violation]:
-    return sig.validate()

@@ -1,6 +1,7 @@
 """SMT backend: encode constraints to SMT-LIB 2 and drive an external solver.
 
-One stateless solver run per query.  The solver is an external executable
+One stateless solver run per query; the constants true and false are
+answered without one.  The solver is an external executable
 (z3 by default) speaking SMT-LIB over stdin/stdout; the bundled pure-Python
 solver serves as the fallback and can run either in-process (command
 "builtin") or as a real subprocess (command "builtin-subprocess").
@@ -25,6 +26,7 @@ from .formulas import (
     Atom,
     Eq,
     Exists,
+    FalseF,
     Forall,
     Formula,
     Iff,
@@ -190,7 +192,12 @@ def _parse_answer(output: str) -> Verdict:
 
 
 def check_sat(sig: Signature, f: Formula, cfg: SolverConfig) -> SmtResult:
-    """Satisfiability of f in the builtin model; timeout degrades to unknown."""
+    """Satisfiability of f in the builtin model; timeout degrades to unknown.
+    The constants true and false are answered without a solver."""
+    if isinstance(f, TrueF):
+        return SmtResult(Verdict.SAT)
+    if isinstance(f, FalseF):
+        return SmtResult(Verdict.UNSAT)
     return SmtResult(_parse_answer(_run_solver(encode(sig, f), cfg)))
 
 

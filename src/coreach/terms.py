@@ -154,14 +154,6 @@ class Substitution:
             return t
         return replace(t, args=tuple(self.apply(a) for a in t.args))
 
-    def compose(self, inner: "Substitution") -> "Substitution":
-        """self∘inner: apply `inner` first, then `self`."""
-        out = {v: self.apply(t) for v, t in inner.mapping.items()}
-        for v, t in self.mapping.items():
-            if v not in out:
-                out[v] = t
-        return Substitution({v: t for v, t in out.items() if t != v})
-
     def __bool__(self) -> bool:
         return bool(self.mapping)
 

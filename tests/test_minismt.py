@@ -7,13 +7,15 @@ import subprocess
 import sys
 from itertools import product
 from pathlib import Path
+from unittest import mock
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from coreach.minismt import solver
 from coreach.minismt.arith import Core, euclid_div, euclid_mod
 from coreach.minismt.sexpr import SexprError, parse_all, tokenize
-from coreach.minismt.solver import solve_text
+from coreach.minismt.solver import MODEL_BOUNDS, ModelCheck, model_search, run_script, solve_text
 
 PSI = "(exists ((u Int)) (and (< 1 u) (< u n) (= (mod n u) 0)))"
 
@@ -91,12 +93,32 @@ def test_unit_clause_is_asserted_before_a_wide_split(monkeypatch):
     assert clones == []
 
 
+def _replay(name: str):
+    """The golden scripts of tests/data/`name`, and those whose verdict or
+    `(get-model)` answer differs from the one recorded
+    (scripts/capture_queries.py writes the files)."""
+    queries = json.loads((Path(__file__).parent / "data" / name).read_text())
+    wrong = []
+    for q in queries:
+        out = run_script(q["script"] + "(get-model)\n", 60.0)
+        if (out[0], out[1] if out[0] == "sat" else None) != (q["verdict"], q["model"]):
+            wrong.append((q["script"], out))
+    return queries, wrong
+
+
 def test_corpus_queries_keep_their_verdicts():
     # The distinct scripts `coreach prove --solver builtin` sends on the six
-    # systems/*.lrw, with the verdicts the solver gave when they were recorded.
-    queries = json.loads((Path(__file__).parent / "data" / "corpus_queries.json").read_text())
+    # systems/*.lrw, with the verdicts and models the solver gave when they
+    # were recorded.
+    queries, wrong = _replay("corpus_queries.json")
     assert len(queries) == 53
-    wrong = [q["script"] for q in queries if solve_text(q["script"], 60.0) != q["verdict"]]
+    assert wrong == []
+
+
+def test_oracle_queries_keep_their_verdicts():
+    # The same for one seeded pass of the benchmark's oracle workload.
+    queries, wrong = _replay("oracle_queries.json")
+    assert len(queries) == 161
     assert wrong == []
 
 
@@ -369,3 +391,112 @@ def test_division_convention_is_shared(a, b):
 
     assert euclid_div(a, b) == pkg_div(a, b)
     assert euclid_mod(a, b) == pkg_mod(a, b)
+
+
+# -- level-wise model search against a plain scan ------------------------------
+
+
+def _reference_scan(tree, decls: dict, bounds_seq, budget: int):
+    """The plain product scan: every candidate valuation in order, each decided
+    by the whole compiled tree and charged one unit of `budget`."""
+    ints = sorted(n for n, s in decls.items() if s == "Int")
+    bools = sorted(n for n, s in decls.items() if s == "Bool")
+    comp = solver._ModelCompiler(len(ints) + len(bools))
+    code, _ = comp.formula(tree, {n: i for i, n in enumerate(ints + bools)})
+    env = [None] * comp.size
+    if not decls:
+        return code(env), {}
+    prev = -1
+    for b in bounds_seq:
+        vals = solver._value_order(b)
+        old = set(vals[: 2 * prev + 1]) if prev >= 0 else None
+        for ivals in product(vals, repeat=len(ints)):
+            if old is not None and all(v in old for v in ivals):
+                continue  # an earlier bound covered this tuple
+            for bvals in product([False, True], repeat=len(bools)):
+                budget -= 1
+                if budget < 0:
+                    return None, None
+                env[: len(ints) + len(bools)] = ivals + bvals
+                if code(env) is True:
+                    return True, dict(zip(ints + bools, ivals + bvals))
+        prev = b
+    return None, None
+
+
+_INTS = ("x", "y", "z")
+
+
+def _num(k: int) -> str:
+    return str(k) if k >= 0 else f"(- {-k})"
+
+
+@st.composite
+def _atom(draw, names, bools):
+    kind = draw(st.sampled_from(["linear", "linear", "product", "mod"] + (["bool"] if bools else [])))
+    op = draw(st.sampled_from(["<", "<=", "=", ">", ">=", "distinct"]))
+    a, b = draw(st.sampled_from(names)), draw(st.sampled_from(names))
+    k = _num(draw(st.integers(-4, 4)))
+    if kind == "linear":
+        lhs = f"(+ (* {draw(st.integers(-2, 3))} {a}) {k})"
+        rhs = draw(st.sampled_from([b, _num(draw(st.integers(-3, 3)))]))
+    elif kind == "product":
+        lhs, rhs = f"(* {a} {b})", draw(st.sampled_from([k, draw(st.sampled_from(names))]))
+    elif kind == "mod":
+        lhs, rhs = f"(mod {a} {draw(st.sampled_from(['2', '3', b]))})", _num(draw(st.integers(0, 2)))
+    else:
+        return draw(st.sampled_from(["b", "(not b)"]))
+    return f"({op} {lhs} {rhs})" if op != "distinct" else f"(not (= {lhs} {rhs}))"
+
+
+@st.composite
+def _quantifier(draw, names, depth=2):
+    """A quantified formula over one bound Int u (w when nested), relativized
+    to a small range or left unbounded, whose body may hold another one."""
+    v = "u" if depth == 2 else "w"
+    inner = names + [v]
+    body = [draw(_atom(inner, False))]
+    if depth > 1 and draw(st.booleans()):
+        body.append(draw(_quantifier(inner, depth - 1)))
+    rng = draw(st.sampled_from([f"(<= 0 {v}) (<= {v} 3)", f"(<= 1 {v}) (< {v} {draw(st.sampled_from(names))})", ""]))
+    if draw(st.booleans()):
+        return f"(exists (({v} Int)) (and {rng} {' '.join(body)}))"
+    return f"(forall (({v} Int)) (=> (and {rng}) (and {' '.join(body)})))"
+
+
+@st.composite
+def _model_query(draw):
+    names = list(_INTS[: draw(st.integers(1, 3))])
+    bools = draw(st.booleans())
+    scope = {n: "Int" for n in names} | ({"b": "Bool"} if bools else {})
+    disjunction = st.builds(lambda a, b: f"(or {a} {b})", _atom(names, bools), _atom(names, bools))
+    parts = draw(st.lists(st.one_of(_atom(names, bools), disjunction), min_size=1, max_size=4))
+    if draw(st.booleans()):
+        parts.insert(draw(st.integers(0, len(parts))), draw(_quantifier(names)))
+    tree = ("and", tuple(solver.to_formula(parse_all(p)[0], scope, True) for p in parts))
+    return tree, scope
+
+
+def _affordable_prefixes(decls: dict):
+    """MODEL_BOUNDS prefixes whose plain scan stays below a few thousand candidates."""
+    n_ints = sum(1 for s in decls.values() if s == "Int")
+    n_bools = len(decls) - n_ints
+    return [
+        MODEL_BOUNDS[: k + 1] for k, b in enumerate(MODEL_BOUNDS) if (2 * b + 1) ** n_ints * 2**n_bools <= 3000
+    ]
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(_model_query(), st.integers(0, 40))
+def test_model_search_matches_the_plain_scan(query, tiny_budget):
+    # The same first model, or None, as the plain scan: on every affordable
+    # prefix of MODEL_BOUNDS, and under a tiny budget on the whole sequence
+    # and on its deep tail, where the search must stop exactly where the scan
+    # runs out.
+    tree, decls = query
+    check = ModelCheck(tree, decls)
+    for seq in _affordable_prefixes(decls):
+        assert model_search(check, math.inf, seq) == _reference_scan(tree, decls, seq, solver.MODEL_EVAL_BUDGET), seq
+    with mock.patch.object(solver, "MODEL_EVAL_BUDGET", tiny_budget):
+        for seq in (MODEL_BOUNDS, MODEL_BOUNDS[6:]):
+            assert model_search(check, math.inf, seq) == _reference_scan(tree, decls, seq, tiny_budget), seq

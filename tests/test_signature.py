@@ -1,12 +1,12 @@
 import pytest
 
 from coreach.errors import IllTyped, UnknownSort
-from coreach.signature import Signature, validate_signature
+from coreach.signature import Signature
 from coreach.terms import BOOL, INT, Lit, Sort, Var
 
 
 def test_example_signature_is_admitted(comp_sig):
-    assert validate_signature(comp_sig) == []
+    assert comp_sig.validate() == []
 
 
 def test_builtin_overlap_is_reported():

