@@ -33,6 +33,7 @@ import coreach.prover
 import coreach.rewriting
 import coreach.smt
 from coreach import cli
+from coreach.errors import NonBuiltinResidue
 from coreach.minismt import run_script
 from coreach.specfile import parse_spec
 
@@ -47,7 +48,8 @@ def recording(scripts: list[str]):
     real = coreach.smt.check_sat
 
     def check_sat(sig, f, cfg):
-        scripts.append(coreach.smt.encode(sig, f))
+        with contextlib.suppress(NonBuiltinResidue):  # unencodable: check_sat answers unknown, sends nothing
+            scripts.append(coreach.smt.encode(sig, f))
         return real(sig, f, cfg)
 
     for mod in CHECK_SAT_BINDINGS:

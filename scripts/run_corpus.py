@@ -1,11 +1,13 @@
 #!/usr/bin/env python3
 """Prove every system under systems/ and print a verdict/timing table.
 
-    python scripts/run_corpus.py [--solver CMD] [--timeout-ms N]
+    python scripts/run_corpus.py [--solver CMD] [--timeout-ms N] [--systems DIR]
 
-Exit codes as for `coreach prove`: 0 all goals proved, 1 a goal failed,
-2 otherwise inconclusive (a solver unknown blocked a rule, or the solver
-could not run).
+Each spec is proved with the settings `coreach prove` would use (flag,
+then the spec's options, then the default).  Exit codes as for
+`coreach prove`: 0 all goals proved, 1 a goal failed, 2 otherwise
+inconclusive (a solver unknown blocked a rule, or the solver could not run
+or gave an unreadable answer).
 """
 
 import argparse
@@ -15,7 +17,8 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from coreach.prover import FAILED, PROVED, Prover, SearchConfig
+from coreach.cli import search_config
+from coreach.prover import FAILED, PROVED, Prover
 from coreach.smt import resolve_solver
 from coreach.specfile import parse_spec
 
@@ -23,20 +26,19 @@ from coreach.specfile import parse_spec
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--solver", default=None)
-    ap.add_argument("--timeout-ms", type=int, default=10_000)
+    ap.add_argument("--timeout-ms", type=int, default=None)
     ap.add_argument("--systems", default="systems")
     args = ap.parse_args()
 
-    solver = resolve_solver(args.solver, timeout_ms=args.timeout_ms)
-    print(f"solver: {' '.join(solver.command)}")
+    print(f"solver: {' '.join(resolve_solver(args.solver).command)}")
     print(f"{'system':<18} {'goals':>5} {'proved':>6} {'time':>8}")
     failures = unproved = 0
     for path in sorted(Path(args.systems).glob("*.lrw")):
         spec = parse_spec(path.read_text())
-        depth = spec.options.get("max-depth", 30)
-        prover = Prover(spec.system, spec.goal_set(), SearchConfig(max_der_depth=depth, solver=solver))
+        cfg = search_config(spec, args.solver, args.timeout_ms)
+        prover = Prover(spec.system, spec.goal_set(), cfg)
         t0 = time.monotonic()
-        result = prover.prove_all()
+        result = prover.prove_all(spec.splits())
         dt = time.monotonic() - t0
         good = sum(1 for r in result.per_goal if r.status == PROVED)
         print(f"{path.stem:<18} {len(result.per_goal):>5} {good:>6} {dt:>7.2f}s")

@@ -85,15 +85,33 @@ def _load(path: str) -> SpecFile:
         return parse_spec(handle.read())
 
 
-def _solver_config(args, spec: SpecFile) -> SolverConfig:
-    timeout = args.timeout_ms or spec.options.get("timeout-ms") or DEFAULT_TIMEOUT_MS
-    return resolve_solver(args.solver, timeout_ms=timeout)
+def _solver_config(spec: SpecFile, solver: str | None, timeout_ms: int | None) -> SolverConfig:
+    timeout = timeout_ms or spec.options.get("timeout-ms") or DEFAULT_TIMEOUT_MS
+    return resolve_solver(solver, timeout_ms=timeout)
 
 
 def _pick(cli_value, spec: SpecFile, key: str, default):
     if cli_value is not None:
         return cli_value
     return spec.options.get(key, default)
+
+
+def search_config(
+    spec: SpecFile,
+    solver: str | None = None,
+    timeout_ms: int | None = None,
+    max_depth: int | None = None,
+    max_branch: int | None = None,
+    enable_disj: bool = False,
+) -> SearchConfig:
+    """The prover's settings for a spec, shared with scripts/run_corpus.py:
+    a flag wins over the spec's option, which wins over the default."""
+    return SearchConfig(
+        max_der_depth=_pick(max_depth, spec, "max-depth", SearchConfig.max_der_depth),
+        max_branching=_pick(max_branch, spec, "max-branch", SearchConfig.max_branching),
+        solver=_solver_config(spec, solver, timeout_ms),
+        enable_disj=enable_disj or bool(spec.options.get("enable-disj", False)),
+    )
 
 
 def cmd_validate(args) -> int:
@@ -114,15 +132,8 @@ def cmd_prove(args) -> int:
         for v in violations:
             print(f"violation: {v}", file=sys.stderr)
         return 3
-    cfg = SearchConfig(
-        max_der_depth=_pick(args.max_depth, spec, "max-depth", 20),
-        max_branching=_pick(args.max_branch, spec, "max-branch", 64),
-        solver=_solver_config(args, spec),
-        enable_disj=args.enable_disj or bool(spec.options.get("enable-disj", False)),
-    )
-    prover = Prover(spec.system, spec.goal_set(), cfg)
-    splits = {i: g.split for i, g in enumerate(spec.goals) if g.split is not None}
-    result = prover.prove_all(splits)
+    cfg = search_config(spec, args.solver, args.timeout_ms, args.max_depth, args.max_branch, args.enable_disj)
+    result = Prover(spec.system, spec.goal_set(), cfg).prove_all(spec.splits())
     had_failure = False
     inconclusive = False
     for decl, res in zip(spec.goals, result.per_goal):
@@ -156,7 +167,7 @@ def cmd_prove(args) -> int:
 def cmd_derive(args) -> int:
     spec = _load(args.file)
     ct = parse_cterm_in(spec, args.term)
-    cfg = _solver_config(args, spec)
+    cfg = _solver_config(spec, args.solver, args.timeout_ms)
     for d in derivatives(spec.system, ct, FreshCounter(), cfg):
         print(pretty_constrained(d))
     return 0

@@ -22,7 +22,7 @@ class InvalidPosition(CoreachError):
 
 
 class NonBuiltinResidue(CoreachError):
-    """A formula reached the solver layer with constructor symbols left in it."""
+    """A formula the SMT encoder cannot write; `smt.check_sat` answers it unknown."""
 
 
 class SolverUnavailable(CoreachError):

@@ -16,7 +16,7 @@ import json
 from dataclasses import dataclass, field
 
 from .constraints import instance_condition, simplify, simplify_constrained
-from .errors import GuardednessViolation, InvalidSplit, NonBuiltinResidue, SolverUnavailable
+from .errors import GuardednessViolation, InvalidSplit, MalformedSolverOutput, SolverUnavailable
 from .formulas import (
     BINDERS,
     ConstrainedTerm,
@@ -40,7 +40,7 @@ from .rewriting import (
     totality_condition,
 )
 from .signature import Signature
-from .smt import SmtResult, SolverConfig, Verdict, check_sat
+from .smt import SolverConfig, Verdict, check_sat
 from .terms import App, FreshCounter, Lit, Substitution, Term, Var, renaming_for
 
 AXIOM, SUBS, DER, CIRC, DISJ, OPEN = "axiom", "subs", "der", "circ", "disj", "open"
@@ -136,15 +136,12 @@ class Prover:
 
     # -- solver wrappers -----------------------------------------------------------
 
-    def _sat(self, role: str, f: Formula) -> SmtResult:
-        try:
-            res = check_sat(self.sig, f, self.cfg.solver)
-        except NonBuiltinResidue:
-            res = SmtResult(Verdict.UNKNOWN)
-        if res.verdict == Verdict.UNKNOWN:
+    def _sat(self, role: str, f: Formula) -> Verdict:
+        verdict = check_sat(self.sig, f, self.cfg.solver).verdict
+        if verdict == Verdict.UNKNOWN:
             self.unknowns += 1
             self._unknown = (role, f)
-        return res
+        return verdict
 
     def _take_unknown(self, goal: Goal) -> list[OpenGoal]:
         """The unknown verdict that blocked the rule application just tried,
@@ -162,8 +159,7 @@ class Prover:
         if isinstance(lhs.constraint, FalseF):
             cond = SideCondition("lhs-unsat", lhs.constraint, Verdict.UNSAT)
             return ProofNode(AXIOM, goal.formula, (cond,))
-        res = self._sat("lhs-unsat", lhs.constraint)
-        if res.verdict != Verdict.UNSAT:
+        if self._sat("lhs-unsat", lhs.constraint) != Verdict.UNSAT:
             return None
         return ProofNode(AXIOM, goal.formula, (SideCondition("lhs-unsat", lhs.constraint, Verdict.UNSAT),))
 
@@ -179,8 +175,7 @@ class Prover:
         if isinstance(phi, FalseF):
             return None
         query = conj([rf.lhs.constraint, phi])
-        res = self._sat("inclusion-sat", query)
-        if res.verdict != Verdict.SAT:
+        if self._sat("inclusion-sat", query) != Verdict.SAT:
             return None
         protected = frozenset(v.name for v in free_vars(rf.rhs))
         residual = simplify_constrained(
@@ -208,8 +203,7 @@ class Prover:
         if isinstance(phi, FalseF):
             return None
         query = conj([rf.lhs.constraint, phi])
-        res = self._sat("circ-sat", query)
-        if res.verdict != Verdict.SAT:
+        if self._sat("circ-sat", query) != Verdict.SAT:
             return None
         protected = frozenset(v.name for v in free_vars(rf.rhs))
         cont = simplify_constrained(
@@ -236,8 +230,7 @@ class Prover:
             return None
         total = simplify(self.sig, totality_condition(rf.lhs, [d.ct for d in ds]))
         neg = simplify(self.sig, Not(total))
-        res = self._sat("totality", neg)
-        if res.verdict != Verdict.UNSAT:
+        if self._sat("totality", neg) != Verdict.UNSAT:
             return None
         conds = [SideCondition("totality", neg, Verdict.UNSAT)]
         for d in ds:
@@ -252,8 +245,7 @@ class Prover:
         rf = goal.formula
         phi1, phi2 = split
         iff = Iff(rf.lhs.constraint, Or((phi1, phi2)))
-        res = self._sat("split", simplify(self.sig, Not(iff)))
-        if res.verdict != Verdict.UNSAT:
+        if self._sat("split", simplify(self.sig, Not(iff))) != Verdict.UNSAT:
             raise InvalidSplit(pretty_formula(iff))
         g1 = Goal(
             ReachabilityFormula(ConstrainedTerm(rf.lhs.term, phi1), rf.rhs),
@@ -290,7 +282,7 @@ class Prover:
                 node, frontier = None, f1 + f2
             else:
                 node, frontier = self._search(root)
-        except SolverUnavailable as exc:
+        except (SolverUnavailable, MalformedSolverOutput) as exc:
             return GoalResult(ABORTED, detail=str(exc))
         if node is not None:
             return GoalResult(PROVED, node)
@@ -464,12 +456,9 @@ def reverify(sig: Signature, tree: ProofNode, cfg: SolverConfig) -> list[str]:
     bad = []
     for node in tree.walk():
         for cond in node.conditions:
-            try:
-                res = check_sat(sig, cond.formula, cfg)
-            except NonBuiltinResidue:
-                res = SmtResult(Verdict.UNKNOWN)
             if cond.verdict == Verdict.UNKNOWN:
                 continue  # recorded as unreliable to begin with
+            res = check_sat(sig, cond.formula, cfg)
             if res.verdict != cond.verdict:
                 bad.append(
                     f"{node.kind}/{cond.role}: recorded {cond.verdict.value}, got {res.verdict.value}"

@@ -25,10 +25,9 @@ from .formulas import (
     subst_formula,
 )
 from .signature import Signature
-from .smt import SmtResult, SolverConfig, Verdict, check_sat
+from .smt import SolverConfig, Verdict, check_sat
 from .terms import (
     FreshCounter,
-    Position,
     Term,
     Var,
     non_variable_positions,
@@ -88,17 +87,11 @@ def rename_formula_fresh(rf: ReachabilityFormula, ctr: FreshCounter) -> Reachabi
 
 @dataclass(frozen=True)
 class Derivative:
-    """One symbolic successor plus the evidence that kept it."""
+    """One symbolic successor plus the verdict that kept it."""
 
     ct: ConstrainedTerm
     rule_index: int
-    position: Position
-    condition: Formula
     verdict: Verdict
-
-    @property
-    def unknown_constraint(self) -> bool:
-        return self.verdict == Verdict.UNKNOWN
 
 
 def derivatives_detailed(
@@ -141,20 +134,10 @@ def derivatives_detailed(
                 cand = simplify_constrained(sig, ConstrainedTerm(new_term, constraint), protected)
                 if isinstance(cand.constraint, FalseF):
                     continue
-                res = _sat_or_unknown(sig, cand.constraint, cfg)
-                if res.verdict == Verdict.UNSAT:
-                    continue
-                out.append(Derivative(cand, idx, pos, cand.constraint, res.verdict))
+                verdict = check_sat(sig, cand.constraint, cfg).verdict
+                if verdict != Verdict.UNSAT:
+                    out.append(Derivative(cand, idx, verdict))
     return out
-
-
-def _sat_or_unknown(sig: Signature, f: Formula, cfg: SolverConfig) -> SmtResult:
-    from .errors import NonBuiltinResidue
-
-    try:
-        return check_sat(sig, f, cfg)
-    except NonBuiltinResidue:
-        return SmtResult(Verdict.UNKNOWN)
 
 
 def derivatives(

@@ -1,11 +1,12 @@
 """SMT backend: encode constraints to SMT-LIB 2 and drive an external solver.
 
-One stateless solver run per query; the constants true and false are
-answered without one.  The solver is an external executable
-(z3 by default) speaking SMT-LIB over stdin/stdout; the bundled pure-Python
-solver serves as the fallback and can run either in-process (command
-"builtin") or as a real subprocess (command "builtin-subprocess").
-An unknown answer is always legal and callers must treat it conservatively.
+`check_sat` is the only entry point: every query passes through it, and it
+alone decides what an answer means.  One stateless solver run per query; the
+constants true and false are answered without one.  The solver is an external
+executable (z3 by default) speaking SMT-LIB over stdin/stdout; the bundled
+pure-Python solver serves as the fallback and can run either in-process
+(command "builtin") or as a real subprocess (command "builtin-subprocess").
+An unknown answer is always legal and never enables a proof rule.
 """
 
 from __future__ import annotations
@@ -192,13 +193,19 @@ def _parse_answer(output: str) -> Verdict:
 
 
 def check_sat(sig: Signature, f: Formula, cfg: SolverConfig) -> SmtResult:
-    """Satisfiability of f in the builtin model; timeout degrades to unknown.
-    The constants true and false are answered without a solver."""
+    """Satisfiability of f in the builtin model, the only solver entry point.
+    True and false need no solver.  A formula `encode` cannot write and a
+    timeout answer unknown; a solver that cannot start or whose answer is
+    unreadable raises (SolverUnavailable, MalformedSolverOutput)."""
     if isinstance(f, TrueF):
         return SmtResult(Verdict.SAT)
     if isinstance(f, FalseF):
         return SmtResult(Verdict.UNSAT)
-    return SmtResult(_parse_answer(_run_solver(encode(sig, f), cfg)))
+    try:
+        script = encode(sig, f)
+    except NonBuiltinResidue:
+        return SmtResult(Verdict.UNKNOWN)
+    return SmtResult(_parse_answer(_run_solver(script, cfg)))
 
 
 def check_valid(sig: Signature, f: Formula, cfg: SolverConfig) -> tuple[Validity, SmtResult]:

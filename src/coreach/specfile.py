@@ -112,6 +112,9 @@ class SpecFile:
     def goal_set(self) -> list[ReachabilityFormula]:
         return [g.formula for g in self.goals]
 
+    def splits(self) -> dict[int, tuple[Formula, Formula]]:
+        return {i: g.split for i, g in enumerate(self.goals) if g.split is not None}
+
 
 OPTION_KEYS = {"max-depth", "max-branch", "timeout-ms", "bound", "steps", "enable-disj"}
 

@@ -1,6 +1,7 @@
 """Exit codes and rendered output of every CLI command."""
 
 import json
+import os
 import stat
 import subprocess
 import sys
@@ -48,6 +49,82 @@ def test_prove_solver_unknowns_exit_two(tmp_path):
     assert "open [unknown lhs-unsat]" in proc.stderr
     assert "query:" in proc.stderr
     assert "open [no-rule]" not in proc.stderr
+
+
+def test_prove_unreadable_solver_answer_aborts_each_goal(tmp_path):
+    # An answer that is not sat/unsat/unknown aborts the goal, as a solver
+    # that cannot start does; it is not an input error.
+    fake = tmp_path / "gibberish-solver"
+    fake.write_text("#!/bin/sh\necho gibberish\n")
+    fake.chmod(fake.stat().st_mode | stat.S_IEXEC)
+    proc = run_cli("prove", "systems/sum.lrw", "--solver", str(fake))
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stdout.count("[aborted]") == 2
+    assert "unrecognized answer 'gibberish'" in proc.stderr
+    assert "error:" not in proc.stderr
+
+
+RESIDUE_SPEC = (
+    "sorts Cfg;\n"
+    "symbols a : Int -> Cfg; b : Int -> Cfg;\n"
+    "vars n : Int, r : Int;\n"
+    "rules a(n) => b(n) if true;\n"
+    "prove a(n) /\\ (exists c : Cfg . ~(c = b(n))) => b(r) /\\ r = n;\n"
+)
+
+
+def test_prove_unencodable_constraint_is_inconclusive(tmp_path):
+    # A quantifier over Cfg cannot reach the solver: the query is unknown,
+    # reported with its role and query, and no rule closes the goal.
+    spec = tmp_path / "residue.lrw"
+    spec.write_text(RESIDUE_SPEC)
+    proc = run_cli("prove", str(spec), "--solver", "builtin")
+    assert proc.returncode == 2, proc.stderr
+    assert "[inconclusive]" in proc.stdout
+    assert "open [unknown lhs-unsat]" in proc.stderr
+    assert "    query: exists c : Cfg . ~c = b(n)" in proc.stderr
+
+
+def test_derive_keeps_a_successor_with_an_unencodable_constraint(tmp_path):
+    spec = tmp_path / "residue.lrw"
+    spec.write_text(RESIDUE_SPEC)
+    term = "a(n) /\\ (exists c : Cfg . ~(c = b(n)))"
+    proc = run_cli("derive", str(spec), "--solver", "builtin", "--term", term)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "b(n) /\\ (exists c : Cfg . ~c = b(n))"
+
+
+def test_run_corpus_matches_prove_settings(tmp_path):
+    # Both read the spec's options the same way and default to depth 20, so
+    # a counter that needs 25 steps hits the depth bound in both.
+    (tmp_path / "counter.lrw").write_text(
+        "sorts Cfg;\n"
+        "symbols c : Int -> Cfg; done : -> Cfg;\n"
+        "vars i : Int;\n"
+        "rules c(i) => c(i + 1) if i < 25; c(i) => done if i >= 25;\n"
+        "prove c(0) /\\ true => done /\\ true;\n"
+    )
+    proc = run_cli("prove", str(tmp_path / "counter.lrw"), "--solver", "builtin")
+    assert proc.returncode == 1, proc.stdout + proc.stderr
+    assert "open [depth]: c(20) /\\ true" in proc.stderr
+    corpus = subprocess.run(
+        [sys.executable, "scripts/run_corpus.py", "--systems", str(tmp_path), "--solver", "builtin"],
+        capture_output=True,
+        text=True,
+        timeout=240,
+    )
+    assert corpus.returncode == 1, corpus.stdout + corpus.stderr
+
+
+def test_benchmark_tracer_finds_every_binding_site():
+    # perfbench/tracing.py wraps functions at the names their callers import
+    # (check_sat in coreach.prover and coreach.rewriting among them); a
+    # binding that a refactor drops makes install fail.
+    code = "import tracing; tracing.install(tracing.Tracer())"
+    root = Path(__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(root / "src"), str(root / "perfbench")])}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120, env=env)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_prove_parse_error_exit_three(tmp_path):

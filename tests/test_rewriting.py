@@ -19,7 +19,7 @@ from coreach.rewriting import (
     rename_rule_fresh,
     totality_condition,
 )
-from coreach.smt import Validity, check_valid
+from coreach.smt import Validity, Verdict, check_valid
 from coreach.terms import FRESH_SEP, FreshCounter, INT, Lit, Var
 
 n, i, k, u = (Var(x, INT) for x in "niku")
@@ -191,4 +191,4 @@ def test_unknown_constraints_keep_the_derivative(comp_sig, solver_cfg):
     )
     ds = derivatives_detailed(system, ConstrainedTerm(mk("init", (n,)), TRUE), FreshCounter(), solver_cfg)
     assert len(ds) == 1
-    assert ds[0].unknown_constraint
+    assert ds[0].verdict == Verdict.UNKNOWN

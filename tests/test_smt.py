@@ -134,6 +134,22 @@ def test_constant_queries_skip_the_solver(comp_sig, monkeypatch):
     assert reverify(comp_sig, ProofNode("axiom", ReachabilityFormula(done, done), conditions), cfg) == []
 
 
+def test_unencodable_query_is_unknown_without_a_solver(comp_sig, monkeypatch):
+    # A quantifier over a non-builtin sort cannot be written in SMT-LIB; the
+    # query answers unknown before any solver runs.
+    import coreach.smt as smt
+
+    def no_solver(*_args):
+        raise AssertionError("solver run for an unencodable query")
+
+    monkeypatch.setattr(smt, "_run_solver", no_solver)
+    mk = comp_sig.make_app
+    c = Var("c", comp_sig.least_sort(mk("comp", ())))
+    f = Exists((c,), Not(Eq(c, mk("init", (n,)))))
+    cfg = SolverConfig(command=("/nonexistent/solver-binary",), timeout_ms=1000)
+    assert check_sat(comp_sig, f, cfg).verdict == Verdict.UNKNOWN
+
+
 def test_malformed_solver_output(comp_sig, tmp_path):
     fake = tmp_path / "fake-solver"
     fake.write_text("#!/bin/sh\necho gibberish\n")
