@@ -15,7 +15,7 @@ import argparse
 import sys
 from itertools import product
 
-from .errors import CoreachError, ParseError
+from .errors import CoreachError, MalformedSolverOutput, ParseError, SolverUnavailable
 from .formulas import pretty_constrained, pretty_formula, pretty_term, subst_constrained
 from .oracle import (
     Domain,
@@ -86,8 +86,7 @@ def _load(path: str) -> SpecFile:
 
 
 def _solver_config(spec: SpecFile, solver: str | None, timeout_ms: int | None) -> SolverConfig:
-    timeout = timeout_ms or spec.options.get("timeout-ms") or DEFAULT_TIMEOUT_MS
-    return resolve_solver(solver, timeout_ms=timeout)
+    return resolve_solver(solver, timeout_ms=_pick(timeout_ms, spec, "timeout-ms", DEFAULT_TIMEOUT_MS))
 
 
 def _pick(cli_value, spec: SpecFile, key: str, default):
@@ -168,7 +167,12 @@ def cmd_derive(args) -> int:
     spec = _load(args.file)
     ct = parse_cterm_in(spec, args.term)
     cfg = _solver_config(spec, args.solver, args.timeout_ms)
-    for d in derivatives(spec.system, ct, FreshCounter(), cfg):
+    try:
+        successors = derivatives(spec.system, ct, FreshCounter(), cfg)
+    except (SolverUnavailable, MalformedSolverOutput) as exc:
+        print(f"aborted: {exc}", file=sys.stderr)  # a solver failure, not an input error
+        return 2
+    for d in successors:
         print(pretty_constrained(d))
     return 0
 

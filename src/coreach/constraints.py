@@ -40,7 +40,7 @@ from .formulas import (
 )
 from .minismt.arith import euclid_div, euclid_mod
 from .signature import Signature
-from .terms import App, FRESH_SEP, Lit, Substitution, Term, Var, term_vars
+from .terms import App, FRESH_SEP, Lit, Substitution, Term, Var, rebuild_app, term_vars
 
 
 @dataclass(frozen=True)
@@ -155,10 +155,11 @@ def _bind(bindings: dict[Var, Term], v: Var, t: Term) -> dict[Var, Term]:
 
 
 def fold_term(t: Term) -> Term:
-    if not isinstance(t, App):
+    """`t` with builtin operations on literals evaluated; `t` itself if folded."""
+    if not isinstance(t, App) or not t.args:
         return t
-    args = tuple(fold_term(a) for a in t.args)
-    t = App(t.symbol, args, t.sort)
+    t = rebuild_app(t, [fold_term(a) for a in t.args])
+    args = t.args
     fn = BUILTIN_SEMANTICS.get((t.symbol, len(args)))
     if fn is not None and all(isinstance(a, Lit) for a in args):
         return Lit(fn(*(a.value for a in args)))
@@ -189,7 +190,7 @@ def simplify(sig: Signature, f: Formula) -> Formula:
     """Equivalence-preserving simplification; keeps the satisfying valuations intact."""
     for _ in range(SIMPLIFY_PASS_CAP):
         nf = _simp(sig, f)
-        if nf == f:
+        if nf is f or nf == f:
             return nf
         f = nf
     import warnings
@@ -199,16 +200,17 @@ def simplify(sig: Signature, f: Formula) -> Formula:
 
 
 def _simp(sig: Signature, f: Formula) -> Formula:
+    """One simplification pass; `f` itself where the pass changes nothing."""
     if isinstance(f, (TrueF, FalseF)):
         return f
     if isinstance(f, (And, Or)):
         return _simp_junction(sig, f)
     if isinstance(f, Atom):
         (t,) = atom_terms(f)
-        t = fold_term(t)
-        if isinstance(t, Lit):
-            return TRUE if t.value else FALSE
-        return Atom(t)
+        ft = fold_term(t)
+        if isinstance(ft, Lit):
+            return TRUE if ft.value else FALSE
+        return f if ft is t else Atom(ft)
     if isinstance(f, Eq):
         lt, rt = map(fold_term, atom_terms(f))
         if lt == rt:
@@ -216,12 +218,13 @@ def _simp(sig: Signature, f: Formula) -> Formula:
         if isinstance(lt, Lit) and isinstance(rt, Lit):
             return TRUE if lt.value == rt.value else FALSE
         if _is_builtin_valued(sig, lt) and _is_builtin_valued(sig, rt):
-            return Eq(lt, rt)
+            return f if lt is f.lhs and rt is f.rhs else Eq(lt, rt)
         try:
             forms = unify_modulo_builtins(sig, lt, rt)
         except SortMismatch:
             return FALSE
-        return disj([sf.as_formula() for sf in forms])
+        nf = disj([sf.as_formula() for sf in forms])
+        return f if nf == f else nf
     kids = [_simp(sig, k) for k in children(f)]
     if isinstance(f, Not):
         (b,) = kids
@@ -231,7 +234,7 @@ def _simp(sig: Signature, f: Formula) -> Formula:
             return TRUE
         if isinstance(b, Not):
             return children(b)[0]
-        return Not(b)
+        return f if b is f.body else Not(b)
     if isinstance(f, Implies):
         a, b = kids
         if isinstance(a, TrueF):
@@ -242,7 +245,7 @@ def _simp(sig: Signature, f: Formula) -> Formula:
             return _simp(sig, Not(a))
         if a == b:
             return TRUE
-        return Implies(a, b)
+        return f if a is f.premise and b is f.conclusion else Implies(a, b)
     if isinstance(f, Iff):
         a, b = kids
         if a == b:
@@ -255,7 +258,7 @@ def _simp(sig: Signature, f: Formula) -> Formula:
             return _simp(sig, Not(b))
         if isinstance(b, FalseF):
             return _simp(sig, Not(a))
-        return Iff(a, b)
+        return f if a is f.lhs and b is f.rhs else Iff(a, b)
     (body,) = kids  # a binder
     cls = type(f)
     if isinstance(body, cls) and not (set(f.bound) & set(body.bound)):
@@ -269,7 +272,7 @@ def _simp(sig: Signature, f: Formula) -> Formula:
     bound = tuple(v for v in bound if v in fv)
     if isinstance(body, (TrueF, FalseF)) or not bound:
         return body
-    return cls(bound, body)
+    return f if body is f.body and bound == f.bound else cls(bound, body)
 
 
 def _simp_junction(sig: Signature, f: And | Or) -> Formula:
@@ -292,6 +295,8 @@ def _simp_junction(sig: Signature, f: And | Or) -> Formula:
         return absorbing
     if cls is And:
         parts = _propagate_bindings(sig, parts)
+    if len(parts) > 1 and len(parts) == len(f.parts) and all(p is q for p, q in zip(parts, f.parts)):
+        return f
     return junction(cls, parts)
 
 

@@ -5,6 +5,10 @@ class CoreachError(Exception):
     """Base class for all package errors."""
 
 
+class InvalidOption(CoreachError, ValueError):
+    """A setting outside its range: a search bound, a timeout, a domain bound."""
+
+
 class UnknownSort(CoreachError):
     pass
 

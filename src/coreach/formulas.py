@@ -220,17 +220,21 @@ def free_vars(x) -> set[Var]:
 
 
 def subst_formula(sigma: Substitution, f: Formula) -> Formula:
+    """`f` under `sigma`; `f` itself where no free variable moves."""
+    if not sigma:
+        return f
     if isinstance(f, BINDERS):
         relevant = {v: t for v, t in sigma.mapping.items() if v not in f.bound}
         if not relevant:
             return f
         sigma = Substitution(relevant)
         f = _rename_captured(f, set().union(*map(term_vars, relevant.values())))
-    return rebuild(
-        f,
-        [sigma.apply(t) for t in atom_terms(f)],
-        [subst_formula(sigma, k) for k in children(f)],
-    )
+    terms, kids = atom_terms(f), children(f)
+    new_terms = [sigma.apply(t) for t in terms]
+    new_kids = [subst_formula(sigma, k) for k in kids]
+    if all(a is b for a, b in zip(new_terms, terms)) and all(a is b for a, b in zip(new_kids, kids)):
+        return f
+    return rebuild(f, new_terms, new_kids)
 
 
 def _rename_captured(f: Exists | Forall, img_vars: set[Var]) -> Exists | Forall:

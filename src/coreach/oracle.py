@@ -5,6 +5,13 @@ formula evaluation range over the bounded domain [-B, B]; the documentation
 and the test fixtures keep quantifier witnesses inside the bound.  Graph
 construction marks every truncation (step budget, out-of-domain successors)
 so validity checking can answer "inconclusive" instead of guessing.
+
+Each ground state is stepped once per system and domain: `ground_step`
+keeps a successor table (folded state -> its successors) beside the rules
+compiled for that system and domain.  Graph building, the derivative
+cross-check and every other caller read it through `ground_step`.  The table
+is rebuilt with the compiled rules when the system gains a rule or its
+signature an operation or subsort, and it dies with the system.
 """
 
 from __future__ import annotations
@@ -18,7 +25,7 @@ from operator import itemgetter
 from typing import Callable, Iterator, NamedTuple
 
 from .constraints import BUILTIN_SEMANTICS, fold_term
-from .errors import MalformedPath, UnsupportedQuantifier
+from .errors import InvalidOption, MalformedPath, UnsupportedQuantifier
 from .formulas import (
     BINDERS,
     And,
@@ -50,7 +57,7 @@ class Domain:
 
     def __post_init__(self):
         if self.bound < 0:
-            raise ValueError("domain bound must be nonnegative")
+            raise InvalidOption(f"domain bound must be nonnegative, got {self.bound}")
 
     def ints(self) -> range:
         return range(-self.bound, self.bound + 1)
@@ -378,31 +385,52 @@ def _compile_rule(sig: Signature, dom: Domain, rule: RewriteRule) -> _RuleCode:
     return _RuleCode(comp.size, match, results)
 
 
-# Compiled rules per system, then per domain.  The keys are weak, so the code
-# lives no longer than the system it was compiled for.
-_RULE_CODE: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+class _Stepper(NamedTuple):
+    """What stepping needs for one system and domain: the compiled rules and
+    the successor table, folded ground state -> its one-step successors."""
+
+    stamp: tuple
+    rules: list[_RuleCode]
+    successors: dict[Term, StatePredicate]
 
 
-def _rule_code(system: Lctrs, dom: Domain) -> list[_RuleCode]:
+# One stepper per system, then per domain.  The keys are weak, so the code
+# and the table live no longer than the system they were built for.
+_STEPPERS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def _stepper(system: Lctrs, dom: Domain) -> _Stepper:
     sig = system.signature
-    # The code depends on the rules and, through its value pools, on the
-    # signature's operations and subsorts, which only ever grow.
+    # The code and the table depend on the rules and, through the value pools
+    # and least sorts, on the signature's operations and subsorts, which only
+    # ever grow.  A changed stamp rebuilds both.
     stamp = (tuple(system.rules), sig, len(sig.operations), len(sig.subsort_pairs))
-    per_domain = _RULE_CODE.setdefault(system, {})
+    per_domain = _STEPPERS.setdefault(system, {})
     hit = per_domain.get(dom)
-    if hit is None or hit[0] != stamp:
-        hit = per_domain[dom] = (stamp, [_compile_rule(sig, dom, r) for r in system.rules])
-    return hit[1]
+    if hit is None or hit.stamp != stamp:
+        rules = [_compile_rule(sig, dom, r) for r in system.rules]
+        hit = per_domain[dom] = _Stepper(stamp, rules, {})
+    return hit
 
 
 def ground_step(system: Lctrs, gamma: Term, dom: Domain) -> StatePredicate:
     """All one-step successors of a ground term: any rule, any position, any
-    rule-variable valuation over the domain that satisfies the guard."""
-    sig = system.signature
-    rules = _rule_code(system, dom)
-    # Rule right-hand sides yield builtin values as literals, so successors of
-    # a folded state need no folding of their own.
-    gamma = fold_term(gamma)
+    rule-variable valuation over the domain that satisfies the guard.  Each
+    state is stepped once per system and domain; later calls read the table."""
+    stepper = _stepper(system, dom)
+    table = stepper.successors
+    out = table.get(gamma)  # the keys are folded, so only a folded state hits here
+    if out is None:
+        # Rule right-hand sides yield builtin values as literals, so
+        # successors of a folded state need no folding of their own.
+        gamma = fold_term(gamma)
+        out = table.get(gamma)
+        if out is None:
+            out = table[gamma] = _step(system.signature, stepper.rules, gamma)
+    return out
+
+
+def _step(sig: Signature, rules: list[_RuleCode], gamma: Term) -> StatePredicate:
     out = set()
     for pos in positions(gamma):
         sub = subterm_at(gamma, pos)

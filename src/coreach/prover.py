@@ -16,7 +16,7 @@ import json
 from dataclasses import dataclass, field
 
 from .constraints import instance_condition, simplify, simplify_constrained
-from .errors import GuardednessViolation, InvalidSplit, MalformedSolverOutput, SolverUnavailable
+from .errors import GuardednessViolation, InvalidOption, InvalidSplit, MalformedSolverOutput, SolverUnavailable
 from .formulas import (
     BINDERS,
     ConstrainedTerm,
@@ -86,7 +86,9 @@ class SearchConfig:
 
     def __post_init__(self):
         if self.max_der_depth <= 0 or self.max_branching <= 0:
-            raise ValueError("search bounds must be positive")
+            raise InvalidOption(
+                f"search bounds must be positive (max depth {self.max_der_depth}, max branch {self.max_branching})"
+            )
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,7 @@ import sys
 from dataclasses import dataclass
 from enum import Enum
 
-from .errors import MalformedSolverOutput, NonBuiltinResidue, SolverUnavailable
+from .errors import InvalidOption, MalformedSolverOutput, NonBuiltinResidue, SolverUnavailable
 from .formulas import (
     BINDERS,
     And,
@@ -70,7 +70,7 @@ class SolverConfig:
 
     def __post_init__(self):
         if self.timeout_ms <= 0:
-            raise ValueError("timeout must be positive")
+            raise InvalidOption(f"timeout must be positive, got {self.timeout_ms} ms")
 
 
 def resolve_solver(spec: str | None = None, timeout_ms: int = DEFAULT_TIMEOUT_MS) -> SolverConfig:

@@ -3,12 +3,14 @@
 Terms are immutable values; equality is structural.  Applications cache the
 result sort they were built with, so terms can travel without a signature
 handle.  `Signature.least_sort` recomputes the exact least sort when subsort
-refinement matters.
+refinement matters.  Applications also hash once, when built, and the
+rewriters here return their input node wherever nothing changed, so an
+unchanged subterm is shared rather than copied.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field
 from typing import Iterator, Union
 
 from .errors import InvalidPosition, SortMismatch
@@ -59,11 +61,35 @@ class Lit:
         return str(self.value).lower() if isinstance(self.value, bool) else str(self.value)
 
 
-@dataclass(frozen=True, slots=True)
+_put = object.__setattr__  # writes a field of a frozen node while it is built
+
+
+@dataclass(frozen=True, slots=True, init=False)
 class App:
     symbol: str
     args: tuple["Term", ...]
     sort: Sort
+    _hash: int = field(init=False, repr=False, compare=False)
+
+    def __init__(self, symbol: str, args: tuple["Term", ...], sort: Sort):
+        _put(self, "symbol", symbol)
+        _put(self, "args", args)
+        _put(self, "sort", sort)
+        # The sort stays out of the hash: equal symbols and arguments almost
+        # always mean equal sorts, and hashing a sort is not free.
+        _put(self, "_hash", hash((symbol, args)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    # Arguments compare with their own equality, so `true` and `1` stay apart
+    # inside an application too.
+    def __eq__(self, other) -> bool:
+        if self is other:
+            return True
+        if type(other) is not App or self._hash != other._hash:
+            return False
+        return self.symbol == other.symbol and self.args == other.args and self.sort == other.sort
 
     def __repr__(self) -> str:
         if not self.args:
@@ -75,6 +101,14 @@ Term = Union[Var, Lit, App]
 
 # Child index sequence; () addresses the whole term.
 Position = tuple[int, ...]
+
+
+def rebuild_app(t: App, args) -> App:
+    """`t` over new arguments: `t` itself when every argument is the old one."""
+    for new, old in zip(args, t.args):
+        if new is not old:
+            return App(t.symbol, tuple(args), t.sort)
+    return t
 
 
 def subterm_at(t: Term, pos: Position) -> Term:
@@ -95,9 +129,10 @@ def replace_at(t: Term, pos: Position, s: Term) -> Term:
     if not isinstance(t, App) or pos[0] < 1 or pos[0] > len(t.args):
         raise InvalidPosition(f"no child {pos[0]} at {t!r}")
     i = pos[0] - 1
-    new_args = list(t.args)
-    new_args[i] = replace_at(t.args[i], pos[1:], s)
-    return replace(t, args=tuple(new_args))
+    new = replace_at(t.args[i], pos[1:], s)
+    if new is t.args[i]:
+        return t
+    return App(t.symbol, t.args[:i] + (new,) + t.args[i + 1 :], t.sort)
 
 
 def _fits(new: Sort, old: Sort) -> bool:
@@ -148,11 +183,12 @@ class Substitution:
         return self.mapping.get(v, v)
 
     def apply(self, t: Term) -> Term:
+        """`t` under the substitution; `t` itself where no variable moves."""
         if isinstance(t, Var):
             return self.mapping.get(t, t)
-        if isinstance(t, Lit):
+        if isinstance(t, Lit) or not self.mapping:
             return t
-        return replace(t, args=tuple(self.apply(a) for a in t.args))
+        return rebuild_app(t, [self.apply(a) for a in t.args])
 
     def __bool__(self) -> bool:
         return bool(self.mapping)

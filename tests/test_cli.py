@@ -7,6 +7,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 COMP = "systems/compositeness.lrw"
 
 
@@ -149,6 +151,38 @@ def test_derive_prints_successors():
     proc = run_cli("derive", COMP, "--term", "init(n) /\\ n > 0")
     assert proc.returncode == 0
     assert proc.stdout.strip() == "loop(n, 2) /\\ n > 0"
+
+
+@pytest.mark.parametrize("solver", ["gibberish", "missing"])
+def test_derive_aborts_on_a_solver_failure(tmp_path, solver):
+    # As with prove: a solver that answers unreadably or cannot start is not
+    # an input error, so derive reports it as aborted and exits 2.
+    fake = tmp_path / "gibberish-solver"
+    fake.write_text("#!/bin/sh\necho gibberish\n")
+    fake.chmod(fake.stat().st_mode | stat.S_IEXEC)
+    command = str(fake) if solver == "gibberish" else str(tmp_path / "no-such-solver")
+    proc = run_cli("derive", "systems/sum.lrw", "--term", "sum(n) /\\ n >= 0", "--solver", command)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("aborted: ")
+    assert "error:" not in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "command, flags",
+    [
+        ("prove", ["--max-depth", "0"]),
+        ("prove", ["--max-branch", "0"]),
+        ("prove", ["--timeout-ms", "-5"]),
+        ("prove", ["--timeout-ms", "0"]),
+        ("derive", ["--timeout-ms", "0", "--term", "sum(n) /\\ n >= 0"]),
+        ("oracle", ["--bound", "-1"]),
+    ],
+)
+def test_out_of_range_settings_are_input_errors(command, flags):
+    proc = run_cli(command, "systems/sum.lrw", "--solver", "builtin", *flags)
+    assert proc.returncode == 3, proc.stdout + proc.stderr
+    assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
 
 
 def test_oracle_valid_run():

@@ -6,6 +6,7 @@ from itertools import product
 import pytest
 
 from coreach.constraints import (
+    fold_term,
     semantic_inclusion_condition,
     simplify,
     simplify_constrained,
@@ -284,6 +285,34 @@ def test_subst_formula_leaves_a_shadowed_variable_alone(mk):
     f = conj([Atom(mk("<", (k, n))), bound])
     g = subst_formula(Substitution({k: Lit(2)}), f)
     assert g == conj([Atom(mk("<", (Lit(2), n))), bound])
+
+
+def test_fold_term_returns_a_folded_term_itself(mk):
+    t = mk("loop", (mk("+", (n, Lit(1))), Lit(3)))
+    assert fold_term(t) is t
+    folded = fold_term(mk("loop", (mk("+", (Lit(2), Lit(1))), t.args[0])))
+    assert folded == mk("loop", (Lit(3), t.args[0])) and folded.args[1] is t.args[0]
+    assert fold_term(folded) is folded
+
+
+def test_subst_formula_missing_every_free_variable_returns_the_formula(mk):
+    f = conj([Atom(mk("<", (i, n))), Exists((k,), Eq(n, mk("*", (i, k))))])
+    assert subst_formula(Substitution({u: Lit(1)}), f) is f
+    assert subst_formula(Substitution({k: Lit(1)}), f) is f  # k is bound where it occurs
+    untouched = Atom(mk("<", (n, k)))
+    g = subst_formula(Substitution({i: Lit(1)}), Implies(Atom(mk("<", (i, n))), untouched))
+    assert g == Implies(Atom(mk("<", (Lit(1), n))), untouched) and children(g)[1] is untouched
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_simplify_returns_a_normal_form_itself(data):
+    from coreach.signature import Signature
+
+    sig = Signature()
+    g = simplify(sig, data.draw(_hyp_formulas(sig.make_app, binders=True)))
+    assert simplify(sig, g) is g
+    assert subst_formula(Substitution({u: Lit(1)}), g) is g
 
 
 @settings(max_examples=80, deadline=None)

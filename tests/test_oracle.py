@@ -7,7 +7,7 @@ import weakref
 import pytest
 
 from coreach.errors import MalformedPath, UnsupportedQuantifier
-from coreach.formulas import And, Atom, ConstrainedTerm, Eq, Exists, FALSE, Forall, Or, TRUE, conj
+from coreach.formulas import And, Atom, ConstrainedTerm, Eq, Exists, FALSE, Forall, Or, TRUE, conj, subst_constrained
 from coreach.oracle import (
     Domain,
     Path,
@@ -25,7 +25,9 @@ from coreach.oracle import (
 )
 from coreach.rewriting import Lctrs, RewriteRule
 from coreach.signature import Signature
-from coreach.terms import App, BOOL, INT, Lit, Var
+from coreach.specfile import parse_spec
+from coreach.terms import App, BOOL, INT, Lit, Substitution, Var
+from test_acceptance import AUDIT_SAMPLES
 
 n, i, u = Var("n", INT), Var("i", INT), Var("u", INT)
 
@@ -147,6 +149,18 @@ def test_ground_step_follows_later_rules_and_constructors(comp_sig):
     assert ground_step(system, mk("init", (Lit(0),)), dom) == frozenset({mk("comp", ())})
 
 
+def test_each_domain_has_its_own_successors(comp_sig):
+    # The right-hand side's unbound u ranges over the domain, so the same
+    # state has a different successor set at each bound.
+    mk = comp_sig.make_app
+    system = Lctrs(comp_sig)
+    system.add_rule(RewriteRule(mk("init", (n,)), mk("loop", (n, u)), TRUE))
+    state = mk("init", (Lit(0),))
+    for bound in (1, 0, 1):
+        expected = {mk("loop", (Lit(0), Lit(v))) for v in range(-bound, bound + 1)}
+        assert ground_step(system, state, Domain(bound)) == frozenset(expected)
+
+
 def test_compiled_rules_do_not_keep_the_system_alive(comp_sig):
     mk = comp_sig.make_app
     system = Lctrs(comp_sig)
@@ -156,6 +170,28 @@ def test_compiled_rules_do_not_keep_the_system_alive(comp_sig):
     del system
     gc.collect()
     assert ref() is None
+
+
+@pytest.mark.parametrize("name", sorted(AUDIT_SAMPLES))
+def test_successor_table_agrees_with_a_cold_one(name):
+    # The graphs of the soundness audit (acceptance criterion 7) fill the
+    # system's successor table; a freshly parsed copy of the system starts
+    # with an empty one, and each node is asked of it once, so each of its
+    # answers is stepped from scratch.
+    with open(f"systems/{name}.lrw", encoding="utf-8") as handle:
+        text = handle.read()
+    spec, cold = parse_spec(text), parse_spec(text).system
+    dom = Domain(12)
+    nodes = set()
+    for decl in spec.goals:
+        rf = decl.formula
+        for sample in AUDIT_SAMPLES[name]:
+            sigma = Substitution({v: Lit(sample[v.name]) for v in rf.shared_vars() if v.name in sample})
+            p = enumerate_instances(spec.signature, subst_constrained(sigma, rf.lhs), dom)
+            nodes |= build_graph(spec.system, p, dom, 20_000).nodes
+    assert nodes
+    for node in sorted(nodes, key=repr):
+        assert ground_step(spec.system, node, dom) == ground_step(cold, node, dom), node
 
 
 def test_bool_literals_are_inside_every_domain():

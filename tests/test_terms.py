@@ -64,7 +64,17 @@ def test_apply_substitution_binds_and_leaves_rest():
 
 def test_identity_substitution_is_identity():
     t = mk("init", (mk("*", (i, k)),))
-    assert Substitution({}).apply(t) == t
+    assert Substitution({}).apply(t) is t
+
+
+def test_rewriters_return_unchanged_nodes_themselves():
+    inner = mk("*", (i, k))
+    t = mk("loop", (inner, n))
+    assert Substitution({Var("z", INT): Lit(1)}).apply(t) is t
+    moved = Substitution({n: Lit(4)}).apply(t)
+    assert moved == mk("loop", (inner, Lit(4))) and moved.args[0] is inner
+    assert replace_at(t, (2,), n) is t
+    assert replace_at(t, (2,), Lit(4)).args[0] is inner
 
 
 def test_substitution_into_term():
@@ -150,3 +160,17 @@ def test_bool_and_int_literals_are_different_terms():
     table = {wrapped_bool: "true", wrapped_int: "1"}
     assert table[App("loop", (Lit(True), Lit(0)), CFG)] == "true"
     assert table[App("loop", (Lit(1), Lit(0)), CFG)] == "1"
+    assert App("f", (Lit(1),), CFG) != App("f", (Lit(True),), CFG)
+
+
+def _copy(t):
+    return App(t.symbol, tuple(_copy(a) for a in t.args), t.sort) if isinstance(t, App) else t
+
+
+@given(int_terms())
+def test_equal_apps_hash_equal_and_stably(t):
+    wrapped = mk("loop", (t, Lit(0)))
+    twin = _copy(wrapped)
+    assert twin is not wrapped and twin == wrapped
+    assert hash(twin) == hash(wrapped) == hash(wrapped)
+    assert len({wrapped, twin}) == 1
