@@ -257,6 +257,10 @@ class Core:
     def spend(self, n: int = 1) -> bool:
         return self.budget is not None and self.budget.spend(n)
 
+    def stopped(self) -> bool:
+        """Closed, or out of budget."""
+        return self.closed or (self.budget is not None and self.budget.spent)
+
     # -- assertion ---------------------------------------------------------------
 
     def add_bool(self, name: str, value: bool):
@@ -352,22 +356,26 @@ class Core:
     # -- saturation ----------------------------------------------------------------
 
     def saturate(self):
+        """Closes the core under div/mod axioms, elimination, bounds,
+        envelopes and Fourier-Motzkin, for at most six rounds.  Each phase
+        is charged by the constraints it visits or the pairs it combines and
+        stops once the budget is spent; stopping early only derives less."""
         for _ in range(6):
-            if self.closed or self.spend():
+            if self.closed or self.spend(1 + len(self.les) + len(self.eqs) + len(self.nes)):
                 return
             before = (len(self.les), len(self.eqs), len(self.nes))
             self._divmod_axioms(self.bounds())
             self._gauss()
             self._check_pairs()
-            if self.closed:
+            if self.stopped():
                 return
             b = self.bounds()
             self._persist_bounds(b)
             self._envelopes(b)
-            if self.closed:
+            if self.stopped():
                 return
             self._fourier_motzkin()
-            if self.closed:
+            if self.stopped():
                 return
             if (len(self.les), len(self.eqs), len(self.nes)) == before:
                 return
@@ -424,6 +432,8 @@ class Core:
                     rest = {mm: c for mm, c in p.items() if mm != m}
                     if any(key in _deep_keys_of_mono(mm) for mm in rest):
                         continue  # the solution would mention the key itself
+                    if self.spend(len(self.les) + len(self.eqs) + len(self.nes)):
+                        return  # eliminating rewrites every constraint
                     by = pscale(rest, -p[m])
                     self.eqs.discard(fp)
                     self._eliminate(key, by)
@@ -436,6 +446,8 @@ class Core:
 
     def _check_pairs(self):
         # p <= 0 and -p <= 0 imply p = 0; p = 0 with p != 0 closes.
+        if self.spend(len(self.les) + len(self.nes)):
+            return
         les = set(self.les)
         for fp in sorted(les, key=_rk):
             p = thaw(fp)
@@ -553,6 +565,8 @@ class Core:
         for m in sorted(self._monos(), key=_rk):
             if len(m) < 2:
                 continue
+            if self.spend(len(m) - 1):
+                return
             for cut in range(1, len(m)):
                 x, y = m[:cut], m[cut:]
                 xl, xu = bounds.get(x, (None, None))
@@ -587,12 +601,14 @@ class Core:
         # Products go first: tightening while eliminating a product dimension is
         # where the integer-only contradictions surface.
         for dim in sorted(dims, key=lambda d: (-len(d), _rk(d))):
-            if self.spend():
-                return
             uppers = [p for p in work if p.get(dim, 0) > 0]
             lowers = [p for p in work if p.get(dim, 0) < 0]
             rest = [p for p in work if dim not in p]
-            if len(uppers) * len(lowers) > 64 or len(rest) > 600:
+            pairs = len(uppers) * len(lowers)
+            skip = pairs > 64 or len(rest) > 600
+            if self.spend(1 if skip else 1 + pairs):
+                return
+            if skip:
                 continue
             new = rest
             for up in uppers:

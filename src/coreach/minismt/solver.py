@@ -1,18 +1,26 @@
 """SMT-LIB script interpretation: model search for sat, refutation for unsat.
 
+`check_formula` runs the two strategies in turns: each round continues the
+model scan for one slice of visited values and restarts refutation with one
+slice of steps, and both slices double every round.  Both budgets count
+work, not time, so a verdict does not depend on the clock; the per-query
+deadline is only a safety net, and `(get-info :reason-unknown)` tells an
+unknown it cut ("timeout") from one the budgets gave ("incomplete").
+
 Formulas are kept in negation normal form.  Model search compiles each
 top-level conjunct once per query into closures over a positional valuation
 and enumerates the declared names level by level, in a pinned order
 (integers, then booleans, each by name; values 0, 1, -1, 2, ...): a
 conjunct is checked at the level of the last name it mentions, and linear
 le/eq conjuncts bound their level's name.  Candidates ruled out early are
-still charged to the step budget one by one, so the first model and the
-budget cut-off are those of a plain scan.  Refutation works on the tree
+still charged to the candidate budget one by one, so the first model and
+the budget cut-off are those of a plain scan.  Refutation works on the tree
 itself, whose atoms hold term trees that are lowered to polynomial
-constraints only when asserted into a refutation core.  Quantifier
-evaluation during model search derives finite candidate ranges from the
-atoms that bound the quantified variable; when no finite range is implied
-the result degrades to unknown, never to a wrong verdict.
+constraints only when asserted into a refutation core; a refutation step
+is a bounded amount of work (see `Budget`).  Quantifier evaluation during
+model search derives finite candidate ranges from the atoms that bound the
+quantified variable; when no finite range is implied the result degrades
+to unknown, never to a wrong verdict.
 """
 
 from __future__ import annotations
@@ -46,8 +54,13 @@ from .sexpr import parse_all
 MAX_INST_ROUNDS = 3
 MAX_SPLITS = 3
 MODEL_BOUNDS = (1, 2, 3, 4, 6, 8, 12, 16, 24, 32)
-MODEL_EVAL_BUDGET = 200_000
-REFUTE_STEP_BUDGET = 40_000
+MODEL_EVAL_BUDGET = 200_000  # candidates one model scan may charge
+REFUTE_STEP_BUDGET = 4096  # steps of the largest refutation slice
+# The first round's slices: values the scan visits, steps of refutation.
+# The captured queries of the six systems/*.lrw are all decided in the first
+# round (the costliest refutation needs 432 steps).
+SCAN_SLICE = 256
+REFUTE_SLICE = 512
 QRANGE_WIDTH_CAP = 4096
 WINDOW = 24
 
@@ -55,13 +68,38 @@ INT, BOOLS = "Int", "Bool"
 
 
 class Budget:
-    def __init__(self, deadline: float, steps: int):
-        self.deadline = deadline
+    """The steps one refutation slice may spend.  A step is a bounded amount
+    of work: one item taken off the agenda, one clause alternative probed,
+    one quantifier instance tried, or one constraint or pair of constraints
+    that saturation visits or combines.  Work is charged before it is done
+    and is not done when the steps left cannot pay for it, so `used` never
+    exceeds the slice.  The deadline is only a safety net."""
+
+    def __init__(self, steps: int, deadline: float):
         self.steps = steps
+        self.left = steps
+        self.deadline = deadline
+        self.timed_out = False
 
     def spend(self, n: int = 1) -> bool:
-        self.steps -= n
-        return self.steps < 0 or time.monotonic() > self.deadline
+        """Charge n steps; True, with nothing charged, once they cannot be
+        paid or the clock ran out."""
+        if n > self.left:
+            self.left = -1
+            return True
+        self.left -= n
+        if time.monotonic() > self.deadline:
+            self.timed_out = True
+            return True
+        return False
+
+    @property
+    def spent(self) -> bool:
+        return self.left < 0 or self.timed_out
+
+    @property
+    def used(self) -> int:
+        return self.steps - max(self.left, 0)
 
 
 class SolveError(ValueError):
@@ -653,88 +691,129 @@ class ModelCheck:
         self.size = comp.size
 
 
-def model_search(check: ModelCheck, deadline: float, bounds_seq=MODEL_BOUNDS):
-    """First valuation of the declared names satisfying the compiled tree.
+class ModelScan:
+    """The model search over `bounds_seq`, run in slices.
 
     Integer tuples are tried in lexicographic order of `_value_order(b)` for
     each bound b in turn, skipping tuples an earlier bound covered; each
     integer tuple is tried with every boolean tuple.  The search assigns one
     name per level and leaves a value out, with every candidate below it,
     as soon as the value lies outside the level's bounds or a conjunct of
-    the level is not true there.  Each candidate costs one unit of
+    the level is not true there.  Each candidate is charged one unit of
     MODEL_EVAL_BUDGET whether it is tried or left out, so the first model,
-    and a search that runs out of budget, are those of a plain scan over
-    all candidates.
+    and a search that runs out of budget, are those of a plain scan over all
+    candidates.  A slice counts the work done instead, one unit per value
+    the search visits, whether its level rules it out or not:
+    `run(visits, deadline)` continues the scan where the last slice
+    stopped, for at most `visits` more values.  Slicing changes neither the
+    candidates' order nor the first model.
     """
-    env = [None] * check.size
-    names, n_ints = check.names, check.n_ints
-    if not names:
-        return check.root(env), {}
-    if check.root(env) is not True:
-        return None, None
-    n = len(names)
-    tests, bounds = check.tests, check.bounds
-    budget = MODEL_EVAL_BUDGET
-    # Per bound and level: the values tried, how many of them an earlier bound
-    # covered, and the candidates below one value when a value at or above
-    # its level is fresh (`full`) or when none is (`part`).
-    domains: list = []
-    n_old = 0
-    full: list[int] = []
-    part: list[int] = []
 
-    def visit(k: int, fresh: bool):
-        """Search level k: True when a model fills env, False when the level
-        holds none, None when budget or time ran out."""
-        nonlocal budget
-        domain, test = domains[k], tests[k]
-        lo = hi = eq = None
-        if bounds[k] is not None:
-            lo, hi, eq = bounds[k](env) or (1, 0, None)  # no value at all: an empty range
-        for idx, v in enumerate(domain):
-            now_fresh = fresh or idx >= n_old
-            below = full[k] if now_fresh else part[k]
-            if not below:  # the whole integer tuple lies inside an earlier bound
-                continue
-            if (lo is not None and v < lo) or (hi is not None and v > hi) or (eq is not None and v != eq):
-                skip = True
-            else:
-                if time.monotonic() > deadline:
-                    return None
-                env[k] = v
-                skip = test is not None and test(env) is not True
-            if skip:
-                budget -= below
-                if budget < 0:
-                    return None
-            elif k == n - 1:
-                budget -= 1
-                return None if budget < 0 else True
-            else:
-                found = visit(k + 1, now_fresh)
-                if found is not False:
-                    return found
-        return False
+    def __init__(self, check: ModelCheck, bounds_seq=MODEL_BOUNDS):
+        self.charged = 0  # candidates charged to MODEL_EVAL_BUDGET
+        self.visited = 0  # values visited
+        self.timed_out = False
+        self.done = False  # a model was found or no candidate is left
+        self.result = (None, None)
+        self._steps = self._search(check, bounds_seq, MODEL_EVAL_BUDGET)
+        next(self._steps)  # up to the point where it waits for its first slice
 
-    prev = -1
-    for b in bounds_seq:
-        vals = _value_order(b)
-        n_old = min(2 * prev + 1, len(vals)) if prev >= 0 else 0
-        prev = b
-        if n_old and not n_ints:
-            continue  # the one empty integer tuple was covered already
-        domains = [vals] * n_ints + [(False, True)] * (n - n_ints)
-        bool_tuples = 2 ** (n - n_ints)
-        full = [len(vals) ** (n_ints - k - 1) * bool_tuples for k in range(n_ints)]
-        part = [f - n_old ** (n_ints - k - 1) * bool_tuples for k, f in enumerate(full)]
-        full += [2 ** (n - k - 1) for k in range(n_ints, n)]
-        part += full[n_ints:]
-        found = visit(0, not n_old)
-        if found is None:
+    def run(self, visits: float, deadline: float):
+        """(True, model) once a model is found, (False, {}) when the tree
+        mentions no name and is false, else (None, None)."""
+        if not self.done:
+            try:
+                self._steps.send((visits, deadline))
+            except StopIteration as stop:
+                self.done, self.result = True, stop.value
+        return self.result
+
+    def _search(self, check: ModelCheck, bounds_seq, budget: int):
+        """The scan as a generator.  It is sent (visits, deadline) for each
+        slice and hands control back, without losing its place, when the
+        slice's visits are used up or the clock passes the deadline; its
+        return value is `run`'s result."""
+        visits, deadline = yield
+        env = [None] * check.size
+        names, n_ints = check.names, check.n_ints
+        if not names:
+            return check.root(env), {}
+        if check.root(env) is not True:
             return None, None
-        if found:
-            return True, dict(zip(names, env[:n]))
-    return None, None
+        n = len(names)
+        tests, bounds = check.tests, check.bounds
+        charged = visited = 0
+        limit = visits
+        # Per bound and level: the values tried, how many of them an earlier
+        # bound covered, and the candidates below one value when a value at or
+        # above its level is fresh (`full`) or when none is (`part`).
+        domains: list = []
+        n_old = 0
+        full: list[int] = []
+        part: list[int] = []
+
+        def pause():
+            nonlocal limit, deadline
+            self.charged, self.visited = charged, visited
+            visits, deadline = yield
+            limit = visited + visits
+
+        def visit(k: int, fresh: bool):
+            """Search level k: True when a model fills env, False when the
+            level holds none, None when the budget ran out."""
+            nonlocal charged, visited
+            domain, test = domains[k], tests[k]
+            lo = hi = eq = None
+            if bounds[k] is not None:
+                lo, hi, eq = bounds[k](env) or (1, 0, None)  # no value at all: an empty range
+            for idx, v in enumerate(domain):
+                now_fresh = fresh or idx >= n_old
+                below = full[k] if now_fresh else part[k]
+                if not below:  # the whole integer tuple lies inside an earlier bound
+                    continue
+                while visited >= limit:
+                    yield from pause()
+                visited += 1
+                if (lo is not None and v < lo) or (hi is not None and v > hi) or (eq is not None and v != eq):
+                    skip = True
+                else:
+                    while time.monotonic() > deadline:
+                        self.timed_out = True
+                        yield from pause()
+                    env[k] = v
+                    skip = test is not None and test(env) is not True
+                if skip or k == n - 1:
+                    charged += below if skip else 1
+                    if charged > budget:
+                        return None
+                    if not skip:
+                        return True
+                else:
+                    found = yield from visit(k + 1, now_fresh)
+                    if found is not False:
+                        return found
+            return False
+
+        prev = -1
+        for b in bounds_seq:
+            vals = _value_order(b)
+            n_old = min(2 * prev + 1, len(vals)) if prev >= 0 else 0
+            prev = b
+            if n_old and not n_ints:
+                continue  # the one empty integer tuple was covered already
+            domains = [vals] * n_ints + [(False, True)] * (n - n_ints)
+            bool_tuples = 2 ** (n - n_ints)
+            full = [len(vals) ** (n_ints - k - 1) * bool_tuples for k in range(n_ints)]
+            part = [f - n_old ** (n_ints - k - 1) * bool_tuples for k, f in enumerate(full)]
+            full += [2 ** (n - k - 1) for k in range(n_ints, n)]
+            part += full[n_ints:]
+            found = yield from visit(0, not n_old)
+            self.charged, self.visited = charged, visited
+            if found is None:
+                return None, None
+            if found:
+                return True, dict(zip(names, env[:n]))
+        return None, None
 
 
 def _value_order(b: int) -> list[int]:
@@ -1008,6 +1087,8 @@ def _node_contradicts(core: Core, node, state, depth: int = 2) -> bool:
             return False
         cands = _solve_candidates(node) + _candidate_terms(core, state["numerals"])[:12]
         for combo in product(cands, repeat=len(bound)):
+            if core.spend():
+                return False
             inst = body
             for (nm, _), c in zip(bound, combo):
                 inst = subst_nnf(inst, nm, c)
@@ -1053,6 +1134,8 @@ def refute(items, core: Core, universals, budget: Budget, state) -> bool:
             items.extend(node[1])
             continue
         if tag == "or":
+            if budget.spend(len(node[1])):
+                return False
             alive = _alive(core, node, state)
             if alive is None:
                 continue
@@ -1063,10 +1146,13 @@ def refute(items, core: Core, universals, budget: Budget, state) -> bool:
                 continue
             # Only disjunctions are pending.  Before splitting, settle the
             # others against the core: units are asserted instead of split
-            # on, and once none is left the core is saturated so that the
-            # branches inherit its closure.
+            # on, and once none is left the core is saturated, so that the
+            # branches inherit its closure, and the universals are probed
+            # for an instance that closes the branch without a split.
             clauses, units = [(node, alive)], []
             for clause in items:
+                if budget.spend(len(clause[1])):
+                    return False
                 alive = _alive(core, clause, state)
                 if alive is None:
                     continue
@@ -1084,6 +1170,8 @@ def refute(items, core: Core, universals, budget: Budget, state) -> bool:
                 if core.closed:
                     return True
                 saturated = True
+                if any(_node_contradicts(core, u, state) for u in universals):
+                    return True
                 continue
             # Split on the narrowest clause.
             node, alive = min(clauses, key=lambda ca: len(ca[1]))
@@ -1129,6 +1217,8 @@ def refute(items, core: Core, universals, budget: Budget, state) -> bool:
     for u in universals:
         if _node_contradicts(core, u, state):
             return True
+    if budget.spent:
+        return False
 
     # Heuristic quantifier instantiation with the branch's ground terms.
     if state["rounds"] > 0 and universals:
@@ -1152,6 +1242,8 @@ def refute(items, core: Core, universals, budget: Budget, state) -> bool:
                 if len(insts) >= 64:
                     break
         if insts:
+            if budget.spend(len(insts)):
+                return False
             st = dict(state)
             st["rounds"] = state["rounds"] - 1
             return refute(insts, core, universals, budget, st)
@@ -1212,42 +1304,46 @@ def refute(items, core: Core, universals, budget: Budget, state) -> bool:
 
 
 def check_formula(assertions, decls: dict[str, str], timeout_s: float):
+    """(verdict, model, reason), where reason says why a verdict is unknown.
+
+    Model scan and refutation take turns in rounds.  Each round continues
+    the scan for one slice of visited values and restarts refutation with
+    one slice of steps; both slices double every round, a two-strategy
+    schedule after Luby, Sinclair and Zuckerman (1993).  A strategy drops
+    out once it is done: the scan when it has tried every candidate or
+    charged MODEL_EVAL_BUDGET, refutation when a slice ends with steps to
+    spare or a slice of REFUTE_STEP_BUDGET steps did not close it.  sat
+    comes only from the scan and unsat only from a refutation, and both
+    are decided by work counts alone: the verdict does not depend on the
+    clock unless the safety-net deadline fires ("timeout").  Both
+    strategies giving up is "incomplete"."""
     scope = dict(decls)
     tree = ("and", tuple(to_formula(a, scope, True) for a in assertions))
     deadline = time.monotonic() + timeout_s
-    compiled = ModelCheck(tree, decls)
-
-    # Phase 1: cheap model scan, sized down as the variable count grows.
-    n_ints = sum(1 for s in decls.values() if s == INT)
-    cheap_cap = {0: 16, 1: 16, 2: 12, 3: 6, 4: 4}.get(n_ints, 2)
-    cheap = tuple(b for b in MODEL_BOUNDS if b <= cheap_cap)
-    verdict, env = model_search(compiled, deadline, cheap)
-    if verdict is True:
-        return "sat", env
-    if verdict is False:
-        return "unsat", None
-
-    # Phase 2: refutation, leaving time for a deeper model scan afterwards.
-    remaining = deadline - time.monotonic()
-    budget = Budget(time.monotonic() + max(0.1, remaining * 0.6), REFUTE_STEP_BUDGET)
-    state = {
-        "sk": [0],
-        "rounds": MAX_INST_ROUNDS,
-        "splits": MAX_SPLITS,
-        "done": set(),
-        "numerals": term_numerals(tree),
-    }
-    core = Core(budget)
-    if refute([tree], core, [], budget, state):
-        return "unsat", None
-
-    # Phase 3: a deeper model scan with whatever time is left.
-    deep = tuple(b for b in MODEL_BOUNDS if b > cheap_cap)
-    if deep:
-        verdict, env = model_search(compiled, deadline, deep)
-        if verdict is True:
-            return "sat", env
-    return "unknown", None
+    scan = ModelScan(ModelCheck(tree, decls))
+    numerals = None
+    scan_slice, refute_slice = SCAN_SLICE, REFUTE_SLICE
+    refuting = True
+    while True:
+        verdict, model = scan.run(scan_slice, deadline)
+        if verdict is not None:
+            return ("sat", model, None) if verdict else ("unsat", None, None)
+        if scan.timed_out:
+            return "unknown", None, "timeout"
+        if refuting:
+            if numerals is None:
+                numerals = term_numerals(tree)
+            budget = Budget(refute_slice, deadline)
+            state = {"sk": [0], "rounds": MAX_INST_ROUNDS, "splits": MAX_SPLITS, "done": set(), "numerals": numerals}
+            if refute([tree], Core(budget), [], budget, state):
+                return "unsat", None, None
+            if budget.timed_out:
+                return "unknown", None, "timeout"
+            refuting = budget.spent and refute_slice < REFUTE_STEP_BUDGET
+        if scan.done and not refuting:
+            return "unknown", None, "incomplete"
+        scan_slice *= 2
+        refute_slice = min(2 * refute_slice, REFUTE_STEP_BUDGET)
 
 
 def run_script(text: str, timeout_s: float = 30.0) -> list[str]:
@@ -1256,6 +1352,7 @@ def run_script(text: str, timeout_s: float = 30.0) -> list[str]:
     assertions = []
     out: list[str] = []
     model: dict | None = None
+    reason: str | None = None
     for form in forms:
         if not isinstance(form, list) or not form:
             raise SolveError(f"bad command {form!r}")
@@ -1271,7 +1368,7 @@ def run_script(text: str, timeout_s: float = 30.0) -> list[str]:
         elif cmd == "assert":
             assertions.append(form[1])
         elif cmd == "check-sat":
-            verdict, model = check_formula(assertions, decls, timeout_s)
+            verdict, model, reason = check_formula(assertions, decls, timeout_s)
             out.append(verdict)
         elif cmd == "get-model":
             if model is None:
@@ -1283,6 +1380,13 @@ def run_script(text: str, timeout_s: float = 30.0) -> list[str]:
                     sv = str(v).lower() if decls[name] == BOOLS else (str(v) if v >= 0 else f"(- {-v})")
                     rows.append(f"  (define-fun {_smt_sym(name)} () {decls[name]} {sv})")
                 out.append("(\n" + "\n".join(rows) + "\n)")
+        elif cmd == "get-info":
+            if form[1:] != [":reason-unknown"]:
+                out.append("unsupported")
+            elif reason is None:
+                out.append('(error "the last check-sat did not answer unknown")')
+            else:
+                out.append(f"(:reason-unknown {reason})")
         elif cmd == "exit":
             break
         else:

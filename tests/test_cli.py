@@ -5,6 +5,7 @@ import os
 import stat
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -37,6 +38,24 @@ def test_prove_failure_without_circularity(tmp_path):
     assert proc.returncode == 1
     assert "[failed]" in proc.stdout
     assert "open [depth]" in proc.stderr
+
+
+def test_bundled_solver_verdicts_do_not_follow_the_timeout(tmp_path):
+    # Without its circularity the compositeness goal reaches queries the
+    # bundled solver cannot decide.  Its limits count work, not time, so the
+    # run is the same at any --timeout-ms its work fits in, and it stays short.
+    trimmed = tmp_path / "nocirc.lrw"
+    trimmed.write_text(Path(COMP).read_text().split("circ")[0])
+    runs = []
+    for timeout_ms in ("1000", "60000"):
+        start = time.monotonic()
+        proc = run_cli("prove", str(trimmed), "--solver", "builtin", "--max-depth", "6", "--timeout-ms", timeout_ms)
+        assert time.monotonic() - start < 6.0
+        runs.append((proc.returncode, proc.stdout, proc.stderr))
+    assert runs[0] == runs[1]
+    returncode, _, stderr = runs[0]
+    assert returncode == 2
+    assert stderr.count("open [") == stderr.count("open [unknown totality]") == 1
 
 
 def test_prove_solver_unknowns_exit_two(tmp_path):

@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 from coreach.minismt import solver
 from coreach.minismt.arith import Core, euclid_div, euclid_mod
 from coreach.minismt.sexpr import SexprError, parse_all, tokenize
-from coreach.minismt.solver import MODEL_BOUNDS, ModelCheck, model_search, run_script, solve_text
+from coreach.minismt.solver import MODEL_BOUNDS, ModelCheck, ModelScan, run_script, solve_text
 
 PSI = "(exists ((u Int)) (and (< 1 u) (< u n) (= (mod n u) 0)))"
 
@@ -93,14 +93,19 @@ def test_unit_clause_is_asserted_before_a_wide_split(monkeypatch):
     assert clones == []
 
 
-def _replay(name: str):
+def _golden(name: str) -> list:
+    """The golden scripts of tests/data/`name` with their recorded verdicts
+    and `(get-model)` answers (scripts/capture_queries.py writes the files)."""
+    return json.loads((Path(__file__).parent / "data" / name).read_text())
+
+
+def _replay(name: str, timeout: float):
     """The golden scripts of tests/data/`name`, and those whose verdict or
-    `(get-model)` answer differs from the one recorded
-    (scripts/capture_queries.py writes the files)."""
-    queries = json.loads((Path(__file__).parent / "data" / name).read_text())
+    `(get-model)` answer differs from the one recorded."""
+    queries = _golden(name)
     wrong = []
     for q in queries:
-        out = run_script(q["script"] + "(get-model)\n", 60.0)
+        out = run_script(q["script"] + "(get-model)\n", timeout)
         if (out[0], out[1] if out[0] == "sat" else None) != (q["verdict"], q["model"]):
             wrong.append((q["script"], out))
     return queries, wrong
@@ -109,17 +114,84 @@ def _replay(name: str):
 def test_corpus_queries_keep_their_verdicts():
     # The distinct scripts `coreach prove --solver builtin` sends on the six
     # systems/*.lrw, with the verdicts and models the solver gave when they
-    # were recorded.
-    queries, wrong = _replay("corpus_queries.json")
-    assert len(queries) == 53
-    assert wrong == []
+    # were recorded.  Limits are counted in work, so the timeout changes
+    # nothing while the work fits in it.
+    for timeout in (1.0, 60.0):
+        queries, wrong = _replay("corpus_queries.json", timeout)
+        assert len(queries) == 53
+        assert wrong == [], timeout
 
 
 def test_oracle_queries_keep_their_verdicts():
     # The same for one seeded pass of the benchmark's oracle workload.
-    queries, wrong = _replay("oracle_queries.json")
-    assert len(queries) == 161
-    assert wrong == []
+    for timeout in (1.0, 60.0):
+        queries, wrong = _replay("oracle_queries.json", timeout)
+        assert len(queries) == 161
+        assert wrong == [], timeout
+
+
+# -- the model/refutation schedule ---------------------------------------------
+
+
+def _record(monkeypatch, name: str) -> list:
+    """The solver objects of class `name` (Budget, ModelScan) that
+    `check_formula` makes, in order."""
+    made = []
+    cls = getattr(solver, name)
+
+    def recording(*args):
+        made.append(cls(*args))
+        return made[-1]
+
+    monkeypatch.setattr(solver, name, recording)
+    return made
+
+
+def test_slow_sat_queries_refute_one_slice_before_their_model(monkeypatch):
+    # The two slowest oracle queries of the old fixed phases spent ~50 ms in a
+    # refutation that cannot close before a deep scan found their model
+    # (i = 3, k# = 2, n = 8).  The scan visits 557 values to get there, in
+    # its second slice, so only the first refutation slice runs before it.
+    slow = [
+        q
+        for q in _golden("oracle_queries.json")
+        if "(= n (* (+ i 1) |k#5000002|))" in q["script"] and q["verdict"] == "sat"
+    ]
+    assert len(slow) == 2
+    for q in slow:
+        scans, slices = _record(monkeypatch, "ModelScan"), _record(monkeypatch, "Budget")
+        assert run_script(q["script"] + "(get-model)\n", 60.0) == ["sat", q["model"]]
+        assert (scans[0].visited, scans[0].charged) == (557, 2812)
+        assert [b.steps for b in slices] == [solver.REFUTE_SLICE]
+        assert slices[0].used <= solver.REFUTE_SLICE
+
+
+def _no_factor(m: int) -> str:
+    return f"(not (exists ((k Int)) (and (< 1 k) (= n (* {m} k)))))"
+
+
+def test_a_refutation_longer_than_the_first_slice_restarts(monkeypatch):
+    # A query of the compositeness loop without its circularity: n = 4m with
+    # m > 1 has the factor 2 after all.  The first slice runs out; the
+    # second, twice as large, closes every branch.
+    facts = f"{PSI} {_no_factor(2)} {_no_factor(3)} (= n (* 4 m)) (< 1 m)"
+    script = f"(declare-const m Int)(declare-const n Int)(assert (and {facts}))(check-sat)"
+    slices = _record(monkeypatch, "Budget")
+    assert verdict(script) == "unsat"
+    assert [b.steps for b in slices] == [solver.REFUTE_SLICE, 2 * solver.REFUTE_SLICE]
+    assert slices[0].spent
+    assert solver.REFUTE_SLICE < slices[1].used < 2 * solver.REFUTE_SLICE
+
+
+def test_reason_unknown_tells_the_budget_from_the_clock():
+    # SMT-LIB 2.6 (get-info :reason-unknown): "incomplete" when both
+    # strategies gave up within their budgets, "timeout" when the safety-net
+    # deadline fired first.
+    beyond = "(declare-const x Int)(assert (> x 1000000))(check-sat)(get-info :reason-unknown)"
+    assert run_script(beyond, 60.0) == ["unknown", "(:reason-unknown incomplete)"]
+    assert run_script(beyond, 0) == ["unknown", "(:reason-unknown timeout)"]
+    decided = "(declare-const x Int)(assert (> x 2))(check-sat)(get-info :reason-unknown)(get-info :name)"
+    assert run_script(decided, 60.0) == ["sat", '(error "the last check-sat did not answer unknown")', "unsupported"]
 
 
 def test_polynomial_invariants():
@@ -495,8 +567,12 @@ def test_model_search_matches_the_plain_scan(query, tiny_budget):
     # runs out.
     tree, decls = query
     check = ModelCheck(tree, decls)
+
+    def scan(seq):
+        return ModelScan(check, seq).run(math.inf, math.inf)
+
     for seq in _affordable_prefixes(decls):
-        assert model_search(check, math.inf, seq) == _reference_scan(tree, decls, seq, solver.MODEL_EVAL_BUDGET), seq
+        assert scan(seq) == _reference_scan(tree, decls, seq, solver.MODEL_EVAL_BUDGET), seq
     with mock.patch.object(solver, "MODEL_EVAL_BUDGET", tiny_budget):
         for seq in (MODEL_BOUNDS, MODEL_BOUNDS[6:]):
-            assert model_search(check, math.inf, seq) == _reference_scan(tree, decls, seq, tiny_budget), seq
+            assert scan(seq) == _reference_scan(tree, decls, seq, tiny_budget), seq
