@@ -163,7 +163,7 @@ def test_slow_sat_queries_refute_one_slice_before_their_model(monkeypatch):
         assert run_script(q["script"] + "(get-model)\n", 60.0) == ["sat", q["model"]]
         assert (scans[0].visited, scans[0].charged) == (557, 2812)
         assert [b.steps for b in slices] == [solver.REFUTE_SLICE]
-        assert slices[0].used <= solver.REFUTE_SLICE
+        assert sum(b.used for b in slices) <= solver.REFUTE_SLICE
 
 
 def _no_factor(m: int) -> str:
@@ -171,16 +171,16 @@ def _no_factor(m: int) -> str:
 
 
 def test_a_refutation_longer_than_the_first_slice_restarts(monkeypatch):
-    # A query of the compositeness loop without its circularity: n = 4m with
-    # m > 1 has the factor 2 after all.  The first slice runs out; the
-    # second, twice as large, closes every branch.
-    facts = f"{PSI} {_no_factor(2)} {_no_factor(3)} (= n (* 4 m)) (< 1 m)"
-    script = f"(declare-const m Int)(declare-const n Int)(assert (and {facts}))(check-sat)"
+    # Totality of the compositeness loop without its circularity: no divisor
+    # 2 or 3 means no divisor 2, 3 or 4.  Two slices run out; the third,
+    # twice as large as the second, closes every branch.
+    pre = f"(and {PSI} {_no_factor(2)} {_no_factor(3)})"
+    post = f"(and {PSI} {_no_factor(2)} {_no_factor(3)} {_no_factor(4)})"
     slices = _record(monkeypatch, "Budget")
-    assert verdict(script) == "unsat"
-    assert [b.steps for b in slices] == [solver.REFUTE_SLICE, 2 * solver.REFUTE_SLICE]
-    assert slices[0].spent
-    assert solver.REFUTE_SLICE < slices[1].used < 2 * solver.REFUTE_SLICE
+    assert verdict(f"(declare-const n Int)(assert (not (=> {pre} {post})))(check-sat)") == "unsat"
+    assert [b.steps for b in slices] == [solver.REFUTE_SLICE, 2 * solver.REFUTE_SLICE, 4 * solver.REFUTE_SLICE]
+    assert slices[0].spent and slices[1].spent
+    assert 2 * solver.REFUTE_SLICE < slices[2].used < 4 * solver.REFUTE_SLICE
 
 
 def test_reason_unknown_tells_the_budget_from_the_clock():
@@ -189,7 +189,9 @@ def test_reason_unknown_tells_the_budget_from_the_clock():
     # deadline fired first.
     beyond = "(declare-const x Int)(assert (> x 1000000))(check-sat)(get-info :reason-unknown)"
     assert run_script(beyond, 60.0) == ["unknown", "(:reason-unknown incomplete)"]
-    assert run_script(beyond, 0) == ["unknown", "(:reason-unknown timeout)"]
+    assert run_script(beyond, 0) == ["unknown", "(:reason-unknown timeout)"]  # caught refuting
+    square = "(declare-const x Int)(assert (> (* x x) 1000000))(check-sat)(get-info :reason-unknown)"
+    assert run_script(square, 0) == ["unknown", "(:reason-unknown timeout)"]  # caught scanning
     decided = "(declare-const x Int)(assert (> x 2))(check-sat)(get-info :reason-unknown)(get-info :name)"
     assert run_script(decided, 60.0) == ["sat", '(error "the last check-sat did not answer unknown")', "unsupported"]
 
