@@ -93,6 +93,7 @@ def main() -> int:
     ap.add_argument("--oracle-seed", type=int, default=1)
     ap.add_argument("--out", type=Path, default=ROOT / "tests" / "data")
     args = ap.parse_args()
+    args.out.mkdir(parents=True, exist_ok=True)
     for name, scripts in (
         ("corpus_queries.json", corpus_scripts()),
         ("oracle_queries.json", oracle_scripts(args.oracle_seed)),

@@ -200,9 +200,26 @@ def simplify(sig: Signature, f: Formula) -> Formula:
 
 
 def _simp(sig: Signature, f: Formula) -> Formula:
-    """One simplification pass; `f` itself where the pass changes nothing."""
+    """One simplification pass; `f` itself where the pass changes nothing.
+
+    The pass is pure in `f` and the signature, so `f` keeps its result,
+    keyed like the oracle's stepper by the signature's identity and the
+    sizes of its only-growing operations and subsorts.  Later passes over a
+    formula that contains `f` then return at once where `f` did not change.
+    """
     if isinstance(f, (TrueF, FalseF)):
         return f
+    stamp = (len(sig.operations), len(sig.subsort_pairs))
+    memo = getattr(f, "_simp", None)
+    if memo is not None and memo[0] is sig and memo[1] == stamp:
+        return f if memo[2] is None else memo[2]
+    nf = _simp_pass(sig, f)
+    # `None` stands for `f` itself, so a normal form does not refer to itself.
+    object.__setattr__(f, "_simp", (sig, stamp, None if nf is f else nf))
+    return nf
+
+
+def _simp_pass(sig: Signature, f: Formula) -> Formula:
     if isinstance(f, (And, Or)):
         return _simp_junction(sig, f)
     if isinstance(f, Atom):
@@ -322,7 +339,7 @@ def _propagate_bindings(sig: Signature, parts: list[Formula]) -> list[Formula]:
         x, t = hit
         if not isinstance(t, (Var, Lit)):
             continue
-        if isinstance(t, Var) and FRESH_SEP in x.name and FRESH_SEP not in t.name:
+        if isinstance(t, Var) and FRESH_SEP not in x.name and FRESH_SEP in t.name:
             x, t = t, x  # prefer to keep user-named variables in view
         sigma = Substitution({x: t})
         changed = False
@@ -374,26 +391,47 @@ def simplify_constrained(
         if isinstance(constraint, FalseF):
             return ConstrainedTerm(term, FALSE)
         parts = list(children(constraint)) if isinstance(constraint, And) else [constraint]
-        hit = None
-        for i, p in enumerate(parts):
-            found = _eligible_binding(p, lambda v: v.name not in protected)
-            if found is None:
-                continue
-            x, t = found
-            if isinstance(t, Var) and t.name not in protected:
-                # Both ends disposable: drop the fresh-named one if we can.
-                if FRESH_SEP in t.name and FRESH_SEP not in x.name:
-                    x, t = t, x
-            if hit is None or (FRESH_SEP in x.name and FRESH_SEP not in hit[0].name):
-                hit = (x, t, i)
-        if hit is None:
+        sigma, rest = _elimination(parts, protected)
+        if not sigma:
             return ConstrainedTerm(term, constraint)
-        x, t, i = hit
-        sigma = Substitution({x: t})
         term = fold_term(sigma.apply(term))
-        rest = parts[:i] + parts[i + 1 :]
         constraint = simplify(sig, subst_formula(sigma, conj(rest)))
     return ConstrainedTerm(term, constraint)
+
+
+def _elimination(parts: list[Formula], protected: frozenset[str]) -> tuple[Substitution, list[Formula]]:
+    """The next bindings to eliminate from the conjuncts `parts`, composed
+    into one substitution, and the conjuncts left.
+
+    Every binding of a fresh-named variable to a variable or a literal goes
+    at once; failing those, one binding, of a fresh-named variable if any.
+    """
+    bindings: dict[Var, Term] = {}
+    rest: list[Formula] = []
+    hit = None
+    for i, p in enumerate(parts):
+        found = _eligible_binding(p, lambda v: v.name not in protected)
+        if found is None:
+            rest.append(p)
+            continue
+        x, t = found
+        if isinstance(t, Var) and t.name not in protected:
+            # Both ends disposable: drop the fresh-named one if we can.
+            if FRESH_SEP in t.name and FRESH_SEP not in x.name:
+                x, t = t, x
+        if FRESH_SEP in x.name and isinstance(t, (Var, Lit)) and x not in bindings:
+            t = bindings.get(t, t)
+            if t != x:  # otherwise the conjunct reads x = x once bound
+                bindings = {v: t if u == x else u for v, u in bindings.items()}
+                bindings[x] = t
+            continue
+        rest.append(p)
+        if hit is None or (FRESH_SEP in x.name and FRESH_SEP not in hit[0].name):
+            hit = (x, t, i)
+    if bindings or hit is None:
+        return Substitution(bindings), rest
+    x, t, i = hit
+    return Substitution({x: t}), parts[:i] + parts[i + 1 :]
 
 
 # -- semantic inclusion -----------------------------------------------------------

@@ -4,6 +4,12 @@ Equality is structural.  Every walker takes a formula apart with
 `atom_terms` and `children` and puts it back together with `rebuild`.
 `subst_formula` is capture-avoiding: binders are alpha-renamed on the fly
 when a replacement term would be captured.
+
+Formula nodes are frozen, so they keep two pure facts about themselves,
+each in a slot set on first use: their free variables (`free_vars`), and
+the result of one simplification pass under a given signature (kept by
+`constraints._simp`).  `subst_formula` returns a formula at once when no
+variable it moves is free there.
 """
 
 from __future__ import annotations
@@ -11,23 +17,34 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Union
 
-from .terms import App, Lit, Substitution, Term, Var, term_vars
+from .terms import NO_VARS, App, Lit, Substitution, Term, Var, term_vars
+
+
+class _Node:
+    """The slots a formula node fills on first use: `_vars`, its free
+    variables, and `_simp`, one simplification pass's result (see
+    `constraints._simp`).  Equality and hashing ignore both."""
+
+    __slots__ = ("_vars", "_simp")
+
+
+_put = object.__setattr__  # fills a slot of a frozen node
 
 
 @dataclass(frozen=True, slots=True)
-class TrueF:
+class TrueF(_Node):
     def __repr__(self):
         return "true"
 
 
 @dataclass(frozen=True, slots=True)
-class FalseF:
+class FalseF(_Node):
     def __repr__(self):
         return "false"
 
 
 @dataclass(frozen=True, slots=True)
-class Eq:
+class Eq(_Node):
     lhs: Term
     rhs: Term
 
@@ -36,7 +53,7 @@ class Eq:
 
 
 @dataclass(frozen=True, slots=True)
-class Atom:
+class Atom(_Node):
     """A Bool-sorted term used as an atomic formula."""
 
     term: Term
@@ -46,7 +63,7 @@ class Atom:
 
 
 @dataclass(frozen=True, slots=True)
-class Not:
+class Not(_Node):
     body: "Formula"
 
     def __repr__(self):
@@ -54,7 +71,7 @@ class Not:
 
 
 @dataclass(frozen=True, slots=True)
-class And:
+class And(_Node):
     parts: tuple["Formula", ...]
 
     def __repr__(self):
@@ -62,7 +79,7 @@ class And:
 
 
 @dataclass(frozen=True, slots=True)
-class Or:
+class Or(_Node):
     parts: tuple["Formula", ...]
 
     def __repr__(self):
@@ -70,7 +87,7 @@ class Or:
 
 
 @dataclass(frozen=True, slots=True)
-class Implies:
+class Implies(_Node):
     premise: "Formula"
     conclusion: "Formula"
 
@@ -79,7 +96,7 @@ class Implies:
 
 
 @dataclass(frozen=True, slots=True)
-class Iff:
+class Iff(_Node):
     lhs: "Formula"
     rhs: "Formula"
 
@@ -88,7 +105,7 @@ class Iff:
 
 
 @dataclass(frozen=True, slots=True)
-class Exists:
+class Exists(_Node):
     bound: tuple[Var, ...]
     body: "Formula"
 
@@ -97,7 +114,7 @@ class Exists:
 
 
 @dataclass(frozen=True, slots=True)
-class Forall:
+class Forall(_Node):
     bound: tuple[Var, ...]
     body: "Formula"
 
@@ -203,25 +220,28 @@ class ConstrainedTerm:
         return f"<{self.term!r} | {self.constraint!r}>"
 
 
-def free_vars(x) -> set[Var]:
-    """Free variables of a term, formula, or constrained term."""
+def free_vars(x) -> frozenset[Var]:
+    """Free variables of a term, formula, or constrained term; a formula
+    node computes them once and keeps them."""
     if isinstance(x, (Var, Lit, App)):
         return term_vars(x)
     if isinstance(x, ConstrainedTerm):
         return term_vars(x.term) | free_vars(x.constraint)
-    out: set[Var] = set()
-    for t in atom_terms(x):
-        out |= term_vars(t)
-    for k in children(x):
-        out |= free_vars(k)
+    try:
+        return x._vars
+    except AttributeError:
+        pass
+    out = NO_VARS.union(*map(term_vars, atom_terms(x)), *map(free_vars, children(x)))
     if isinstance(x, BINDERS):
-        out.difference_update(x.bound)
+        out = out.difference(x.bound)
+    out = out or NO_VARS
+    _put(x, "_vars", out)
     return out
 
 
 def subst_formula(sigma: Substitution, f: Formula) -> Formula:
     """`f` under `sigma`; `f` itself where no free variable moves."""
-    if not sigma:
+    if sigma.mapping.keys().isdisjoint(free_vars(f)):
         return f
     if isinstance(f, BINDERS):
         relevant = {v: t for v, t in sigma.mapping.items() if v not in f.bound}

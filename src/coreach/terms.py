@@ -3,9 +3,13 @@
 Terms are immutable values; equality is structural.  Applications cache the
 result sort they were built with, so terms can travel without a signature
 handle.  `Signature.least_sort` recomputes the exact least sort when subsort
-refinement matters.  Applications also hash once, when built, and the
-rewriters here return their input node wherever nothing changed, so an
-unchanged subterm is shared rather than copied.
+refinement matters.  Applications also hash once, when built, and keep
+their variable set once `term_vars` first asks for it (a slot set on first
+use, never in the constructor, so ground terms that nobody asks about pay
+nothing).  The rewriters here return their input node wherever nothing
+changed, and `Substitution.apply` returns it at once when none of its
+variables is free there, so an unchanged subterm is shared rather than
+copied or walked.
 """
 
 from __future__ import annotations
@@ -70,6 +74,7 @@ class App:
     args: tuple["Term", ...]
     sort: Sort
     _hash: int = field(init=False, repr=False, compare=False)
+    _vars: frozenset = field(init=False, repr=False, compare=False)  # set by `term_vars`
 
     def __init__(self, symbol: str, args: tuple["Term", ...], sort: Sort):
         _put(self, "symbol", symbol)
@@ -157,15 +162,19 @@ def non_variable_positions(t: Term) -> list[Position]:
     return [p for p in positions(t) if not isinstance(subterm_at(t, p), Var)]
 
 
-def term_vars(t: Term) -> set[Var]:
-    if isinstance(t, Var):
-        return {t}
-    if isinstance(t, Lit):
-        return set()
-    out: set[Var] = set()
-    for a in t.args:
-        out |= term_vars(a)
-    return out
+NO_VARS: frozenset = frozenset()
+
+
+def term_vars(t: Term) -> frozenset[Var]:
+    """The variables of `t`; an application computes them once and keeps them."""
+    if type(t) is App:
+        try:
+            return t._vars
+        except AttributeError:
+            out = NO_VARS.union(*map(term_vars, t.args)) or NO_VARS  # ground terms share one set
+            _put(t, "_vars", out)
+            return out
+    return frozenset((t,)) if type(t) is Var else NO_VARS
 
 
 @dataclass(frozen=True)
@@ -186,7 +195,7 @@ class Substitution:
         """`t` under the substitution; `t` itself where no variable moves."""
         if isinstance(t, Var):
             return self.mapping.get(t, t)
-        if isinstance(t, Lit) or not self.mapping:
+        if isinstance(t, Lit) or self.mapping.keys().isdisjoint(term_vars(t)):
             return t
         return rebuild_app(t, [self.apply(a) for a in t.args])
 

@@ -172,6 +172,17 @@ def test_derive_prints_successors():
     assert proc.stdout.strip() == "loop(n, 2) /\\ n > 0"
 
 
+def test_derive_keeps_user_names_in_view():
+    # The step binds the rule's fresh variables to the subject's; the
+    # successors speak of the subject's variables, not of a fresh one
+    # pushed back in for them (once `i * n + n` and `mres(i * n)`).
+    term = "mloop(m, n, i, a) /\\ 0 <= i /\\ i <= m /\\ a = i * n"
+    proc = run_cli("derive", "systems/mul.lrw", "--solver", "builtin", "--term", term)
+    assert proc.returncode == 0, proc.stderr
+    heads = [line.split(" /\\ ", 1)[0] for line in proc.stdout.splitlines()]
+    assert heads == ["mloop(m, n, i + 1, a + n)", "mres(a)"]
+
+
 @pytest.mark.parametrize("solver", ["gibberish", "missing"])
 def test_derive_aborts_on_a_solver_failure(tmp_path, solver):
     # As with prove: a solver that answers unreadably or cannot start is not

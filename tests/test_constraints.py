@@ -6,6 +6,7 @@ from itertools import product
 import pytest
 
 from coreach.constraints import (
+    _elimination,
     fold_term,
     semantic_inclusion_condition,
     simplify,
@@ -33,7 +34,7 @@ from coreach.formulas import (
     subst_formula,
 )
 from coreach.oracle import Domain, enumerate_instances, eval_formula
-from coreach.terms import INT, Lit, Substitution, Var
+from coreach.terms import INT, App, Lit, Substitution, Var
 
 n, i, k, u, s = (Var(x, INT) for x in "nikus")
 
@@ -107,6 +108,30 @@ def test_simplify_constrained_propagates_fresh_binding(comp_sig, mk):
     out = simplify_constrained(comp_sig, ct, protected=frozenset({"n"}))
     assert out.term == mk("loop", (n, Lit(2)))
     assert out.constraint == psi
+
+
+def test_simplify_pushes_a_fresh_variable_out_for_a_user_one(comp_sig, mk):
+    # m = m#1 keeps the user-named m in view: the sibling is rewritten to
+    # speak of m, not the other way round.
+    m, m1, i1 = Var("m", INT), Var("m#1", INT), Var("i#1", INT)
+    f = conj([Eq(m, m1), Atom(mk("<", (i1, m1)))])
+    assert simplify(comp_sig, f) == conj([Eq(m, m1), Atom(mk("<", (i1, m)))])
+
+
+def test_simplify_constrained_eliminates_chained_fresh_bindings_at_once(comp_sig, mk):
+    # n#1 = n#2 and n#2 = n chain into n#1 := n, n#2 := n; k#1 = 3 binds a
+    # literal.  All go in one substitution; the protected n stays.
+    n1, n2, k1 = Var("n#1", INT), Var("n#2", INT), Var("k#1", INT)
+    ct = ConstrainedTerm(
+        mk("loop", (n1, k1)),
+        conj([Eq(n1, n2), Atom(mk("<", (n2, k1))), Eq(n2, n), Eq(k1, Lit(3))]),
+    )
+    out = simplify_constrained(comp_sig, ct, protected=frozenset({"n"}))
+    assert out == ConstrainedTerm(mk("loop", (n, Lit(3))), Atom(mk("<", (n, Lit(3)))))
+    # `simplify` already flattens such chains; the composition must too
+    sigma, rest = _elimination(list(children(ct.constraint)), frozenset({"n"}))
+    assert sigma.mapping == {n1: n, n2: n, k1: Lit(3)}
+    assert rest == [Atom(mk("<", (n2, k1)))]
 
 
 def test_simplify_drops_true_conjunct(comp_sig, mk):
@@ -313,6 +338,63 @@ def test_simplify_returns_a_normal_form_itself(data):
     g = simplify(sig, data.draw(_hyp_formulas(sig.make_app, binders=True)))
     assert simplify(sig, g) is g
     assert subst_formula(Substitution({u: Lit(1)}), g) is g
+
+
+def _rebuilt(f):
+    """A structurally equal copy of `f` that shares no node with it, so it
+    carries none of the facts `f`'s nodes keep."""
+
+    def term(t):
+        return App(t.symbol, tuple(map(term, t.args)), t.sort) if isinstance(t, App) else t
+
+    if f in (TRUE, FALSE):
+        return type(f)()
+    return rebuild(f, [term(t) for t in atom_terms(f)], [_rebuilt(k) for k in children(f)])
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_cached_facts_match_a_fresh_copy(data):
+    # Free variables and simplification passes are kept on the nodes; a
+    # warmed formula answers what a fresh copy of it computes from scratch.
+    from coreach.signature import Signature
+
+    sig = Signature()
+    f = data.draw(_hyp_formulas(sig.make_app, binders=True))
+    fv, g = free_vars(f), simplify(sig, f)
+    copy = _rebuilt(f)
+    assert copy == f and not any(a is b for a, b in zip(children(copy), children(f)))
+    assert free_vars(copy) == fv and simplify(sig, copy) == g
+    assert free_vars(f) == fv and simplify(sig, f) is g
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_a_pass_kept_under_one_signature_is_not_reused_under_another(data):
+    # Two signatures of the same sizes that disagree on x : A = y : B: a
+    # sort clash in the first, a binding in the second.
+    from coreach.signature import Signature
+
+    first, second = Signature(), Signature()
+    for sig, sub in ((first, "C"), (second, "B")):
+        for name in "ABC":
+            sig.add_sort(name)
+        sig.add_subsort(sub, "A")
+    x, y = Var("x", first.sorts["A"]), Var("y", first.sorts["B"])
+    f = conj([Eq(x, y), data.draw(_hyp_formulas(first.make_app, binders=True))])
+    simplify(first, f)
+    assert simplify(second, f) == simplify(second, _rebuilt(f))
+
+
+def test_a_pass_kept_before_the_signature_grows_is_not_reused(comp_sig):
+    # x : A = y : B clashes while A and B are unrelated and binds x once B
+    # is declared a subsort of A: the kept result must follow the signature.
+    a, b = comp_sig.add_sort("A"), comp_sig.add_sort("B")
+    x, y = Var("x", a), Var("y", b)
+    f = conj([Eq(x, y), Atom(comp_sig.make_app("<", (n, i)))])
+    assert simplify(comp_sig, f) == FALSE
+    comp_sig.add_subsort("B", "A")
+    assert simplify(comp_sig, f) == simplify(comp_sig, _rebuilt(f)) == f
 
 
 @settings(max_examples=80, deadline=None)
