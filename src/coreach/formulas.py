@@ -244,9 +244,8 @@ def subst_formula(sigma: Substitution, f: Formula) -> Formula:
     if sigma.mapping.keys().isdisjoint(free_vars(f)):
         return f
     if isinstance(f, BINDERS):
+        # some variable of sigma is free in f, so `relevant` is not empty
         relevant = {v: t for v, t in sigma.mapping.items() if v not in f.bound}
-        if not relevant:
-            return f
         sigma = Substitution(relevant)
         f = _rename_captured(f, set().union(*map(term_vars, relevant.values())))
     terms, kids = atom_terms(f), children(f)

@@ -5,8 +5,7 @@ result sort they were built with, so terms can travel without a signature
 handle.  `Signature.least_sort` recomputes the exact least sort when subsort
 refinement matters.  Applications also hash once, when built, and keep
 their variable set once `term_vars` first asks for it (a slot set on first
-use, never in the constructor, so ground terms that nobody asks about pay
-nothing).  The rewriters here return their input node wherever nothing
+use, never in the constructor, so building a term takes no longer).  The rewriters here return their input node wherever nothing
 changed, and `Substitution.apply` returns it at once when none of its
 variables is free there, so an unchanged subterm is shared rather than
 copied or walked.
