@@ -57,7 +57,6 @@ def build_arg_parser() -> argparse.ArgumentParser:
     _common_flags(p)
     p.add_argument("--max-depth", type=int, default=None, help="derivative-step bound (default 20)")
     p.add_argument("--max-branch", type=int, default=None, help="branching bound (default 64)")
-    p.add_argument("--enable-disj", action="store_true", help="allow per-goal case splits")
     p.add_argument("--dump-proof", choices=["text", "json"], default=None)
 
     p = sub.add_parser("derive", help="print the symbolic successors of a constrained term")
@@ -101,7 +100,6 @@ def search_config(
     timeout_ms: int | None = None,
     max_depth: int | None = None,
     max_branch: int | None = None,
-    enable_disj: bool = False,
 ) -> SearchConfig:
     """The prover's settings for a spec, shared with scripts/run_corpus.py:
     a flag wins over the spec's option, which wins over the default."""
@@ -109,7 +107,6 @@ def search_config(
         max_der_depth=_pick(max_depth, spec, "max-depth", SearchConfig.max_der_depth),
         max_branching=_pick(max_branch, spec, "max-branch", SearchConfig.max_branching),
         solver=_solver_config(spec, solver, timeout_ms),
-        enable_disj=enable_disj or bool(spec.options.get("enable-disj", False)),
     )
 
 
@@ -131,7 +128,7 @@ def cmd_prove(args) -> int:
         for v in violations:
             print(f"violation: {v}", file=sys.stderr)
         return 3
-    cfg = search_config(spec, args.solver, args.timeout_ms, args.max_depth, args.max_branch, args.enable_disj)
+    cfg = search_config(spec, args.solver, args.timeout_ms, args.max_depth, args.max_branch)
     result = Prover(spec.system, spec.goal_set(), cfg).prove_all(spec.splits())
     had_failure = False
     inconclusive = False

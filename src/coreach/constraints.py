@@ -178,6 +178,9 @@ def fold_term(t: Term) -> Term:
             return args[1]
         if args[1] == Lit(1):
             return args[0]
+    # A term compared with itself; terms are total, div and mod by 0 included.
+    if t.symbol in ("<", ">", "<=", ">=") and len(args) == 2 and args[0] == args[1]:
+        return Lit(t.symbol in ("<=", ">="))
     return t
 
 

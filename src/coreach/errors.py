@@ -49,10 +49,6 @@ class UnsupportedQuantifier(CoreachError):
     """A quantifier ranges over a sort the finite-domain evaluator cannot enumerate."""
 
 
-class MalformedPath(CoreachError):
-    pass
-
-
 class ParseError(CoreachError):
     def __init__(self, message: str, line: int = 0, column: int = 0):
         super().__init__(f"{line}:{column}: {message}" if line else message)

@@ -110,11 +110,6 @@ def is_const(p: Poly) -> bool:
     return all(m == () for m in p)
 
 
-def poly_keys(p: Poly) -> set:
-    """All keys occurring in p, including inside opaque div/mod arguments."""
-    return set(poly_key_set(p))
-
-
 def subst_poly(p: Poly, key: Key, by: Poly) -> Poly:
     """Replace `key` by a polynomial everywhere: in products, and inside opaque
     div/mod arguments (which re-evaluate when they become constant)."""
@@ -157,24 +152,6 @@ def euclid_mod(a: int, b: int) -> int:
     if b == 0:
         return a
     return a - b * euclid_div(a, b)
-
-
-def eval_poly(p: Poly, env: dict) -> int:
-    total = 0
-    for m, c in p.items():
-        v = c
-        for k in m:
-            v *= _eval_key(k, env)
-        total += v
-    return total
-
-
-def _eval_key(k: Key, env: dict) -> int:
-    if k[0] == "v":
-        return env[k]
-    a = eval_poly(thaw(k[1]), env)
-    b = eval_poly(thaw(k[2]), env)
-    return euclid_mod(a, b) if k[0] == "mod" else euclid_div(a, b)
 
 
 def _floor_div(a: int, b: int) -> int:

@@ -60,6 +60,16 @@ def _atom(tok: str):
     return tok
 
 
+# SMT-LIB 2.6 simple symbols: letters, digits and these punctuation
+# characters, not starting with a digit.
+_SIMPLE_SYMBOL = re.compile(r"[A-Za-z~!@$%^&*_+=<>.?/-][A-Za-z0-9~!@$%^&*_+=<>.?/-]*")
+
+
+def symbol(name: str) -> str:
+    """`name` written as an SMT-LIB symbol: bare if simple, else quoted in bars."""
+    return name if _SIMPLE_SYMBOL.fullmatch(name) else f"|{name}|"
+
+
 def unparse(x) -> str:
     if isinstance(x, list):
         return "(" + " ".join(unparse(i) for i in x) + ")"

@@ -43,13 +43,11 @@ from .arith import (
     pconst,
     pmul,
     pneg,
-    poly_keys,
-    pscale,
     psub,
     pvar,
     thaw,
 )
-from .sexpr import parse_all
+from .sexpr import parse_all, symbol
 
 MAX_INST_ROUNDS = 3
 MAX_SPLITS = 3
@@ -1378,7 +1376,7 @@ def run_script(text: str, timeout_s: float = 30.0) -> list[str]:
                 for name in sorted(decls):
                     v = model.get(name, 0 if decls[name] == INT else False)
                     sv = str(v).lower() if decls[name] == BOOLS else (str(v) if v >= 0 else f"(- {-v})")
-                    rows.append(f"  (define-fun {_smt_sym(name)} () {decls[name]} {sv})")
+                    rows.append(f"  (define-fun {symbol(name)} () {decls[name]} {sv})")
                 out.append("(\n" + "\n".join(rows) + "\n)")
         elif cmd == "get-info":
             if form[1:] != [":reason-unknown"]:
@@ -1396,11 +1394,3 @@ def run_script(text: str, timeout_s: float = 30.0) -> list[str]:
 
 def solve_text(text: str, timeout_s: float = 30.0) -> str:
     return "\n".join(run_script(text, timeout_s))
-
-
-def _smt_sym(name: str) -> str:
-    import re
-
-    if re.fullmatch(r"[A-Za-z0-9~!@$%^&*_\-+=<>.?/]+", name):
-        return name
-    return f"|{name}|"

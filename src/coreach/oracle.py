@@ -25,7 +25,7 @@ from operator import itemgetter
 from typing import Callable, Iterator, NamedTuple
 
 from .constraints import BUILTIN_SEMANTICS, fold_term
-from .errors import InvalidOption, MalformedPath, UnsupportedQuantifier
+from .errors import InvalidOption, UnsupportedQuantifier
 from .formulas import (
     BINDERS,
     And,
@@ -529,57 +529,6 @@ def check_dvp(g: TransitionGraph, p: StatePredicate, q: StatePredicate) -> DvpRe
             if s not in q and s not in seen:
                 stack.append(s)
     return DvpResult("valid")
-
-
-@dataclass(frozen=True)
-class Path:
-    stem: tuple[Term, ...]
-    cycle: tuple[Term, ...] = ()
-
-
-def path_satisfies(g: TransitionGraph, path: Path, p: StatePredicate, q: StatePredicate) -> bool:
-    """Coinductive acceptance of one execution path: reach the target while
-    the tracked predicate holds, or run forever."""
-    _validate_path(g, path)
-    pred = frozenset(p)
-    idx = 0
-    stem = list(path.stem)
-    seen: set[tuple[int, frozenset]] = set()
-    while True:
-        if idx < len(stem):
-            node = stem[idx]
-        else:
-            if not path.cycle:
-                return False  # walked off a finite path without reaching the target
-            cpos = (idx - len(stem)) % len(path.cycle)
-            node = path.cycle[cpos]
-            state = (cpos, pred)
-            if state in seen:
-                return True  # the lasso loops forever under the tracked predicate
-            seen.add(state)
-        if node not in pred:
-            return False
-        if node in q:
-            return True
-        if idx == len(stem) - 1 and not path.cycle:
-            return False  # irreducible end not in the target
-        pred = frozenset().union(*(g.successors(n) for n in pred)) if pred else frozenset()
-        idx += 1
-
-
-def _validate_path(g: TransitionGraph, path: Path) -> None:
-    nodes = list(path.stem) + list(path.cycle)
-    if not nodes:
-        raise MalformedPath("empty path")
-    for a, b in zip(nodes, nodes[1:]):
-        if b not in g.successors(a):
-            raise MalformedPath(f"{b!r} is not a successor of {a!r}")
-    if path.cycle:
-        if path.cycle[0] not in g.successors(nodes[-1]):
-            raise MalformedPath("cycle does not close")
-    else:
-        if not g.is_irreducible(nodes[-1]):
-            raise MalformedPath("finite path must end in an irreducible state")
 
 
 # -- cross-checks -----------------------------------------------------------------------

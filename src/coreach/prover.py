@@ -3,9 +3,10 @@
 Four proof rules close goals ⟨t|φ⟩ ⇒ ⟨t'|φ'⟩: an unsatisfiable left
 constraint (axiom), inclusion in the right-hand side (subsumption), reuse
 of a goal from the goal set (circularity, only below a derivative step),
-and a symbolic step over all derivatives (derivative).  An optional
-case-split rule is available behind per-goal annotations.  Search applies
-the rules in that order and backtracks; solver unknowns never enable a
+and a symbolic step over all derivatives (derivative).  A goal annotated
+with cases is first split on them (disjunction).  Every rule application
+is a `Step`: its side conditions and the goals it leaves.  Search tries the
+steps in the order above and backtracks; solver unknowns never enable a
 rule.  Emitted trees carry every discharged side condition so they can be
 re-verified independently.
 """
@@ -55,6 +56,13 @@ class Goal:
     has_der_ancestor: bool = False
     last_rule: str | None = None
 
+    def child(self, lhs: ConstrainedTerm, rule: str) -> "Goal":
+        """The goal `rule` leaves for `lhs` against the same right-hand side;
+        a derivative step goes one level deeper."""
+        der = rule == DER
+        rf = ReachabilityFormula(lhs, self.formula.rhs)
+        return Goal(rf, self.depth + der, self.has_der_ancestor or der, rule)
+
 
 @dataclass(frozen=True)
 class SideCondition:
@@ -78,11 +86,26 @@ class ProofNode:
 
 
 @dataclass(frozen=True)
+class Step:
+    """One rule application: the side conditions it discharged and the
+    goals it leaves to prove."""
+
+    kind: str
+    conditions: tuple[SideCondition, ...]
+    children: tuple[Goal, ...] = ()
+    circularity_used: int | None = None
+
+
+# No rule is tried after these, so a failed step of theirs searches every
+# child and reports the whole frontier.
+EXHAUSTIVE = (DER, DISJ)
+
+
+@dataclass(frozen=True)
 class SearchConfig:
     max_der_depth: int = 20
     max_branching: int = 64
     solver: SolverConfig = field(default_factory=SolverConfig)
-    enable_disj: bool = False
 
     def __post_init__(self):
         if self.max_der_depth <= 0 or self.max_branching <= 0:
@@ -155,40 +178,38 @@ class Prover:
 
     # -- single rule applications -----------------------------------------------------
 
-    def apply_axiom(self, goal: Goal) -> ProofNode | None:
+    def apply_axiom(self, goal: Goal) -> Step | None:
         """Closes the goal when the left constraint is unsatisfiable."""
         lhs = goal.formula.lhs
-        if isinstance(lhs.constraint, FalseF):
-            cond = SideCondition("lhs-unsat", lhs.constraint, Verdict.UNSAT)
-            return ProofNode(AXIOM, goal.formula, (cond,))
-        if self._sat("lhs-unsat", lhs.constraint) != Verdict.UNSAT:
+        if not isinstance(lhs.constraint, FalseF) and self._sat("lhs-unsat", lhs.constraint) != Verdict.UNSAT:
             return None
-        return ProofNode(AXIOM, goal.formula, (SideCondition("lhs-unsat", lhs.constraint, Verdict.UNSAT),))
+        return Step(AXIOM, (SideCondition("lhs-unsat", lhs.constraint, Verdict.UNSAT),))
 
-    def subsumption_constraint(self, rf: ReachabilityFormula) -> Formula:
-        """∃(rhs-only vars). lhs-term = rhs-term ∧ rhs-constraint, reduced."""
-        private = free_vars(rf.rhs) - free_vars(rf.lhs)
-        return simplify(self.sig, instance_condition(self.sig, rf.lhs.term, rf.rhs, private))
-
-    def apply_subs(self, goal: Goal) -> tuple[SideCondition, Goal] | None:
-        """Splits off the part of the goal already inside the right-hand side."""
-        rf = goal.formula
-        phi = self.subsumption_constraint(rf)
+    def _split_off(self, goal: Goal, role: str, phi: Formula) -> tuple[SideCondition, ConstrainedTerm] | None:
+        """The satisfiable query lhs ∧ φ and the residual lhs ∧ ¬φ left over,
+        or None when no instance of the left-hand side satisfies φ."""
         if isinstance(phi, FalseF):
             return None
-        query = conj([rf.lhs.constraint, phi])
-        if self._sat("inclusion-sat", query) != Verdict.SAT:
+        lhs = goal.formula.lhs
+        query = conj([lhs.constraint, phi])
+        if self._sat(role, query) != Verdict.SAT:
             return None
-        protected = frozenset(v.name for v in free_vars(rf.rhs))
-        residual = simplify_constrained(
-            self.sig, ConstrainedTerm(rf.lhs.term, conj([rf.lhs.constraint, Not(phi)])), protected
-        )
-        child = Goal(
-            ReachabilityFormula(residual, rf.rhs), goal.depth, goal.has_der_ancestor, last_rule=SUBS
-        )
-        return SideCondition("inclusion-sat", query, Verdict.SAT), child
+        residual = ConstrainedTerm(lhs.term, conj([lhs.constraint, Not(phi)]))
+        residual = simplify_constrained(self.sig, residual, _rhs_names(goal.formula))
+        return SideCondition(role, query, Verdict.SAT), residual
 
-    def apply_circ(self, goal: Goal, index: int) -> tuple[SideCondition, Goal, Goal] | None:
+    def apply_subs(self, goal: Goal) -> Step | None:
+        """Splits off the part of the goal already inside the right-hand side."""
+        rf = goal.formula
+        private = free_vars(rf.rhs) - free_vars(rf.lhs)
+        phi = simplify(self.sig, instance_condition(self.sig, rf.lhs.term, rf.rhs, private))
+        split = self._split_off(goal, "inclusion-sat", phi)
+        if split is None:
+            return None
+        cond, residual = split
+        return Step(SUBS, (cond,), (goal.child(residual, SUBS),))
+
+    def apply_circ(self, goal: Goal, index: int) -> Step | None:
         """Uses goal `index` of the goal set as an axiom, guardedness required."""
         if not goal.has_der_ancestor:
             raise GuardednessViolation("circularity needs a derivative step above it")
@@ -202,88 +223,54 @@ class Prover:
         phi = simplify(
             self.sig, instance_condition(self.sig, rf.lhs.term, circ_lhs, fresh.mapping.values())
         )
-        if isinstance(phi, FalseF):
+        split = self._split_off(goal, "circ-sat", phi)
+        if split is None:
             return None
-        query = conj([rf.lhs.constraint, phi])
-        if self._sat("circ-sat", query) != Verdict.SAT:
-            return None
-        protected = frozenset(v.name for v in free_vars(rf.rhs))
+        cond, residual = split
         cont = simplify_constrained(
             self.sig,
             ConstrainedTerm(rf.rhs.term, conj([rf.lhs.constraint, phi, rf.rhs.constraint])),
-            protected,
+            _rhs_names(rf),
         )
-        residual = simplify_constrained(
-            self.sig, ConstrainedTerm(rf.lhs.term, conj([rf.lhs.constraint, Not(phi)])), protected
-        )
-        c1 = Goal(ReachabilityFormula(cont, rf.rhs), goal.depth, goal.has_der_ancestor, last_rule=CIRC)
-        c2 = Goal(ReachabilityFormula(residual, rf.rhs), goal.depth, goal.has_der_ancestor, last_rule=CIRC)
-        return SideCondition("circ-sat", query, Verdict.SAT), c1, c2
+        return Step(CIRC, (cond,), (goal.child(cont, CIRC), goal.child(residual, CIRC)), index)
 
-    def apply_der(self, goal: Goal) -> tuple[tuple[SideCondition, ...], list[Goal]] | None:
+    def apply_der(self, goal: Goal) -> Step | None:
         """One symbolic step: all derivatives become children, provided every
         instance of the goal's left-hand side has a successor."""
         rf = goal.formula
         protected = frozenset(v.name for v in free_vars(rf.lhs) | free_vars(rf.rhs))
         ds = derivatives_detailed(self.system, rf.lhs, self.ctr, self.cfg.solver, protected)
-        if not ds:
-            return None
-        if len(ds) > self.cfg.max_branching:
+        if not ds or len(ds) > self.cfg.max_branching:
             return None
         total = simplify(self.sig, totality_condition(rf.lhs, [d.ct for d in ds]))
         neg = simplify(self.sig, Not(total))
         if self._sat("totality", neg) != Verdict.UNSAT:
             return None
         conds = [SideCondition("totality", neg, Verdict.UNSAT)]
-        for d in ds:
-            conds.append(SideCondition("derivative", d.ct.constraint, d.verdict))
-        children = [
-            Goal(ReachabilityFormula(d.ct, rf.rhs), goal.depth + 1, True, last_rule=DER) for d in ds
-        ]
-        return tuple(conds), children
+        conds += [SideCondition("derivative", d.ct.constraint, d.verdict) for d in ds]
+        return Step(DER, tuple(conds), tuple(goal.child(d.ct, DER) for d in ds))
 
-    def apply_disj(self, goal: Goal, split: tuple[Formula, Formula]) -> tuple[SideCondition, Goal, Goal]:
+    def apply_disj(self, goal: Goal, split: tuple[Formula, Formula]) -> Step:
         """Case split on the left constraint; the split must cover it exactly."""
-        rf = goal.formula
-        phi1, phi2 = split
-        iff = Iff(rf.lhs.constraint, Or((phi1, phi2)))
+        lhs = goal.formula.lhs
+        iff = Iff(lhs.constraint, Or(split))
         if self._sat("split", simplify(self.sig, Not(iff))) != Verdict.UNSAT:
             raise InvalidSplit(pretty_formula(iff))
-        g1 = Goal(
-            ReachabilityFormula(ConstrainedTerm(rf.lhs.term, phi1), rf.rhs),
-            goal.depth,
-            goal.has_der_ancestor,
-            last_rule=DISJ,
-        )
-        g2 = Goal(
-            ReachabilityFormula(ConstrainedTerm(rf.lhs.term, phi2), rf.rhs),
-            goal.depth,
-            goal.has_der_ancestor,
-            last_rule=DISJ,
-        )
-        return SideCondition("split", Not(iff), Verdict.UNSAT), g1, g2
+        cases = tuple(goal.child(ConstrainedTerm(lhs.term, phi), DISJ) for phi in split)
+        return Step(DISJ, (SideCondition("split", Not(iff), Verdict.UNSAT),), cases)
 
     # -- search --------------------------------------------------------------------
 
     def prove_goal(self, rf: ReachabilityFormula, split: tuple[Formula, Formula] | None = None) -> GoalResult:
         self.nodes = 0
         self._unknown = None
-        protected = frozenset(v.name for v in free_vars(rf.rhs))
-        lhs = simplify_constrained(self.sig, rf.lhs, protected)
+        lhs = simplify_constrained(self.sig, rf.lhs, _rhs_names(rf))
         root = Goal(ReachabilityFormula(lhs, rf.rhs))
         try:
-            if split is not None:
-                if not self.cfg.enable_disj:
-                    return GoalResult(ABORTED, detail="case split present but splitting is disabled")
-                cond, g1, g2 = self.apply_disj(root, split)
-                n1, f1 = self._search(g1)
-                n2, f2 = self._search(g2)
-                if n1 is not None and n2 is not None:
-                    tree = ProofNode(DISJ, root.formula, (cond,), (n1, n2))
-                    return GoalResult(PROVED, tree)
-                node, frontier = None, f1 + f2
-            else:
+            if split is None:
                 node, frontier = self._search(root)
+            else:
+                node, frontier = self._close(root, self.apply_disj(root, split))
         except (SolverUnavailable, MalformedSolverOutput) as exc:
             return GoalResult(ABORTED, detail=str(exc))
         if node is not None:
@@ -305,63 +292,58 @@ class Prover:
         self.nodes += 1
         if self.nodes > NODE_BUDGET:
             return None, [OpenGoal(goal.formula, "budget")]
-
-        node = self.apply_axiom(goal)
-        if node is not None:
-            return node, []
-        unknown = self._take_unknown(goal)
-
-        if goal.last_rule != SUBS:
-            hit = self.apply_subs(goal)
-            unknown += self._take_unknown(goal)
-            if hit is not None:
-                cond, child = hit
-                sub, frontier = self._search(child)
-                if sub is not None:
-                    return ProofNode(SUBS, goal.formula, (cond,), (sub,)), []
-                unknown += _unknown_only(frontier)
-
-        if goal.has_der_ancestor:
-            for index in range(len(self.goals)):
-                hit = self.apply_circ(goal, index)
-                unknown += self._take_unknown(goal)
-                if hit is None:
-                    continue
-                cond, g1, g2 = hit
-                n1, f1 = self._search(g1)
-                if n1 is None:
-                    unknown += _unknown_only(f1)
-                    continue
-                n2, f2 = self._search(g2)
-                if n2 is None:
-                    unknown += _unknown_only(f2)
-                    continue
-                return ProofNode(CIRC, goal.formula, (cond,), (n1, n2), circularity_used=index), []
-
-        if goal.depth < self.cfg.max_der_depth:
-            hit = self.apply_der(goal)
-            unknown += self._take_unknown(goal)
-            if hit is not None:
-                conds, children = hit
-                subs: list[ProofNode] = []
-                frontier: list[OpenGoal] = []
-                for child in children:
-                    n, f = self._search(child)
-                    if n is None:
-                        frontier.extend(f)
-                    else:
-                        subs.append(n)
-                if not frontier:
-                    return ProofNode(DER, goal.formula, conds, tuple(subs)), []
+        unknown: list[OpenGoal] = []
+        for step in self._steps(goal, unknown):
+            node, frontier = self._close(goal, step)
+            if node is not None:
+                return node, []
+            if step.kind in EXHAUSTIVE:
                 return None, frontier + unknown
-            if unknown:
-                return None, unknown  # the unknowns are why no rule applied
-            return None, [OpenGoal(goal.formula, "no-rule")]
-        return None, [OpenGoal(goal.formula, "depth")] + unknown
+            unknown += [og for og in frontier if og.reason == UNKNOWN]
+        if goal.depth >= self.cfg.max_der_depth:
+            return None, [OpenGoal(goal.formula, "depth")] + unknown
+        return None, unknown or [OpenGoal(goal.formula, "no-rule")]  # the unknowns are why no rule applied
+
+    def _steps(self, goal: Goal, unknown: list[OpenGoal]):
+        """The rule applications that apply to the goal, in the calculus'
+        order, tried one at a time; an unknown verdict that blocked one of
+        them goes to `unknown`."""
+        attempts = [(self.apply_axiom,)]
+        if goal.last_rule != SUBS:
+            attempts.append((self.apply_subs,))
+        if goal.has_der_ancestor:
+            attempts += [(self.apply_circ, index) for index in range(len(self.goals))]
+        if goal.depth < self.cfg.max_der_depth:
+            attempts.append((self.apply_der,))
+        for apply, *args in attempts:
+            step = apply(goal, *args)
+            unknown += self._take_unknown(goal)
+            if step is not None:
+                yield step
+
+    def _close(self, goal: Goal, step: Step) -> tuple[ProofNode | None, list[OpenGoal]]:
+        """The step's proof node if every child closes, else the open goals
+        of its failed children, up to the first one unless the step is
+        exhaustive."""
+        proofs: list[ProofNode] = []
+        frontier: list[OpenGoal] = []
+        for child in step.children:
+            node, open_goals = self._search(child)
+            if node is not None:
+                proofs.append(node)
+                continue
+            frontier += open_goals
+            if step.kind not in EXHAUSTIVE:
+                break
+        if len(proofs) < len(step.children):
+            return None, frontier
+        return ProofNode(step.kind, goal.formula, step.conditions, tuple(proofs), step.circularity_used), []
 
 
-def _unknown_only(frontier: list[OpenGoal]) -> list[OpenGoal]:
-    return [og for og in frontier if og.reason == UNKNOWN]
+def _rhs_names(rf: ReachabilityFormula) -> frozenset[str]:
+    """The right-hand side's variables, which simplifying a left-hand side
+    must not eliminate."""
+    return frozenset(v.name for v in free_vars(rf.rhs))
 
 
 def _match_onto(sig: Signature, pattern: ConstrainedTerm, target: ConstrainedTerm) -> Substitution | None:

@@ -77,14 +77,6 @@ def rename_rule_fresh(rule: RewriteRule, ctr: FreshCounter) -> RewriteRule:
     return RewriteRule(ren.apply(rule.lhs), ren.apply(rule.rhs), subst_formula(ren, rule.guard))
 
 
-def rename_formula_fresh(rf: ReachabilityFormula, ctr: FreshCounter) -> ReachabilityFormula:
-    ren = renaming_for(free_vars(rf.lhs) | free_vars(rf.rhs), ctr)
-    return ReachabilityFormula(
-        ConstrainedTerm(ren.apply(rf.lhs.term), subst_formula(ren, rf.lhs.constraint)),
-        ConstrainedTerm(ren.apply(rf.rhs.term), subst_formula(ren, rf.rhs.constraint)),
-    )
-
-
 @dataclass(frozen=True)
 class Derivative:
     """One symbolic successor plus the verdict that kept it."""

@@ -12,7 +12,6 @@ An unknown answer is always legal and never enables a proof rule.
 from __future__ import annotations
 
 import os
-import re
 import shlex
 import shutil
 import subprocess
@@ -39,6 +38,7 @@ from .formulas import (
     children,
     free_vars,
 )
+from .minismt.sexpr import symbol
 from .signature import Signature
 from .terms import Lit, Term, Var
 
@@ -89,20 +89,11 @@ def resolve_solver(spec: str | None = None, timeout_ms: int = DEFAULT_TIMEOUT_MS
 
 # -- encoding ---------------------------------------------------------------------
 
-_SIMPLE_SYM = re.compile(r"[A-Za-z~!@$%^&*_+=<>.?/-][A-Za-z0-9~!@$%^&*_+=<>.?/-]*")
-
-
-def _sym(name: str) -> str:
-    if _SIMPLE_SYM.fullmatch(name):
-        return name
-    return f"|{name}|"
-
-
 def _enc_term(sig: Signature, t: Term) -> str:
     if isinstance(t, Var):
         if not t.sort.builtin:
             raise NonBuiltinResidue(f"variable {t.name} of sort {t.sort.name}")
-        return _sym(t.name)
+        return symbol(t.name)
     if isinstance(t, Lit):
         if isinstance(t.value, bool):
             return "true" if t.value else "false"
@@ -127,7 +118,7 @@ def _enc_formula(sig: Signature, f: Formula) -> str:
         for v in f.bound:
             if not v.sort.builtin:
                 raise NonBuiltinResidue(f"quantifier over {v.sort.name}")
-        args.append("(" + " ".join(f"({_sym(v.name)} {v.sort.name})" for v in f.bound) + ")")
+        args.append("(" + " ".join(f"({symbol(v.name)} {v.sort.name})" for v in f.bound) + ")")
     args += [_enc_term(sig, t) for t in atom_terms(f)]
     args += [_enc_formula(sig, k) for k in children(f)]
     if not args:
@@ -142,7 +133,7 @@ def encode(sig: Signature, f: Formula) -> str:
     for v in sorted(free_vars(f), key=lambda v: v.name):
         if not v.sort.builtin:
             raise NonBuiltinResidue(f"variable {v.name} of sort {v.sort.name}")
-        lines.append(f"(declare-const {_sym(v.name)} {v.sort.name})")
+        lines.append(f"(declare-const {symbol(v.name)} {v.sort.name})")
     lines.append(f"(assert {body})")
     lines.append("(check-sat)")
     return "\n".join(lines) + "\n"

@@ -103,7 +103,7 @@ class SpecFile:
     signature: Signature
     system: Lctrs
     goals: list[GoalDecl]
-    options: dict[str, object]
+    options: dict[str, int]
     sort_order: list[str] = field(default_factory=list)
     subsort_order: list[tuple[str, str]] = field(default_factory=list)
     symbol_order: list[tuple[str, list[str], str]] = field(default_factory=list)
@@ -116,7 +116,7 @@ class SpecFile:
         return {i: g.split for i, g in enumerate(self.goals) if g.split is not None}
 
 
-OPTION_KEYS = {"max-depth", "max-branch", "timeout-ms", "bound", "steps", "enable-disj"}
+OPTION_KEYS = {"max-depth", "max-branch", "timeout-ms", "bound", "steps"}
 
 
 class Parser:
@@ -126,7 +126,7 @@ class Parser:
         self.sig = Signature()
         self.goals: list[GoalDecl] = []
         self.rules: list[RewriteRule] = []
-        self.options: dict[str, object] = {}
+        self.options: dict[str, int] = {}
         self.sort_order: list[str] = []
         self.subsort_order: list[tuple[str, str]] = []
         self.symbol_order: list[tuple[str, list[str], str]] = []
@@ -302,12 +302,9 @@ class Parser:
                 raise ParseError(f"unknown option {name}", key.line, key.column)
             self.expect("=")
             tok = self.next()
-            if tok.kind == "int":
-                self.options[name] = int(tok.text)
-            elif tok.text in ("on", "off"):
-                self.options[name] = tok.text == "on"
-            else:
+            if tok.kind != "int":
                 raise ParseError(f"bad option value {tok.text!r}", tok.line, tok.column)
+            self.options[name] = int(tok.text)
             if self.at(","):
                 self.next()
                 continue
@@ -550,8 +547,5 @@ def render_spec(spec: SpecFile) -> str:
             line += f" cases {pretty_formula(g.split[0])}, {pretty_formula(g.split[1])}"
         out.append(line + ";")
     if spec.options:
-        opts = ", ".join(
-            f"{k} = {'on' if v is True else 'off' if v is False else v}" for k, v in spec.options.items()
-        )
-        out.append(f"options {opts};")
+        out.append(f"options {', '.join(f'{k} = {v}' for k, v in spec.options.items())};")
     return "\n".join(out) + "\n"

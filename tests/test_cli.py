@@ -257,11 +257,9 @@ def test_prove_case_split_goal(tmp_path):
     )
     f = tmp_path / "split.lrw"
     f.write_text(text)
-    denied = run_cli("prove", str(f))
-    assert denied.returncode == 2  # split present but splitting disabled
-    proc = run_cli("prove", str(f), "--enable-disj")
+    proc = run_cli("prove", str(f))
     assert proc.returncode == 0, proc.stdout + proc.stderr
-    blob = run_cli("prove", str(f), "--enable-disj", "--dump-proof", "text")
+    blob = run_cli("prove", str(f), "--dump-proof", "text")
     assert "[disj]" in blob.stdout
 
 

@@ -146,6 +146,19 @@ def test_simplify_folds_ground_arithmetic(comp_sig, mk):
     assert simplify(comp_sig, f2) == FALSE
 
 
+def test_simplify_folds_a_term_compared_with_itself(comp_sig, mk):
+    assert simplify(comp_sig, Atom(mk(">", (u, u)))) == FALSE
+    assert simplify(comp_sig, Atom(mk("<=", (u, u)))) == TRUE
+    # sound for any term, division by zero included
+    t = mk("div", (n, mk("mod", (i, n))))
+    dom = Domain(2)
+    for op, folded in (("<", FALSE), (">", FALSE), ("<=", TRUE), (">=", TRUE)):
+        f = Atom(mk(op, (t, t)))
+        assert simplify(comp_sig, f) == folded
+        for val in product(dom.ints(), repeat=2):
+            assert eval_formula(comp_sig, f, dict(zip((n, i), val)), dom) == (folded == TRUE)
+
+
 def _formula_pool(mk):
     lt = lambda a, b: Atom(mk("<", (a, b)))
     le = lambda a, b: Atom(mk("<=", (a, b)))

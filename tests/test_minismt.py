@@ -248,6 +248,12 @@ def test_get_model_lines():
     assert any("define-fun x () Int (- 3)" in ln for ln in lines)
 
 
+def test_get_model_quotes_a_symbol_that_starts_with_a_digit():
+    # SMT-LIB 2.6 simple symbols cannot start with a digit
+    out = solve_text("(declare-const |1x| Int)(assert (= |1x| 2))(check-sat)(get-model)", 10.0)
+    assert out.splitlines()[1:] == ["(", "  (define-fun |1x| () Int 2)", ")"]
+
+
 def test_script_subprocess_interface():
     script = "(set-logic ALL)(declare-const n Int)(assert (= (* 2 n) 7))(check-sat)"
     proc = subprocess.run(

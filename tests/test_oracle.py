@@ -6,11 +6,10 @@ import weakref
 
 import pytest
 
-from coreach.errors import MalformedPath, UnsupportedQuantifier
+from coreach.errors import UnsupportedQuantifier
 from coreach.formulas import And, Atom, ConstrainedTerm, Eq, Exists, FALSE, Forall, Or, TRUE, conj, subst_constrained
 from coreach.oracle import (
     Domain,
-    Path,
     TransitionGraph,
     build_graph,
     check_derivative_theorem,
@@ -20,7 +19,6 @@ from coreach.oracle import (
     eval_formula,
     ground_step,
     in_domain,
-    path_satisfies,
     to_dot,
 )
 from coreach.rewriting import Lctrs, RewriteRule
@@ -292,36 +290,6 @@ def test_check_dvp_inconclusive_on_frontier():
     assert res.witness == node(2)
 
 
-def test_path_satisfies_finite_run():
-    g = _graph({node(1): [node(2)], node(2): [node(3)], node(3): []})
-    path = Path((node(1), node(2), node(3)))
-    assert path_satisfies(g, path, frozenset({node(1)}), frozenset({node(3)}))
-
-
-def test_path_satisfies_single_state_in_both():
-    g = _graph({node(1): []})
-    assert path_satisfies(g, Path((node(1),)), frozenset({node(1)}), frozenset({node(1)}))
-
-
-def test_path_outside_start_predicate_fails():
-    g = _graph({node(1): [node(2)], node(2): []})
-    assert not path_satisfies(g, Path((node(1), node(2))), frozenset({node(2)}), frozenset({node(2)}))
-
-
-def test_lasso_paths_always_accept_once_inside():
-    g = _graph({node(1): [node(2)], node(2): [node(1)]})
-    path = Path((node(1),), cycle=(node(2), node(1)))
-    assert path_satisfies(g, path, frozenset({node(1)}), frozenset({node(9)}))
-
-
-def test_malformed_paths_rejected():
-    g = _graph({node(1): [node(2)], node(2): []})
-    with pytest.raises(MalformedPath):
-        path_satisfies(g, Path((node(1), node(3))), frozenset(), frozenset())
-    with pytest.raises(MalformedPath):
-        path_satisfies(g, Path((node(1),)), frozenset(), frozenset())  # not irreducible
-
-
 def test_delta_image_agreement_examples(comp_sig, comp_system):
     mk = comp_sig.make_app
     assert check_derivative_theorem(comp_system, ConstrainedTerm(mk("init", (n,)), psi(mk)), Domain(6)).ok
@@ -405,10 +373,3 @@ def test_graph_exports(comp_sig, comp_system):
     assert "init(4) -> [loop(4, 2)]" in text
     dot = to_dot(g, q=frozenset({mk("comp", ())}))
     assert dot.startswith("digraph") and "doublecircle" in dot
-
-
-def test_path_satisfies_on_real_run(comp_sig, comp_system):
-    mk = comp_sig.make_app
-    g = build_graph(comp_system, frozenset({mk("init", (Lit(4),))}), Domain(12), 100)
-    run = Path((mk("init", (Lit(4),)), mk("loop", (Lit(4), Lit(2))), mk("comp", ())))
-    assert path_satisfies(g, run, frozenset({mk("init", (Lit(4),))}), frozenset({mk("comp", ())}))

@@ -125,22 +125,6 @@ def test_symbolic_matches_ground_one_step_image(comp_sig, comp_system, solver_cf
     assert sym == ground
 
 
-def test_rename_formula_fresh_bijective(comp_sig, comp_goals):
-    from coreach.rewriting import rename_formula_fresh
-    from coreach.formulas import free_vars as fv
-
-    ctr = FreshCounter()
-    rf = comp_goals[1]
-    r1 = rename_formula_fresh(rf, ctr)
-    r2 = rename_formula_fresh(rf, ctr)
-    orig = fv(rf.lhs) | fv(rf.rhs)
-    v1 = fv(r1.lhs) | fv(r1.rhs)
-    v2 = fv(r2.lhs) | fv(r2.rhs)
-    assert not (v1 & orig) and not (v1 & v2)
-    assert len(v1) == len(orig)
-    assert r1.lhs.term.symbol == rf.lhs.term.symbol
-
-
 def test_open_system_right_hand_side_only_variables(comp_sig, solver_cfg):
     # a rule may introduce variables on the right: the environment chooses
     from coreach.rewriting import Lctrs, RewriteRule

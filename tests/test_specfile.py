@@ -86,11 +86,14 @@ def test_cases_annotation_and_options():
     text = (
         "sorts Cfg;\nsymbols c : -> Cfg;\nvars n : Int;\n"
         "prove c /\\ n >= 0 => c /\\ true cases n = 0, n > 0;\n"
-        "options max-depth = 7, enable-disj = on;"
+        "options max-depth = 7;"
     )
     spec = parse_spec(text)
     assert spec.goals[0].split is not None
-    assert spec.options == {"max-depth": 7, "enable-disj": True}
+    assert spec.options == {"max-depth": 7}
+    # a cases annotation is the opt-in; there is no switch for it
+    with pytest.raises(ParseError, match="unknown option enable-disj"):
+        parse_spec(text.replace("max-depth = 7", "max-depth = 7, enable-disj = on"))
 
 
 def test_parse_cterm_in_context():
