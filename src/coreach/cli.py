@@ -13,17 +13,16 @@ from __future__ import annotations
 
 import argparse
 import sys
-from itertools import product
 
 from .errors import CoreachError, MalformedSolverOutput, ParseError, SolverUnavailable
-from .formulas import pretty_constrained, pretty_formula, pretty_term, subst_constrained
+from .formulas import pretty_constrained, pretty_formula, pretty_term
 from .oracle import (
     Domain,
     build_graph,
     check_dvp,
     edge_list,
     enumerate_instances,
-    sort_values,
+    goal_instances,
     to_dot,
 )
 from .prover import (
@@ -40,7 +39,7 @@ from .prover import (
 from .rewriting import derivatives
 from .smt import DEFAULT_TIMEOUT_MS, SolverConfig, resolve_solver
 from .specfile import SpecFile, parse_spec, parse_cterm_in
-from .terms import FreshCounter, Lit, Substitution
+from .terms import FreshCounter
 
 
 def _common_flags(p: argparse.ArgumentParser) -> None:
@@ -174,21 +173,6 @@ def cmd_derive(args) -> int:
     return 0
 
 
-def _goal_predicates(spec: SpecFile, goal, dom: Domain):
-    """Instance sets of the two goal sides per shared-variable valuation."""
-    sig = spec.signature
-    shared = sorted(goal.formula.shared_vars(), key=lambda v: v.name)
-    pools = [sort_values(sig, v.sort, dom) for v in shared]
-    for combo in product(*pools):
-        sigma = Substitution(
-            {v: (Lit(c) if isinstance(c, (bool, int)) else c) for v, c in zip(shared, combo)}
-        )
-        yield (
-            enumerate_instances(sig, subst_constrained(sigma, goal.formula.lhs), dom),
-            enumerate_instances(sig, subst_constrained(sigma, goal.formula.rhs), dom),
-        )
-
-
 def cmd_oracle(args) -> int:
     spec = _load(args.file)
     dom = Domain(_pick(args.bound, spec, "bound", 8))
@@ -196,7 +180,7 @@ def cmd_oracle(args) -> int:
     worst = 0  # 0 valid, 1 inconclusive, 2 invalid
     for decl in spec.goals:
         verdicts = []
-        for p, q in _goal_predicates(spec, decl, dom):
+        for p, q in goal_instances(spec.signature, decl.formula, dom):
             if not p:
                 continue
             graph = build_graph(spec.system, p, dom, steps)

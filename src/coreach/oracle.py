@@ -6,6 +6,13 @@ and the test fixtures keep quantifier witnesses inside the bound.  Graph
 construction marks every truncation (step budget, out-of-domain successors)
 so validity checking can answer "inconclusive" instead of guessing.
 
+Every ground term the oracle builds is hash-consed: one shared node per
+value, from intern tables kept per signature (one per symbol and sort, keyed
+by the argument tuple, and one of integer literals).  Instances, value pools
+and rule right-hand sides built for one signature are then the same objects,
+so table lookups and set operations on them succeed on identity.  The tables
+die with the signature.
+
 Each ground state is stepped once per system and domain: `ground_step`
 keeps a successor table (folded state -> its successors) beside the rules
 compiled for that system and domain.  Graph building, the derivative
@@ -43,10 +50,11 @@ from .formulas import (
     atom_terms,
     children,
     free_vars,
+    subst_constrained,
 )
-from .rewriting import Lctrs, RewriteRule
+from .rewriting import Lctrs, ReachabilityFormula, RewriteRule
 from .signature import Signature
-from .terms import BOOL, App, Lit, Term, Var, positions, replace_at, subterm_at
+from .terms import BOOL, App, Lit, Substitution, Term, Var, positions, replace_at, subterm_at
 
 StatePredicate = frozenset  # of ground Terms
 
@@ -83,6 +91,77 @@ def _key(t: Term) -> str:
     return repr(t)
 
 
+# -- interned ground terms -----------------------------------------------------------
+
+
+class _Apps(dict):
+    """The interned applications of one symbol at one sort, keyed by their
+    argument tuple: the sort stays out of the key, as hashing it is not free."""
+
+    __slots__ = ("symbol", "sort")
+
+    def __missing__(self, args: tuple) -> App:
+        node = self[args] = App(self.symbol, args, self.sort)
+        return node
+
+
+class _Ints(dict):
+    """The interned integer literals, keyed by value.  Only ints go in: as a
+    key, True would find the literal 1."""
+
+    def __missing__(self, v: int) -> Lit:
+        node = self[v] = Lit(v)
+        return node
+
+
+BOOL_LITS = (Lit(False), Lit(True))  # indexed by the value
+
+
+class _Terms:
+    """The intern tables of one signature."""
+
+    __slots__ = ("apps", "ints")
+
+    def __init__(self):
+        self.apps: dict[tuple, _Apps] = {}
+        self.ints = _Ints()
+
+    def table(self, symbol: str, sort) -> _Apps:
+        table = self.apps.get((symbol, sort))
+        if table is None:
+            table = self.apps[(symbol, sort)] = _Apps()
+            table.symbol, table.sort = symbol, sort
+        return table
+
+    def of(self, v) -> Term:
+        """The node of a value: a literal for a bool or an int, else the term."""
+        if isinstance(v, bool):
+            return BOOL_LITS[v]
+        return self.ints[v] if isinstance(v, int) else v
+
+    def replace_at(self, t: Term, pos, s: Term) -> Term:
+        """`terms.replace_at` over interned nodes."""
+        if not pos:
+            return replace_at(t, pos, s)
+        i = pos[0] - 1
+        old = t.args[i]
+        new = self.replace_at(old, pos[1:], s)
+        if new is old:
+            return t
+        return self.table(t.symbol, t.sort)[t.args[:i] + (new,) + t.args[i + 1 :]]
+
+
+# The keys are weak, so the tables live no longer than their signature.
+_TERMS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def _terms(sig: Signature) -> _Terms:
+    terms = _TERMS.get(sig)
+    if terms is None:
+        terms = _TERMS[sig] = _Terms()
+    return terms
+
+
 # -- compiled ground evaluation ------------------------------------------------------
 #
 # Terms and formulas are compiled once into closures over a positional
@@ -104,6 +183,16 @@ def _or(a: Code, b: Code) -> Code:
     return lambda env: a(env) or b(env)
 
 
+def _junction(join: Callable[[Code, Code], Code], codes: list[Code], unit: bool) -> Code:
+    """Code deciding `codes` joined by `_and` or `_or`, left to right."""
+    if not codes:
+        return _const(unit)
+    code = codes[-1]
+    for p in reversed(codes[:-1]):
+        code = join(p, code)
+    return code
+
+
 class _Compiler:
     """Compiles terms and formulas over one signature and domain.
 
@@ -113,6 +202,7 @@ class _Compiler:
 
     def __init__(self, sig: Signature, dom: Domain):
         self.sig, self.dom, self.size = sig, dom, 0
+        self.terms = _terms(sig)
 
     def new_slot(self) -> int:
         self.size += 1
@@ -155,24 +245,31 @@ class _Compiler:
         return lambda env: fn(a(env), b(env))
 
     def term(self, t: Term, slots: dict[Var, int]) -> Code:
-        """Code building the ground instance of `t`, builtin values as literals."""
+        """Code building the interned ground instance of `t`, builtin values
+        as literals."""
+        terms = self.terms
         if isinstance(t, Var):
             i = slots[t]
-            return (lambda env: Lit(env[i])) if t.sort.builtin else itemgetter(i)
-        if isinstance(t, Lit) or not t.args:
-            return _const(t)
-        if self._builtin(t) is not None:
-            v = self.value(t, slots)
-            return lambda env: Lit(v(env))
-        sym, sort = t.symbol, t.sort
+            if not t.sort.builtin:
+                return itemgetter(i)
+            lits = BOOL_LITS if t.sort == BOOL else terms.ints
+            return lambda env: lits[env[i]]
+        if isinstance(t, Lit):
+            return _const(terms.of(t.value))
+        if t.args and self._builtin(t) is not None:
+            v, of = self.value(t, slots), terms.of
+            return lambda env: of(v(env))
+        table = terms.table(t.symbol, t.sort)
+        if not t.args:
+            return _const(table[()])
         args = tuple(self.term(a, slots) for a in t.args)
         if len(args) == 1:
             (a,) = args
-            return lambda env: App(sym, (a(env),), sort)
+            return lambda env: table[(a(env),)]
         if len(args) == 2:
             a, b = args
-            return lambda env: App(sym, (a(env), b(env)), sort)
-        return lambda env: App(sym, tuple([a(env) for a in args]), sort)
+            return lambda env: table[(a(env), b(env))]
+        return lambda env: table[tuple([a(env) for a in args])]
 
     def formula(self, f: Formula, slots: dict[Var, int]) -> Code:
         """Code deciding `f`; quantifiers range over the domain only."""
@@ -190,14 +287,10 @@ class _Compiler:
         if isinstance(f, Not):
             (body,) = kids
             return lambda env: not body(env)
-        if isinstance(f, (And, Or)):
-            if not kids:
-                return _const(isinstance(f, And))
-            join = _and if isinstance(f, And) else _or
-            code = kids[-1]
-            for p in reversed(kids[:-1]):
-                code = join(p, code)
-            return code
+        if isinstance(f, And):
+            return _junction(_and, kids, True)
+        if isinstance(f, Or):
+            return _junction(_or, kids, False)
         if isinstance(f, Implies):
             premise, conclusion = kids
             return lambda env: not premise(env) or conclusion(env)
@@ -295,14 +388,9 @@ def eval_formula(sig: Signature, f: Formula, val: dict[Var, object], dom: Domain
     return code(comp.env(val.values()))
 
 
-def _as_term(v) -> Term:
-    if isinstance(v, (bool, int)):
-        return Lit(v)
-    return v
-
-
 def sort_values(sig: Signature, sort, dom: Domain, _seen: frozenset = frozenset()):
-    """All ground values of a sort with literals inside the domain."""
+    """All ground values of a sort with literals inside the domain; terms are
+    interned."""
     if sort.builtin:
         if sort.name == "Bool":
             return [False, True]
@@ -310,33 +398,101 @@ def sort_values(sig: Signature, sort, dom: Domain, _seen: frozenset = frozenset(
     if sort.name in _seen:
         raise UnsupportedQuantifier(f"sort {sort.name} is recursive")
     seen = _seen | {sort.name}
+    terms = _terms(sig)
     out = []
     for op in sig.operations:
         if op.builtin or not sig.is_subsort(op.result, sort):
             continue
         pools = [sort_values(sig, a, dom, seen) for a in op.arg_sorts]
+        table = terms.table(op.name, op.result)
         for combo in product(*pools):
-            out.append(App(op.name, tuple(_as_term(c) for c in combo), op.result))
+            out.append(table[tuple(map(terms.of, combo))])
     return out
 
 
 # -- state predicates ---------------------------------------------------------------
 
 
+def _conjuncts(f: Formula) -> list[Formula]:
+    """The top-level conjuncts of `f` in order, nested `And`s flattened and
+    `true` dropped."""
+    if isinstance(f, And):
+        return [c for p in f.parts for c in _conjuncts(p)]
+    return [] if isinstance(f, TrueF) else [f]
+
+
+def _quantifies_a_user_sort(f: Formula) -> bool:
+    if isinstance(f, BINDERS) and not all(v.sort.builtin for v in f.bound):
+        return True
+    return any(map(_quantifies_a_user_sort, children(f)))
+
+
 def enumerate_instances(sig: Signature, ct: ConstrainedTerm, dom: Domain) -> StatePredicate:
-    """All ground instances of the term whose valuation satisfies the constraint."""
+    """All ground instances of the term whose valuation satisfies the constraint.
+
+    Variables get values level by level, in name order.  Each top-level
+    conjunct is checked once its last variable has a value, in the
+    conjuncts' own order within a level, so a partial valuation that fails
+    it is never extended; the variables between two checks are iterated as
+    one product.  A conjunct quantifying over a user sort, which may raise
+    `UnsupportedQuantifier` when evaluated, is checked no earlier than every
+    conjunct before it and no later than every conjunct after it: it is
+    evaluated exactly when checking the whole constraint, left to right, on
+    each full valuation would evaluate it.
+    """
     vs = sorted(free_vars(ct), key=lambda v: v.name)
     pools = [sort_values(sig, v.sort, dom) for v in vs]
+    if not all(pools):
+        return frozenset()
     comp = _Compiler(sig, dom)
-    slots = {v: comp.new_slot() for v in vs}
-    holds, instance = comp.formula(ct.constraint, slots), comp.term(ct.term, slots)
-    env, n = comp.env(), len(vs)
-    out = set()
-    for combo in product(*pools):
-        env[:n] = combo
-        if holds(env):
-            out.add(instance(env))
+    slots = {v: comp.new_slot() for v in vs}  # the slot of a variable is its index in `vs`
+    checks: dict[int, list[Code]] = {}  # level (variables with a value) -> its checks in order
+    top = floor = 0
+    for c in _conjuncts(ct.constraint):
+        at = max([slots[v] + 1 for v in free_vars(c)] + [floor])
+        if _quantifies_a_user_sort(c):
+            at = floor = max(at, top)
+        top = max(top, at)
+        checks.setdefault(at, []).append(comp.formula(c, slots))
+    instance, env, out = comp.term(ct.term, slots), comp.env(), set()
+    if 0 in checks and not _junction(_and, checks.pop(0), True)(env):
+        return frozenset()
+    cuts = sorted(set(checks) | {len(vs)})
+    blocks = [(lo, hi, pools[lo:hi], _junction(_and, checks.get(hi, []), True)) for lo, hi in zip([0] + cuts, cuts)]
+    last = len(blocks) - 1
+
+    def extend(b: int) -> None:
+        lo, hi, block_pools, check = blocks[b]
+        for combo in product(*block_pools):
+            env[lo:hi] = combo
+            if check(env):
+                if b == last:
+                    out.add(instance(env))
+                else:
+                    extend(b + 1)
+
+    extend(0)
     return frozenset(out)
+
+
+def goal_instances(
+    sig: Signature, goal: ReachabilityFormula, dom: Domain, samples: list[dict] | None = None
+) -> Iterator[tuple[StatePredicate, StatePredicate]]:
+    """The instance sets of a goal's two sides, one pair per valuation of its
+    shared variables: every valuation over the domain by default, else one
+    per partial valuation (variable name -> value) in `samples`, whose
+    unnamed shared variables range freely on both sides."""
+    shared = sorted(goal.shared_vars(), key=lambda v: v.name)
+    if samples is None:
+        pools = [sort_values(sig, v.sort, dom) for v in shared]
+        samples = (dict(zip([v.name for v in shared], combo)) for combo in product(*pools))
+    terms = _terms(sig)
+    for sample in samples:
+        sigma = Substitution({v: terms.of(sample[v.name]) for v in shared if v.name in sample})
+        yield (
+            enumerate_instances(sig, subst_constrained(sigma, goal.lhs), dom),
+            enumerate_instances(sig, subst_constrained(sigma, goal.rhs), dom),
+        )
 
 
 def in_domain(t: Term, dom: Domain) -> bool:
@@ -413,11 +569,14 @@ def _stepper(system: Lctrs, dom: Domain) -> _Stepper:
     return hit
 
 
-def ground_step(system: Lctrs, gamma: Term, dom: Domain) -> StatePredicate:
+def ground_step(system: Lctrs, gamma: Term, dom: Domain, stepper: _Stepper | None = None) -> StatePredicate:
     """All one-step successors of a ground term: any rule, any position, any
     rule-variable valuation over the domain that satisfies the guard.  Each
-    state is stepped once per system and domain; later calls read the table."""
-    stepper = _stepper(system, dom)
+    state is stepped once per system and domain; later calls read the table.
+    A caller stepping many states passes the `_stepper(system, dom)` it
+    looked up once."""
+    if stepper is None:
+        stepper = _stepper(system, dom)
     table = stepper.successors
     out = table.get(gamma)  # the keys are folded, so only a folded state hits here
     if out is None:
@@ -431,6 +590,7 @@ def ground_step(system: Lctrs, gamma: Term, dom: Domain) -> StatePredicate:
 
 
 def _step(sig: Signature, rules: list[_RuleCode], gamma: Term) -> StatePredicate:
+    terms = _terms(sig)
     out = set()
     for pos in positions(gamma):
         sub = subterm_at(gamma, pos)
@@ -440,7 +600,7 @@ def _step(sig: Signature, rules: list[_RuleCode], gamma: Term) -> StatePredicate
             env = [None] * code.size
             if code.match(sub, env):
                 for rhs in code.results(env):
-                    out.add(replace_at(gamma, pos, rhs))
+                    out.add(terms.replace_at(gamma, pos, rhs))
     return frozenset(out)
 
 
@@ -448,6 +608,7 @@ def build_graph(system: Lctrs, seeds: StatePredicate, dom: Domain, step_bound: i
     """Breadth-first closure of the step relation from the seeds; nodes whose
     expansion is cut off or whose successors leave the domain are recorded."""
     g = TransitionGraph()
+    stepper = _stepper(system, dom)
     queue = deque(sorted(seeds, key=_key))
     g.nodes.update(seeds)
     expansions = 0
@@ -459,7 +620,7 @@ def build_graph(system: Lctrs, seeds: StatePredicate, dom: Domain, step_bound: i
             g.frontier_exceeded.add(node)
             continue
         expansions += 1
-        succs = ground_step(system, node, dom)
+        succs = ground_step(system, node, dom, stepper)
         kept = set()
         for s in sorted(succs, key=_key):
             if not in_domain(s, dom):
@@ -555,8 +716,9 @@ def check_derivative_theorem(system: Lctrs, ct: ConstrainedTerm, dom: Domain) ->
     for d in derivatives(system, ct, FreshCounter(start=5_000_000)):
         sym |= enumerate_instances(sig, d, dom)
     ground = set()
+    stepper = _stepper(system, dom)
     for inst in enumerate_instances(sig, ct, dom):
-        ground |= ground_step(system, inst, dom)
+        ground |= ground_step(system, inst, dom, stepper)
     return DeltaReport(frozenset(sym - ground), frozenset(ground - sym))
 
 

@@ -54,12 +54,13 @@ class Violation:
         return f"{self.kind}: {self.detail}"
 
 
-@dataclass
+@dataclass(eq=False)
 class Signature:
     """An order-sorted signature containing the Int/Bool builtin subsignature.
 
     Immutable by convention after `validate` admits it; shared read-only use
-    is safe.
+    is safe.  A signature compares and hashes by identity, as a system does,
+    so caches can be kept per signature.
     """
 
     sorts: dict[str, Sort] = field(default_factory=dict)

@@ -40,7 +40,6 @@ from .formulas import (
     Not,
     Or,
     TRUE,
-    TrueF,
     pretty_constrained,
     pretty_formula,
     pretty_term,

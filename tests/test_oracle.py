@@ -3,11 +3,29 @@
 import gc
 import random
 import weakref
+from itertools import product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from coreach import oracle
+from coreach.constraints import fold_term
 from coreach.errors import UnsupportedQuantifier
-from coreach.formulas import And, Atom, ConstrainedTerm, Eq, Exists, FALSE, Forall, Or, TRUE, conj, subst_constrained
+from coreach.formulas import (
+    And,
+    Atom,
+    ConstrainedTerm,
+    Eq,
+    Exists,
+    FALSE,
+    Forall,
+    Implies,
+    Not,
+    Or,
+    TRUE,
+    conj,
+    free_vars,
+)
 from coreach.oracle import (
     Domain,
     TransitionGraph,
@@ -17,8 +35,10 @@ from coreach.oracle import (
     edge_list,
     enumerate_instances,
     eval_formula,
+    goal_instances,
     ground_step,
     in_domain,
+    sort_values,
     to_dot,
 )
 from coreach.rewriting import Lctrs, RewriteRule
@@ -94,6 +114,22 @@ def test_unsupported_quantifier_raises_only_when_evaluated(comp_sig):
     assert len(enumerate_instances(comp_sig, ConstrainedTerm(init_n, Or((TRUE, every_tree))), dom)) == 5
     with pytest.raises(UnsupportedQuantifier):
         enumerate_instances(comp_sig, ConstrainedTerm(init_n, And((TRUE, every_tree))), dom)
+    # An earlier conjunct that no value of n satisfies still stops the
+    # quantifier, though the quantifier mentions no variable and the earlier
+    # conjunct is checked only once n has a value; in the other order the
+    # quantifier is evaluated first and raises.
+    never = Atom(comp_sig.make_app(">", (n, Lit(5))))
+    assert enumerate_instances(comp_sig, ConstrainedTerm(init_n, And((never, every_tree))), dom) == frozenset()
+    with pytest.raises(UnsupportedQuantifier):
+        enumerate_instances(comp_sig, ConstrainedTerm(init_n, And((every_tree, never))), dom)
+    # Nor may a later conjunct, though its last variable comes first, keep
+    # the quantifier from being evaluated: i is given a value before n.
+    loop_n_i = comp_sig.make_app("loop", (n, i))
+    always = Atom(comp_sig.make_app(">=", (n, Lit(-2))))
+    never_i = Atom(comp_sig.make_app(">", (i, Lit(5))))
+    with pytest.raises(UnsupportedQuantifier):
+        enumerate_instances(comp_sig, ConstrainedTerm(loop_n_i, And((always, every_tree, never_i))), dom)
+    assert enumerate_instances(comp_sig, ConstrainedTerm(loop_n_i, And((always, never_i, every_tree))), dom) == frozenset()
 
 
 def test_ground_step_nonlinear_and_builtin_patterns(comp_sig):
@@ -170,6 +206,161 @@ def test_compiled_rules_do_not_keep_the_system_alive(comp_sig):
     assert ref() is None
 
 
+def test_intern_tables_do_not_keep_the_signature_alive():
+    gc.collect()
+    before = len(oracle._TERMS)
+    sig = Signature()
+    sig.add_operation("init", [INT], sig.add_sort("Cfg"))
+    assert len(enumerate_instances(sig, ConstrainedTerm(sig.make_app("init", (n,)), TRUE), Domain(2))) == 5
+    assert sig in oracle._TERMS and len(oracle._TERMS) == before + 1
+    ref = weakref.ref(sig)
+    del sig
+    gc.collect()
+    assert ref() is None
+    assert len(oracle._TERMS) == before
+
+
+def test_enumerated_states_are_the_successors_ground_step_returns(comp_sig):
+    # Instances and rule right-hand sides come from the same intern tables,
+    # so an equal successor is the very same object.
+    mk = comp_sig.make_app
+    system = Lctrs(comp_sig)
+    system.add_rule(RewriteRule(mk("init", (n,)), mk("loop", (n, Lit(2))), TRUE))
+    system.add_rule(RewriteRule(mk("loop", (n, i)), mk("loop", (i, mk("+", (n, Lit(1))))), TRUE))
+    dom = Domain(3)
+    loops = enumerate_instances(comp_sig, ConstrainedTerm(mk("loop", (n, i)), TRUE), dom)
+    same = {s: s for s in loops}
+    inits = enumerate_instances(comp_sig, ConstrainedTerm(mk("init", (n,)), TRUE), dom)
+    checked = 0
+    for state in sorted(loops | inits, key=repr):
+        for succ in ground_step(system, state, dom):
+            if succ in same:
+                assert same[succ] is succ, succ
+                checked += 1
+    assert checked == len(inits) + len(loops) - 7  # loop(3, i) steps to loop(i, 4), outside the domain
+
+
+@pytest.mark.parametrize("bools_first", [False, True])
+def test_true_and_one_in_the_same_slot_stay_apart(bools_first):
+    sig = Signature()
+    cfg = sig.add_sort("Cfg")
+    sig.add_operation("f", [INT], cfg)
+    sig.add_operation("f", [BOOL], cfg)
+    x, b = Var("x", INT), Var("b", BOOL)
+    dom = Domain(1)
+    sides = [ConstrainedTerm(sig.make_app("f", (x,)), TRUE), ConstrainedTerm(sig.make_app("f", (b,)), TRUE)]
+    if bools_first:
+        sides.reverse()
+    got = [enumerate_instances(sig, ct, dom) for ct in sides]
+    assert got[0] | got[1] == frozenset(App("f", (Lit(v),), cfg) for v in (-1, 0, 1, False, True))
+
+
+# -- level-wise enumeration against the flat product --------------------------------
+
+
+def _flat_product(sig, ct, dom):
+    """The reference: the whole constraint decided on every valuation of one
+    flat product of the variables' value pools."""
+    vs = sorted(free_vars(ct), key=lambda v: v.name)
+    out = set()
+    for combo in product(*(sort_values(sig, v.sort, dom) for v in vs)):
+        if eval_formula(sig, ct.constraint, dict(zip(vs, combo)), dom):
+            sigma = Substitution({v: Lit(c) if isinstance(c, (bool, int)) else c for v, c in zip(vs, combo)})
+            out.add(fold_term(sigma.apply(ct.term)))
+    return frozenset(out)
+
+
+def _outcome(enumerate_fn, sig, ct, dom):
+    try:
+        return enumerate_fn(sig, ct, dom)
+    except UnsupportedQuantifier:
+        return "unsupported"
+
+
+def _prop_sig():
+    sig = Signature()
+    cfg = sig.add_sort("Cfg")
+    sig.add_operation("st", [INT, BOOL], cfg)
+    sig.add_operation("pr", [INT, INT], cfg)
+    sig.add_operation("c0", [], cfg)
+    sig.add_operation("wrap", [cfg], sig.add_sort("Box"))
+    tree = sig.add_sort("Tree")
+    sig.add_operation("leaf", [], tree)
+    sig.add_operation("node", [tree], tree)
+    return sig
+
+
+PROP_SIG = _prop_sig()
+X, Y, Z, W = (Var(name, INT) for name in "xyzw")
+B, C = Var("b", BOOL), Var("c", PROP_SIG.sorts["Cfg"])
+
+
+@st.composite
+def _int_term(draw, names):
+    mk = PROP_SIG.make_app
+    a = draw(st.sampled_from(names + [Lit(draw(st.integers(-3, 3)))]))  # some beyond the domain
+    op = draw(st.sampled_from([None, "+", "-", "*", "mod"]))
+    return a if op is None else mk(op, (a, draw(st.sampled_from(names + [Lit(draw(st.integers(1, 2)))]))))
+
+
+@st.composite
+def _formula(draw, names, depth):
+    mk = PROP_SIG.make_app
+    kinds = ["cmp", "cmp", "bool", "cfg", "const"] + (["and", "or", "not", "implies", "exists", "forall"] if depth else [])
+    kind = draw(st.sampled_from(kinds))
+    if kind == "cmp":
+        op = draw(st.sampled_from(["<", "<=", "=", ">="]))
+        a, b = draw(_int_term(names)), draw(_int_term(names))
+        return Eq(a, b) if op == "=" else Atom(mk(op, (a, b)))
+    if kind == "bool":
+        return draw(st.sampled_from([Atom(B), Atom(mk("not", (B,))), Eq(B, Lit(True))]))
+    if kind == "cfg":
+        return Eq(C, draw(st.sampled_from([mk("c0", ()), mk("st", (draw(_int_term(names)), B))])))
+    if kind == "const":
+        return draw(st.sampled_from([TRUE, FALSE]))
+    if kind in ("and", "or"):
+        parts = draw(st.lists(_formula(names, depth - 1), min_size=2, max_size=3))
+        return And(tuple(parts)) if kind == "and" else Or(tuple(parts))
+    if kind == "not":
+        return Not(draw(_formula(names, depth - 1)))
+    if kind == "implies":
+        return Implies(draw(_formula(names, depth - 1)), draw(_formula(names, depth - 1)))
+    body = draw(_formula(names + [W], depth - 1))
+    return Exists((W,), body) if kind == "exists" else Forall((W,), body)
+
+
+@st.composite
+def _constrained_term(draw):
+    mk = PROP_SIG.make_app
+    term = draw(
+        st.sampled_from(
+            [
+                mk("pr", (X, Y)),
+                mk("st", (mk("+", (X, Lit(1))), B)),
+                mk("st", (Z, mk("not", (B,)))),
+                mk("pr", (mk("*", (X, Y)), Lit(2))),
+                mk("wrap", (C,)),
+                mk("c0", ()),
+            ]
+        )
+    )
+    names = draw(st.sampled_from([[X], [X, Y], [Y, Z]]))
+    parts = draw(st.lists(_formula(names, 2), min_size=1, max_size=4))
+    if draw(st.booleans()):  # a quantifier over a sort the oracle cannot enumerate
+        t = Var("t", PROP_SIG.sorts["Tree"])
+        parts.insert(draw(st.integers(0, len(parts))), Forall((t,), Eq(t, t)))
+    if len(parts) > 2 and draw(st.booleans()):
+        parts[1:3] = [And((parts[1], parts[2]))]  # nested conjunction
+    return ConstrainedTerm(term, And(tuple(parts)))
+
+
+@settings(derandomize=True, max_examples=120, deadline=None)
+@given(_constrained_term())
+def test_level_wise_enumeration_matches_the_flat_product(ct):
+    dom = Domain(1)
+    assert _outcome(enumerate_instances, PROP_SIG, ct, dom) == _outcome(_flat_product, PROP_SIG, ct, dom)
+
+
 @pytest.mark.parametrize("name", sorted(AUDIT_SAMPLES))
 def test_successor_table_agrees_with_a_cold_one(name):
     # The graphs of the soundness audit (acceptance criterion 7) fill the
@@ -182,10 +373,7 @@ def test_successor_table_agrees_with_a_cold_one(name):
     dom = Domain(12)
     nodes = set()
     for decl in spec.goals:
-        rf = decl.formula
-        for sample in AUDIT_SAMPLES[name]:
-            sigma = Substitution({v: Lit(sample[v.name]) for v in rf.shared_vars() if v.name in sample})
-            p = enumerate_instances(spec.signature, subst_constrained(sigma, rf.lhs), dom)
+        for p, _ in goal_instances(spec.signature, decl.formula, dom, AUDIT_SAMPLES[name]):
             nodes |= build_graph(spec.system, p, dom, 20_000).nodes
     assert nodes
     for node in sorted(nodes, key=repr):

@@ -10,7 +10,6 @@ from coreach.formulas import (
     TRUE,
     conj,
     free_vars,
-    pretty_constrained,
 )
 from coreach.oracle import Domain, enumerate_instances, ground_step
 from coreach.rewriting import (
@@ -129,7 +128,6 @@ def test_open_system_right_hand_side_only_variables(comp_sig, solver_cfg):
     # a rule may introduce variables on the right: the environment chooses
     from coreach.rewriting import Lctrs, RewriteRule
     from coreach.oracle import Domain, ground_step
-    from coreach.terms import Substitution
 
     mk = comp_sig.make_app
     x = Var("x", INT)
