@@ -8,9 +8,7 @@ ship to the solver untouched.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
-from typing import Callable
 
 from .errors import SortMismatch
 from .formulas import (
@@ -38,8 +36,7 @@ from .formulas import (
     junction,
     subst_formula,
 )
-from .minismt.arith import euclid_div, euclid_mod
-from .signature import Signature
+from .signature import BUILTIN_FUNCTIONS, Signature
 from .terms import App, FRESH_SEP, Lit, Substitution, Term, Var, rebuild_app, term_vars
 
 
@@ -53,28 +50,6 @@ class SolvedForm:
     def as_formula(self) -> Formula:
         eqs = [Eq(v, t) for v, t in sorted(self.subst.mapping.items(), key=lambda kv: kv[0].name)]
         return conj(eqs + list(self.residual))
-
-
-# The one definition of what the builtin operators compute on ground values,
-# keyed by (symbol, arity); the solver-free oracle and constant folding both
-# read it.  Integer division and remainder are the bundled solver's, so the
-# prover, the oracle and the solver agree on them.
-BUILTIN_SEMANTICS: dict[tuple[str, int], Callable] = {
-    ("+", 2): operator.add,
-    ("-", 2): operator.sub,
-    ("-", 1): operator.neg,
-    ("*", 2): operator.mul,
-    ("div", 2): euclid_div,
-    ("mod", 2): euclid_mod,
-    ("<", 2): operator.lt,
-    ("<=", 2): operator.le,
-    (">", 2): operator.gt,
-    (">=", 2): operator.ge,
-    ("=", 2): operator.eq,
-    ("and", 2): lambda a, b: a and b,
-    ("or", 2): lambda a, b: a or b,
-    ("not", 1): operator.not_,
-}
 
 
 def _is_builtin_valued(sig: Signature, t: Term) -> bool:
@@ -160,7 +135,7 @@ def fold_term(t: Term) -> Term:
         return t
     t = rebuild_app(t, [fold_term(a) for a in t.args])
     args = t.args
-    fn = BUILTIN_SEMANTICS.get((t.symbol, len(args)))
+    fn = BUILTIN_FUNCTIONS.get((t.symbol, len(args)))
     if fn is not None and all(isinstance(a, Lit) for a in args):
         return Lit(fn(*(a.value for a in args)))
     # Unit laws over Int, valid in the standard model.

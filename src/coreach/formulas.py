@@ -282,10 +282,13 @@ def subst_constrained(sigma: Substitution, ct: ConstrainedTerm) -> ConstrainedTe
     return ConstrainedTerm(sigma.apply(ct.term), subst_formula(sigma, ct.constraint))
 
 
-# -- surface-syntax printing ---------------------------------------------------
+# -- surface syntax ---------------------------------------------------------------
+#
+# The one definition of the infix term operators and comparisons: the printer
+# below and the parser in `specfile` both read it.
 
-_TERM_PREC = {"+": 7, "-": 7, "*": 8, "div": 8, "mod": 8}
-_CMP = {"<", "<=", ">", ">=", "="}
+TERM_PREC = {"+": 7, "-": 7, "*": 8, "div": 8, "mod": 8}  # left-associative
+COMPARISONS = {"<", "<=", ">", ">=", "="}
 
 
 def pretty_term(t: Term, prec: int = 0) -> str:
@@ -295,13 +298,13 @@ def pretty_term(t: Term, prec: int = 0) -> str:
         if isinstance(t.value, bool):
             return "true" if t.value else "false"
         return str(t.value) if t.value >= 0 else f"(- {-t.value})" if prec >= 9 else str(t.value)
-    if t.symbol in _TERM_PREC and len(t.args) == 2:
-        p = _TERM_PREC[t.symbol]
+    if t.symbol in TERM_PREC and len(t.args) == 2:
+        p = TERM_PREC[t.symbol]
         s = f"{pretty_term(t.args[0], p)} {t.symbol} {pretty_term(t.args[1], p + 1)}"
         return f"({s})" if prec > p else s
     if t.symbol == "-" and len(t.args) == 1:
         return f"-{pretty_term(t.args[0], 9)}"
-    if t.symbol in _CMP | {"and", "or", "not"} and t.args:
+    if (t.symbol in COMPARISONS or t.symbol in ("and", "or", "not")) and t.args:
         # Bool-sorted builtin application in term position.
         inner = ", ".join(pretty_term(a) for a in t.args)
         return f"{t.symbol}({inner})"
@@ -338,7 +341,7 @@ def pretty_formula(f: Formula, prec: int = 0) -> str:
         return " = ".join(pretty_term(t, 7) for t in terms)
     if isinstance(f, Atom):
         (t,) = terms
-        if isinstance(t, App) and t.symbol in _CMP and len(t.args) == 2:
+        if isinstance(t, App) and t.symbol in COMPARISONS and len(t.args) == 2:
             return f"{pretty_term(t.args[0], 7)} {t.symbol} {pretty_term(t.args[1], 7)}"
         return pretty_term(t)
     return repr(f)  # true, false

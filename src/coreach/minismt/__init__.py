@@ -11,7 +11,7 @@ __all__ = ["run_script", "solve_text"]
 
 def __getattr__(name: str):
     # The solver module loads on first use: the frontend imports `arith` for
-    # the division semantics at start-up and should not pay for the solver.
+    # the Int operators at start-up and should not pay for the solver.
     if name in __all__:
         from . import solver
 

@@ -12,6 +12,7 @@ branch never asserts anything.
 
 from __future__ import annotations
 
+import operator
 from functools import lru_cache
 from math import gcd
 
@@ -128,18 +129,19 @@ def _key_value(k: Key, key: Key, by: Poly) -> Poly:
     if k[0] in ("mod", "div"):
         if key not in _key_closure(k):
             return pvar(k)
-        a = subst_poly(thaw(k[1]), key, by)
-        b = subst_poly(thaw(k[2]), key, by)
-        if is_const(a) and is_const(b):
-            f = euclid_mod if k[0] == "mod" else euclid_div
-            return pconst(f(const_of(a), const_of(b)))
-        return pvar((k[0], freeze(a), freeze(b)))
+        return pdivmod(k[0], subst_poly(thaw(k[1]), key, by), subst_poly(thaw(k[2]), key, by))
     return pvar(k)
 
 
+def pdivmod(op: str, a: Poly, b: Poly) -> Poly:
+    """`a div b` or `a mod b`: a constant when both are, else an opaque key."""
+    if is_const(a) and is_const(b):
+        return pconst(ARITH_OPS[op](const_of(a), const_of(b)))
+    return pvar((op, freeze(a), freeze(b)))
+
+
 # SMT-LIB integer division: the remainder lies in [0, |b|).  By convention
-# a div 0 = 0 and a mod 0 = a.  This is the package's one definition; the
-# frontend's constant folding and the ground oracle use it too.
+# a div 0 = 0 and a mod 0 = a.
 
 
 def euclid_div(a: int, b: int) -> int:
@@ -152,6 +154,12 @@ def euclid_mod(a: int, b: int) -> int:
     if b == 0:
         return a
     return a - b * euclid_div(a, b)
+
+
+# What the Int operators compute: the package's one definition.  The
+# solver's model search and polynomials read it, and so do the frontend's
+# builtin signature, constant folding and the ground oracle.
+ARITH_OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "div": euclid_div, "mod": euclid_mod}
 
 
 def _floor_div(a: int, b: int) -> int:

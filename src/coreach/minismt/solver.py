@@ -26,21 +26,24 @@ to unknown, never to a wrong verdict.
 from __future__ import annotations
 
 import time
+from functools import lru_cache
 from itertools import product
 from operator import itemgetter
 
 from .arith import (
+    ARITH_OPS,
     EQ0,
     LE0,
     NE0,
     Core,
     const_of,
-    euclid_div,
-    euclid_mod,
     freeze,
     is_const,
+    normalize_eq,
+    normalize_le,
     padd,
     pconst,
+    pdivmod,
     pmul,
     pneg,
     psub,
@@ -106,12 +109,11 @@ class SolveError(ValueError):
 
 # -- terms and NNF formulas -------------------------------------------------------
 #
-# term   := ("int", k) | ("var", name) | (op, t1[, t2]) for op in + - * div mod
+# term   := ("int", k) | ("var", name) | (op, t1, t2) for op in ARITH_OPS
 # nnf    := ("true",) | ("false",) | ("and", parts) | ("or", parts)
 #         | ("cmp", "le"|"eq"|"ne", ta, tb) | ("bvar", name, pol)
 #         | ("exists"|"forall", ((name, sort), ...), body)
 
-ARITH_OPS = {"+", "-", "*", "div", "mod"}
 CMP_OPS = {"<", "<=", ">", ">=", "="}
 
 
@@ -320,8 +322,6 @@ def term_numerals(node) -> set[int]:
 # copying the valuation.  A formula closure returns True, False, or None when a
 # quantifier could not be decided; a term closure returns an int.
 
-_DIV_MOD = {"div": euclid_div, "mod": euclid_mod}
-
 
 def _const(v):
     return lambda env: v
@@ -333,17 +333,7 @@ def _term_code(t, slots: dict):
         return _const(t[1])
     if tag == "var":
         return itemgetter(slots[t[1]])
-    return _op_code(tag, _term_code(t[1], slots), _term_code(t[2], slots))
-
-
-def _op_code(tag: str, a, b):
-    if tag == "+":
-        return lambda env: a(env) + b(env)
-    if tag == "-":
-        return lambda env: a(env) - b(env)
-    if tag == "*":
-        return lambda env: a(env) * b(env)
-    op = _DIV_MOD[tag]
+    op, a, b = ARITH_OPS[tag], _term_code(t[1], slots), _term_code(t[2], slots)
     return lambda env: op(a(env), b(env))
 
 
@@ -499,15 +489,13 @@ def _linear_parts(t, name: str, slots: dict):
     when it is linear in it whatever the other names' values, else 2; the
     code is that of `_linear_code` when `t` mentions `name`, else the code of
     its value."""
+    if name not in _term_names(t):
+        return _term_code(t, slots), 0
     tag = t[0]
-    if tag == "int":
-        return _const(t[1]), 0
     if tag == "var":
-        return (_const((1, 0)), 1) if t[1] == name else (itemgetter(slots[t[1]]), 0)
+        return _const((1, 0)), 1
     fa, da = _linear_parts(t[1], name, slots)
     fb, db = _linear_parts(t[2], name, slots)
-    if not (da or db):
-        return _op_code(tag, fa, fb), 0
     if tag in ("+", "-"):
         degree = max(da, db)
     else:
@@ -533,7 +521,7 @@ def _linear_parts(t, name: str, slots: dict):
                 return (a1 * c2, c1 * c2)
             return None
         if a1 == 0 and a2 == 0:  # div or mod of values not depending on name
-            return (0, _DIV_MOD[tag](c1, c2))
+            return (0, ARITH_OPS[tag](c1, c2))
         return None
 
     return linear, degree
@@ -840,10 +828,7 @@ def _poly_of_term(t):
         case "*":
             return pmul(pa, pb)
         case "div" | "mod":
-            if is_const(pa) and is_const(pb):
-                f = euclid_div if tag == "div" else euclid_mod
-                return pconst(f(const_of(pa), const_of(pb)))
-            return pvar((tag, freeze(pa), freeze(pb)))
+            return pdivmod(tag, pa, pb)
     raise SolveError(tag)
 
 
@@ -914,8 +899,6 @@ def _probe_contradicts(core: Core, atoms) -> bool:
     """Cheap definite-contradiction test for unit propagation: each literal is
     normalized and checked against the core's indexes and against the other
     probe literals, with no cloning and no saturation."""
-    from .arith import const_of, freeze, is_const, normalize_eq, normalize_le, pneg, psub
-
     local_best: dict = {}
     local_eqs: set = set()
     local_nes: set = set()
@@ -991,8 +974,6 @@ def _probe_contradicts(core: Core, atoms) -> bool:
 def _definitely_true(core: Core, atoms) -> bool:
     """All atoms tautological under the core's definitions; such a clause
     constrains nothing and can be dropped."""
-    from .arith import is_const, normalize_eq, normalize_le, psub
-
     for a in atoms:
         if a[0] == "true":
             continue
@@ -1015,9 +996,6 @@ def _definitely_true(core: Core, atoms) -> bool:
             if not (is_const(p) and const_of(p) != 0):
                 return False
     return True
-
-
-from functools import lru_cache
 
 
 @lru_cache(maxsize=4096)

@@ -31,7 +31,7 @@ from itertools import product
 from operator import itemgetter
 from typing import Callable, Iterator, NamedTuple
 
-from .constraints import BUILTIN_SEMANTICS, fold_term
+from .constraints import fold_term
 from .errors import InvalidOption, UnsupportedQuantifier
 from .formulas import (
     BINDERS,
@@ -53,7 +53,7 @@ from .formulas import (
     subst_constrained,
 )
 from .rewriting import Lctrs, ReachabilityFormula, RewriteRule
-from .signature import Signature
+from .signature import BUILTIN_FUNCTIONS, Signature
 from .terms import BOOL, App, Lit, Substitution, Term, Var, positions, replace_at, subterm_at
 
 StatePredicate = frozenset  # of ground Terms
@@ -193,6 +193,11 @@ def _junction(join: Callable[[Code, Code], Code], codes: list[Code], unit: bool)
     return code
 
 
+def _builtin(t: App) -> Callable | None:
+    """The function of a builtin application, else None."""
+    return BUILTIN_FUNCTIONS.get((t.symbol, len(t.args)))
+
+
 class _Compiler:
     """Compiles terms and formulas over one signature and domain.
 
@@ -223,18 +228,13 @@ class _Compiler:
 
         return pool
 
-    def _builtin(self, t: Term):
-        if isinstance(t, App) and self.sig.is_builtin_symbol(t.symbol, len(t.args)):
-            return BUILTIN_SEMANTICS[(t.symbol, len(t.args))]
-        return None
-
     def value(self, t: Term, slots: dict[Var, int]) -> Code:
         """Code computing the value of `t`: an int, a bool, or a ground term."""
         if isinstance(t, Var):
             return itemgetter(slots[t])
         if isinstance(t, Lit):
             return _const(t.value)
-        fn = self._builtin(t)
+        fn = _builtin(t)
         if fn is None:
             return self.term(t, slots)
         args = [self.value(a, slots) for a in t.args]
@@ -256,7 +256,7 @@ class _Compiler:
             return lambda env: lits[env[i]]
         if isinstance(t, Lit):
             return _const(terms.of(t.value))
-        if t.args and self._builtin(t) is not None:
+        if t.args and _builtin(t) is not None:
             v, of = self.value(t, slots), terms.of
             return lambda env: of(v(env))
         table = terms.table(t.symbol, t.sort)
@@ -355,7 +355,7 @@ class _Compiler:
             return bind_term
         if isinstance(pat, Lit):
             return lambda g, env: g == pat
-        if self._builtin(pat) is not None:
+        if _builtin(pat) is not None:
             i = self.new_slot()
             deferred.append((pat, i))
 

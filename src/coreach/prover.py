@@ -52,16 +52,14 @@ NODE_BUDGET = 4096
 @dataclass(frozen=True)
 class Goal:
     formula: ReachabilityFormula
-    depth: int = 0
-    has_der_ancestor: bool = False
+    depth: int = 0  # derivative steps above the goal
     last_rule: str | None = None
 
     def child(self, lhs: ConstrainedTerm, rule: str) -> "Goal":
         """The goal `rule` leaves for `lhs` against the same right-hand side;
         a derivative step goes one level deeper."""
-        der = rule == DER
         rf = ReachabilityFormula(lhs, self.formula.rhs)
-        return Goal(rf, self.depth + der, self.has_der_ancestor or der, rule)
+        return Goal(rf, self.depth + (rule == DER), rule)
 
 
 @dataclass(frozen=True)
@@ -211,7 +209,7 @@ class Prover:
 
     def apply_circ(self, goal: Goal, index: int) -> Step | None:
         """Uses goal `index` of the goal set as an axiom, guardedness required."""
-        if not goal.has_der_ancestor:
+        if not goal.depth:
             raise GuardednessViolation("circularity needs a derivative step above it")
         rf = goal.formula
         circ = self.goals[index]
@@ -311,7 +309,7 @@ class Prover:
         attempts = [(self.apply_axiom,)]
         if goal.last_rule != SUBS:
             attempts.append((self.apply_subs,))
-        if goal.has_der_ancestor:
+        if goal.depth:
             attempts += [(self.apply_circ, index) for index in range(len(self.goals))]
         if goal.depth < self.cfg.max_der_depth:
             attempts.append((self.apply_der,))

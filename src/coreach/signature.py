@@ -2,35 +2,37 @@
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from itertools import product
+from typing import Callable
 
 from .errors import IllTyped, UnknownSort
+from .minismt.arith import ARITH_OPS
 from .terms import App, BOOL, INT, Lit, Sort, Term, Var
 
-# The builtin subsignature: SMT-LIB core symbols over Int and Bool.  Builtin
+# The builtin subsignature: SMT-LIB core symbols over Int and Bool, each with
+# the function it computes on ground values.  Constant folding and the ground
+# oracle read it; its Int rows are the bundled solver's `ARITH_OPS`.  Builtin
 # constants are integer/boolean literals and are never enumerated as symbols.
-BUILTIN_OPS: tuple[tuple[str, tuple[Sort, ...], Sort], ...] = (
-    ("+", (INT, INT), INT),
-    ("-", (INT, INT), INT),
-    ("-", (INT,), INT),
-    ("*", (INT, INT), INT),
-    ("div", (INT, INT), INT),
-    ("mod", (INT, INT), INT),
-    ("<", (INT, INT), BOOL),
-    ("<=", (INT, INT), BOOL),
-    (">", (INT, INT), BOOL),
-    (">=", (INT, INT), BOOL),
-    ("=", (INT, INT), BOOL),
-    ("=", (BOOL, BOOL), BOOL),
-    ("and", (BOOL, BOOL), BOOL),
-    ("or", (BOOL, BOOL), BOOL),
-    ("not", (BOOL,), BOOL),
-    ("true", (), BOOL),
-    ("false", (), BOOL),
+BUILTIN_OPS: tuple[tuple[str, tuple[Sort, ...], Sort, Callable], ...] = (
+    *((name, (INT, INT), INT, fn) for name, fn in ARITH_OPS.items()),
+    ("-", (INT,), INT, operator.neg),
+    ("<", (INT, INT), BOOL, operator.lt),
+    ("<=", (INT, INT), BOOL, operator.le),
+    (">", (INT, INT), BOOL, operator.gt),
+    (">=", (INT, INT), BOOL, operator.ge),
+    ("=", (INT, INT), BOOL, operator.eq),
+    ("=", (BOOL, BOOL), BOOL, operator.eq),
+    ("and", (BOOL, BOOL), BOOL, lambda a, b: a and b),
+    ("or", (BOOL, BOOL), BOOL, lambda a, b: a or b),
+    ("not", (BOOL,), BOOL, operator.not_),
+    ("true", (), BOOL, lambda: True),
+    ("false", (), BOOL, lambda: False),
 )
 
-BUILTIN_NAMES = {name for name, _, _ in BUILTIN_OPS}
+# The table's functions by (symbol, arity); the two rows of `=` share one.
+BUILTIN_FUNCTIONS: dict[tuple[str, int], Callable] = {(name, len(args)): fn for name, args, _, fn in BUILTIN_OPS}
 
 
 @dataclass(frozen=True, slots=True)
@@ -71,15 +73,16 @@ class Signature:
     # kept current by the mutators below; the fields themselves are never
     # mutated elsewhere.
     _by_name: dict[str, list[Operation]] = field(default_factory=dict, init=False, repr=False, compare=False)
-    _builtin: set[tuple[str, int]] = field(default_factory=set, init=False, repr=False, compare=False)
     _above: dict[str, set[str]] = field(default_factory=dict, init=False, repr=False, compare=False)
+    # Each sort in a subsort pair -> the one set of the sorts connected to it.
+    _component: dict[str, set[str]] = field(default_factory=dict, init=False, repr=False, compare=False)
     _resolved: dict[tuple, Operation] = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if "Int" not in self.sorts:
             self.sorts["Int"] = INT
             self.sorts["Bool"] = BOOL
-            for name, args, res in BUILTIN_OPS:
+            for name, args, res, _fn in BUILTIN_OPS:
                 self.operations.append(Operation(name, args, res, builtin=True))
         for op in self.operations:
             self._index(op)
@@ -89,15 +92,17 @@ class Signature:
     def _index(self, op: Operation) -> None:
         self._resolved.clear()
         self._by_name.setdefault(op.name, []).append(op)
-        if op.builtin:
-            self._builtin.add((op.name, op.arity))
 
     def _close(self, sub: str, sup: str) -> None:
-        """Extend the transitive closure `_above` by the pair sub < sup."""
+        """Extend the transitive closure `_above` and the components by the
+        pair sub < sup."""
         self._resolved.clear()
         uppers = {sup} | self._above.get(sup, set())
         for s in [sub] + [s for s, ups in self._above.items() if sub in ups]:
             self._above.setdefault(s, set()).update(uppers)
+        joined = self._component.get(sub, {sub}) | self._component.get(sup, {sup})
+        for s in joined:
+            self._component[s] = joined
 
     # -- declaration helpers (used by the frontend and tests) ----------------
 
@@ -139,20 +144,7 @@ class Signature:
 
     def connected(self, s1: Sort, s2: Sort) -> bool:
         """Same component of the subsort order (symmetric-transitive closure)."""
-        if s1 == s2:
-            return True
-        rel = {(a, b) for a, b in self.subsort_pairs} | {(b, a) for a, b in self.subsort_pairs}
-        seen = {s1.name}
-        stack = [s1.name]
-        while stack:
-            cur = stack.pop()
-            for a, b in rel:
-                if a == cur and b not in seen:
-                    if b == s2.name:
-                        return True
-                    seen.add(b)
-                    stack.append(b)
-        return False
+        return s1 == s2 or s2.name in self._component.get(s1.name, ())
 
     # -- overload resolution ---------------------------------------------------
 
@@ -195,7 +187,7 @@ class Signature:
         return self.resolve(t.symbol, tuple(self.least_sort(a) for a in t.args)).result
 
     def is_builtin_symbol(self, name: str, arity: int) -> bool:
-        return (name, arity) in self._builtin
+        return (name, arity) in BUILTIN_FUNCTIONS
 
     # -- validation --------------------------------------------------------------
 
@@ -205,7 +197,7 @@ class Signature:
         user_ops = [op for op in self.operations if not op.builtin]
 
         for op in user_ops:
-            if op.name in BUILTIN_NAMES and self.is_builtin_symbol(op.name, op.arity):
+            if self.is_builtin_symbol(op.name, op.arity):
                 out.append(Violation("builtin-overlap", f"user symbol {op.name}/{op.arity} clashes with a builtin"))
             if any(self.is_subsort(op.result, b) for b in (INT, BOOL)):
                 out.append(

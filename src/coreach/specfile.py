@@ -27,6 +27,8 @@ from dataclasses import dataclass, field
 
 from .errors import IllTyped, ParseError, ResolutionError, UnknownSort
 from .formulas import (
+    COMPARISONS,
+    TERM_PREC,
     And,
     Atom,
     ConstrainedTerm,
@@ -49,7 +51,7 @@ from .signature import Signature
 from .terms import App, BOOL, Lit, Sort, Term, Var
 
 SECTION_KEYWORDS = {"sorts", "subsort", "symbols", "vars", "rules", "prove", "circ", "options"}
-KEYWORDS = SECTION_KEYWORDS | {"if", "exists", "forall", "true", "false", "div", "mod", "cases"}
+_LEVELS = sorted(set(TERM_PREC.values()))  # the infix precedences, loosest first
 
 _TOKEN = re.compile(
     r"""(?P<ws>\s+|//[^\n]*)
@@ -318,22 +320,15 @@ class Parser:
         formula = self.parse_formula()
         return ConstrainedTerm(term, formula)
 
-    def parse_term(self) -> Term:
-        return self._additive()
-
-    def _additive(self) -> Term:
-        t = self._multiplicative()
-        while self.peek().text in ("+", "-"):
+    def parse_term(self, level: int = 0) -> Term:
+        """A term whose infix operators bind at least as tightly as
+        `_LEVELS[level]`; each level associates to the left."""
+        if level == len(_LEVELS):
+            return self._unary()
+        t = self.parse_term(level + 1)
+        while TERM_PREC.get(self.peek().text) == _LEVELS[level]:
             op = self.next().text
-            rhs = self._multiplicative()
-            t = self._mk(op, (t, rhs))
-        return t
-
-    def _multiplicative(self) -> Term:
-        t = self._unary()
-        while self.peek().text in ("*", "div", "mod"):
-            op = self.next().text
-            rhs = self._unary()
+            rhs = self.parse_term(level + 1)
             t = self._mk(op, (t, rhs))
         return t
 
@@ -464,10 +459,10 @@ class Parser:
 
     def _atom(self) -> Formula:
         tok = self.peek()
-        if tok.text == "true" and self.peek(1).text not in ("=", "<", "<=", ">", ">="):
+        if tok.text == "true" and self.peek(1).text not in COMPARISONS:
             self.next()
             return TRUE
-        if tok.text == "false" and self.peek(1).text not in ("=", "<", "<=", ">", ">="):
+        if tok.text == "false" and self.peek(1).text not in COMPARISONS:
             self.next()
             return FalseF()
         if tok.text == "(":
@@ -478,14 +473,14 @@ class Parser:
                 self.next()
                 f = self.parse_formula()
                 self.expect(")")
-                if self.peek().text in ("+", "-", "*", "div", "mod", "=", "<", "<=", ">", ">="):
+                if self.peek().text in TERM_PREC or self.peek().text in COMPARISONS:
                     raise self.fail("parenthesized term")
                 return f
             except ParseError:
                 self.pos = saved
         lhs = self.parse_term()
         op = self.peek().text
-        if op in ("=", "<", "<=", ">", ">="):
+        if op in COMPARISONS:
             self.next()
             rhs = self.parse_term()
             if op == "=":

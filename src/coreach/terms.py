@@ -47,6 +47,7 @@ class Lit:
 
     # The value's type takes part in equality and hashing: Python has
     # True == 1, but the literals `true` and `1` are different terms.
+    # CPython hashes -1 like -2, so -1 gets a hash no small integer has.
     def __eq__(self, other) -> bool:
         return (
             type(other) is Lit and type(self.value) is type(other.value) and self.value == other.value
@@ -54,7 +55,9 @@ class Lit:
 
     def __hash__(self) -> int:
         v = self.value
-        return hash((bool, v)) if type(v) is bool else hash(v)
+        if type(v) is bool:
+            return hash((bool, v))
+        return hash(v) if v != -1 else 2**61 - 2
 
     @property
     def sort(self) -> Sort:

@@ -10,12 +10,17 @@ from pathlib import Path
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from coreach.constraints import fold_term
+from coreach.formulas import Eq
 from coreach.minismt import solver
 from coreach.minismt.arith import Core, euclid_div, euclid_mod
 from coreach.minismt.sexpr import SexprError, parse_all, tokenize
 from coreach.minismt.solver import MODEL_BOUNDS, ModelCheck, ModelScan, run_script, solve_text
+from coreach.oracle import Domain, eval_formula
+from coreach.signature import Signature
+from coreach.terms import INT, App, Lit, Var
 
 PSI = "(exists ((u Int)) (and (< 1 u) (< u n) (= (mod n u) 0)))"
 
@@ -483,13 +488,27 @@ def test_model_search_order_is_pinned():
     assert out.splitlines()[1:3] == ["(", "  (define-fun b () Bool true)"]
 
 
-@given(st.integers(-30, 30), st.integers(-10, 10))
-def test_division_convention_is_shared(a, b):
-    # the solver and the package-level evaluators must agree exactly
-    from coreach.constraints import euclid_div as pkg_div, euclid_mod as pkg_mod
+def _smt_int(k: int) -> str:
+    return str(k) if k >= 0 else f"(- {-k})"
 
-    assert euclid_div(a, b) == pkg_div(a, b)
-    assert euclid_mod(a, b) == pkg_mod(a, b)
+
+@given(st.integers(-30, 30), st.integers(-10, 10), st.sampled_from(["div", "mod"]))
+@example(-7, 0, "div")
+@example(-7, 0, "mod")
+def test_division_convention_is_shared(a, b, op):
+    # constant folding, the ground oracle and the bundled solver agree on
+    # div and mod, the divisor 0 included
+    term = App(op, (Lit(a), Lit(b)), INT)
+    folded = fold_term(term)
+    assert isinstance(folded, Lit)
+    v = folded.value
+    q = Var("q", INT)
+    assert eval_formula(Signature(), Eq(q, term), {q: v}, Domain(0))
+    assert not eval_formula(Signature(), Eq(q, term), {q: v + 1}, Domain(0))
+    app = f"({op} {_smt_int(a)} {_smt_int(b)})"
+    out = run_script(f"(declare-const q Int)(assert (= q {app}))(check-sat)(get-model)")
+    assert out == ["sat", f"(\n  (define-fun q () Int {_smt_int(v)})\n)"]
+    assert run_script(f"(assert (not (= {_smt_int(v)} {app})))(check-sat)") == ["unsat"]
 
 
 # -- level-wise model search against a plain scan ------------------------------

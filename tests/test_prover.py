@@ -136,7 +136,7 @@ def test_circ_builds_both_children(prover, comp_sig, comp_goals):
     psi1 = comp_goals[0].lhs.constraint
     g = goal_of(
         ReachabilityFormula(ConstrainedTerm(mk("loop", (n, Lit(2))), psi1), comp_goals[0].rhs),
-        has_der_ancestor=True,
+        depth=1,
     )
     hit = prover.apply_circ(g, 1)
     assert hit is not None
@@ -150,7 +150,7 @@ def test_circ_skips_unmatched_lhs(prover, comp_sig, comp_goals):
     mk = comp_sig.make_app
     g = goal_of(
         ReachabilityFormula(ConstrainedTerm(mk("init", (n,)), TRUE), comp_goals[0].rhs),
-        has_der_ancestor=True,
+        depth=1,
     )
     # circularity 1 has lhs loop(...); unifying with init(n) clashes
     assert prover.apply_circ(g, 1) is None
@@ -161,7 +161,7 @@ def test_der_children_and_depth(prover, comp_goals):
     assert hit is not None
     children = hit.children
     assert len(children) == 1 and hit.conditions[0].role == "totality"
-    assert children[0].depth == 1 and children[0].has_der_ancestor
+    assert children[0].depth == 1
 
 
 def test_der_not_applicable_on_final(prover, comp_sig, comp_goals):

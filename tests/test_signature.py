@@ -100,6 +100,19 @@ def test_is_subsort_transitive():
     assert rebuilt.is_subsort(a, e) and not rebuilt.is_subsort(e, a)
 
 
+def test_connected_sorts():
+    sig = Signature()
+    a, b, c, d = (sig.add_sort(x) for x in "ABCD")
+    sig.add_subsort("A", "C")
+    sig.add_subsort("B", "C")
+    assert sig.connected(a, b) and sig.connected(b, a)  # only through C
+    assert not sig.connected(a, d) and not sig.connected(d, c)
+    assert sig.connected(d, d)
+    sig.add_subsort("D", "B")  # after the lookups above
+    assert sig.connected(a, d) and sig.connected(d, c)
+    assert not sig.connected(a, INT)
+
+
 def test_is_subsort_unknown_sort_raises(comp_sig):
     with pytest.raises(UnknownSort):
         comp_sig.is_subsort(Sort("Ghost"), INT)

@@ -163,6 +163,14 @@ def test_bool_and_int_literals_are_different_terms():
     assert App("f", (Lit(1),), CFG) != App("f", (Lit(True),), CFG)
 
 
+def test_small_int_literals_hash_apart():
+    # CPython has hash(-1) == hash(-2); unequal states should not share a hash
+    hashes = {hash(Lit(v)) for v in range(-1000, 1001)}
+    assert len(hashes) == 2001 and not hashes & {hash(Lit(True)), hash(Lit(False))}
+    assert hash(Lit(-1)) != hash(Lit(-2))
+    assert hash(mk("loop", (Lit(-1), Lit(0)))) != hash(mk("loop", (Lit(-2), Lit(0))))
+
+
 def _copy(t):
     return App(t.symbol, tuple(_copy(a) for a in t.args), t.sort) if isinstance(t, App) else t
 
