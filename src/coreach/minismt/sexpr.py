@@ -52,10 +52,15 @@ def _parse(tokens: list[str], pos: int):
     return _atom(tok), pos + 1
 
 
+# A numeral, or a negated one (a leniency: SMT-LIB writes `(- 5)`); every
+# other token, `--5` or `²` included, is a symbol.
+_NUMERAL = re.compile(r"-?[0-9]+")
+
+
 def _atom(tok: str):
     if tok.startswith("|") and tok.endswith("|"):
         return tok[1:-1]
-    if tok.lstrip("-").isdigit() and tok not in ("-",):
+    if _NUMERAL.fullmatch(tok):
         return int(tok)
     return tok
 

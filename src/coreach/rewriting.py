@@ -1,8 +1,11 @@
 """Rewrite rules and symbolic successors of constrained terms.
 
-A derivative is one symbolic step: for every rule (renamed apart) and every
-non-variable position of the subject whose sort fits, the matching equation
-is reduced to builtin constraints and folded into the subject's constraint.
+A derivative is one symbolic step: for every rule, renamed apart from the
+subject, and every constructor-sorted non-variable position of the subject
+whose root symbol and sort fit the rule's left-hand side, unification binds
+the renamed rule's variables, builtin ones included, and the builtin
+equations left over join the guard and the subject's constraint.  A rule
+whose root symbol heads no such position is skipped before it is renamed.
 Candidates whose constraint the solver refutes are dropped; unknown keeps
 them, flagged, which errs on the side of more successors.
 """
@@ -27,7 +30,10 @@ from .formulas import (
 from .signature import Signature
 from .smt import SolverConfig, Verdict, check_sat
 from .terms import (
+    App,
     FreshCounter,
+    Position,
+    Sort,
     Term,
     Var,
     non_variable_positions,
@@ -94,25 +100,41 @@ def derivatives_detailed(
     protected: frozenset[str] | None = None,
 ) -> list[Derivative]:
     sig = system.signature
+    subject_vars = free_vars(ct)
     if protected is None:
-        protected = frozenset(v.name for v in free_vars(ct))
+        protected = frozenset(v.name for v in subject_vars)
+    ctr.skip_past(subject_vars)  # rename rules apart from the subject's fresh names too
     out: list[Derivative] = []
-    subject_sort_of = {p: sig.least_sort(subterm_at(ct.term, p)) for p in non_variable_positions(ct.term)}
+    # The constructor-sorted non-variable positions in preorder, and by root
+    # symbol; builtin values are computed, never rewritten.
+    every: list[tuple[Position, App, Sort]] = []
+    for pos in non_variable_positions(ct.term):
+        sub = subterm_at(ct.term, pos)
+        sub_sort = sig.least_sort(sub)
+        if not sub_sort.builtin:
+            every.append((pos, sub, sub_sort))
+    sites: dict[str, list[tuple[Position, App, Sort]]] = {}
+    for site in every:
+        sites.setdefault(site[1].symbol, []).append(site)
     for idx, rule in enumerate(system.rules):
+        cands = sites.get(rule.lhs.symbol) if isinstance(rule.lhs, App) else every
+        if cands is None:
+            # No position can match: skip the renaming but not its fresh
+            # indices, so every later fresh name stays the same.
+            ctr.next_index += len(rule.variables())
+            continue
         fresh = rename_rule_fresh(rule, ctr)
+        bindable = fresh.variables()
         lhs_sort = sig.least_sort(fresh.lhs)
-        for pos, sub_sort in subject_sort_of.items():
-            if sub_sort.builtin:
-                continue  # builtin values are computed, never rewritten
+        for pos, sub, sub_sort in cands:
             if not (
                 sig.connected(sub_sort, lhs_sort)
                 or sig.is_subsort(sub_sort, lhs_sort)
                 or sig.is_subsort(lhs_sort, sub_sort)
             ):
                 continue
-            sub = subterm_at(ct.term, pos)
             try:
-                forms = unify_modulo_builtins(sig, sub, fresh.lhs)
+                forms = unify_modulo_builtins(sig, sub, fresh.lhs, bindable)
             except SortMismatch:
                 continue
             for sf in forms:

@@ -218,6 +218,13 @@ class FreshCounter:
         self.next_index += 1
         return k
 
+    def skip_past(self, vs) -> None:
+        """Move past every fresh index that the name of a variable in `vs` carries."""
+        for v in vs:
+            _, sep, k = v.name.rpartition(FRESH_SEP)
+            if sep and k.isascii() and k.isdigit():
+                self.next_index = max(self.next_index, int(k) + 1)
+
 
 FRESH_SEP = "#"
 

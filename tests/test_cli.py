@@ -183,6 +183,15 @@ def test_derive_keeps_user_names_in_view():
     assert heads == ["mloop(m, n, i + 1, a + n)", "mres(a)"]
 
 
+def test_derive_keeps_the_rule_side_in_the_subjects_names():
+    # The step binds the rule's u and v to the subject's; the guard's
+    # u = v stays a constraint instead of being pushed into the term.
+    term = "gloop(u, v) /\\ u = v"
+    proc = run_cli("derive", "systems/gcd_sub.lrw", "--solver", "builtin", "--term", term)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "gres(u) /\\ u = v"
+
+
 @pytest.mark.parametrize("solver", ["gibberish", "missing"])
 def test_derive_aborts_on_a_solver_failure(tmp_path, solver):
     # As with prove: a solver that answers unreadably or cannot start is not

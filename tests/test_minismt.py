@@ -276,6 +276,12 @@ def test_sexpr_parser_handles_comments_and_quotes():
     assert forms == [["assert", ["=", "weird name", 3]]]
 
 
+def test_only_decimal_numerals_read_as_integers():
+    # `--5` is a simple symbol and `²` is no ASCII digit: both are symbols.
+    assert parse_all("(- -5 007 --5 \u00b2 -)") == [["-", -5, 7, "--5", "\u00b2", "-"]]
+    assert run_script("(declare-const --5 Int)(assert (= --5 1))(check-sat)") == ["sat"]
+
+
 def test_tokenize_tokens_comments_and_unterminated_quotes():
     text = '(assert (= |a b;c| -3)) ; note (x\n(set-info :k "s |t;")(x"y|z|)\t\r\n'
     assert tokenize(text) == [

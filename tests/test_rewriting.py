@@ -11,7 +11,8 @@ from coreach.formulas import (
     conj,
     free_vars,
 )
-from coreach.oracle import Domain, enumerate_instances, ground_step
+from coreach.constraints import unify_modulo_builtins
+from coreach.oracle import Domain, check_derivative_theorem, enumerate_instances, ground_step
 from coreach.rewriting import (
     derivatives,
     derivatives_detailed,
@@ -174,3 +175,73 @@ def test_unknown_constraints_keep_the_derivative(comp_sig, solver_cfg):
     ds = derivatives_detailed(system, ConstrainedTerm(mk("init", (n,)), TRUE), FreshCounter(), solver_cfg)
     assert len(ds) == 1
     assert ds[0].verdict == Verdict.UNKNOWN
+
+
+def _gcd_sub():
+    from coreach.specfile import parse_spec
+
+    with open("systems/gcd_sub.lrw", encoding="utf-8") as handle:
+        return parse_spec(handle.read())
+
+
+def test_derivatives_rename_rules_apart_from_fresh_subject_names():
+    # The subject carries names a renamed rule would take from a counter
+    # started below them; the rules must be renamed past them.
+    spec = _gcd_sub()
+    mk = spec.signature.make_app
+    ct = ConstrainedTerm(mk("gloop", (Var("v#5000003", INT), Var("u#5000002", INT))), TRUE)
+    assert check_derivative_theorem(spec.system, ct, Domain(2)).ok
+    ctr = FreshCounter(start=5_000_000)
+    derivatives(spec.system, ct, ctr)
+    assert ctr.next_index == 5_000_004 + sum(len(r.variables()) for r in spec.system.rules)
+
+
+def test_skipped_rule_keeps_later_fresh_names(monkeypatch, solver_cfg):
+    # `gstart` heads no position of a `gloop` subject: it is neither renamed
+    # nor unified, yet the later rules get the names they got when it was.
+    import coreach.rewriting as rewriting
+
+    spec = _gcd_sub()
+    rules = spec.system.rules
+    mk = spec.signature.make_app
+    seen = []
+
+    def spy(sig, t1, t2, bindable=frozenset()):
+        seen.append(t2)
+        return unify_modulo_builtins(sig, t1, t2, bindable)
+
+    monkeypatch.setattr(rewriting, "unify_modulo_builtins", spy)
+    ctr = FreshCounter(start=7)
+    ct = ConstrainedTerm(mk("gloop", (Var("x", INT), Var("y", INT))), TRUE)
+    derivatives_detailed(spec.system, ct, ctr, solver_cfg)
+    every = FreshCounter(start=7)
+    renamed = [rename_rule_fresh(r, every) for r in rules]
+    assert rules[0].lhs.symbol == "gstart"
+    assert seen == [r.lhs for r in renamed[1:]]
+    assert ctr.next_index == every.next_index
+
+
+def test_non_linear_left_hand_side_keeps_its_equation(comp_sig, solver_cfg):
+    from coreach.rewriting import Lctrs, RewriteRule
+
+    mk = comp_sig.make_app
+    system = Lctrs(comp_sig)
+    system.add_rule(RewriteRule(mk("loop", (k, k)), mk("init", (k,)), TRUE))
+    ct = ConstrainedTerm(mk("loop", (n, i)), TRUE)
+    (d,) = derivatives(system, ct, FreshCounter(), solver_cfg)
+    assert d == ConstrainedTerm(mk("init", (n,)), Eq(i, n))
+    assert check_derivative_theorem(system, ct, Domain(2)).ok
+
+
+def test_composite_step_solves_i_and_keeps_the_product(comp_sig, comp_system, solver_cfg):
+    # loop(i * k, i) against loop(n, i): the rule's i is bound to the
+    # subject's, and n = i * k#N stays for the solver.
+    mk = comp_sig.make_app
+    ct = ConstrainedTerm(mk("loop", (n, i)), TRUE)
+    ctr = FreshCounter()
+    ds = derivatives_detailed(comp_system, ct, ctr, solver_cfg)
+    (comp,) = [d.ct for d in ds if d.rule_index == 1]
+    (k_fresh,) = [v for v in free_vars(comp) if v.name.startswith("k" + FRESH_SEP)]
+    assert comp.term == mk("comp", ())
+    assert Eq(n, mk("*", (i, k_fresh))) in comp.constraint.parts
+    assert {v.name for v in free_vars(comp)} == {"n", "i", k_fresh.name}
