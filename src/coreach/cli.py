@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import closing
 
 from .errors import CoreachError, MalformedSolverOutput, ParseError, SolverUnavailable
 from .formulas import pretty_constrained, pretty_formula, pretty_term
@@ -128,7 +129,8 @@ def cmd_prove(args) -> int:
             print(f"violation: {v}", file=sys.stderr)
         return 3
     cfg = search_config(spec, args.solver, args.timeout_ms, args.max_depth, args.max_branch)
-    result = Prover(spec.system, spec.goal_set(), cfg).prove_all(spec.splits())
+    with closing(cfg.solver.session):
+        result = Prover(spec.system, spec.goal_set(), cfg).prove_all(spec.splits())
     had_failure = False
     inconclusive = False
     for decl, res in zip(spec.goals, result.per_goal):
@@ -164,7 +166,8 @@ def cmd_derive(args) -> int:
     ct = parse_cterm_in(spec, args.term)
     cfg = _solver_config(spec, args.solver, args.timeout_ms)
     try:
-        successors = derivatives(spec.system, ct, FreshCounter(), cfg)
+        with closing(cfg.session):
+            successors = derivatives(spec.system, ct, FreshCounter(), cfg)
     except (SolverUnavailable, MalformedSolverOutput) as exc:
         print(f"aborted: {exc}", file=sys.stderr)  # a solver failure, not an input error
         return 2

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import re
+from collections.abc import Iterable, Iterator
 
 
 class SexprError(ValueError):
@@ -32,6 +33,35 @@ def parse_all(text: str) -> list:
         form, pos = _parse(tokens, pos)
         forms.append(form)
     return forms
+
+
+def read_forms(lines: Iterable[str]) -> Iterator:
+    """The forms of a stream of text, each yielded as soon as the line that
+    completes it has been read: `parse_all` for a reader that must answer a
+    command before the next one is written."""
+    text = ""
+    for line in lines:
+        text += line
+        while (end := _form_end(text)) is not None:
+            yield from parse_all(text[:end])
+            text = text[end:]
+    yield from parse_all(text)
+
+
+def _form_end(text: str) -> int | None:
+    """Where the first complete form of `text` ends; None while it has none."""
+    depth = 0
+    for match in _TOKEN.finditer(text):
+        tok = match.group(1)
+        if tok in _UNTERMINATED:
+            return None  # a later line may close the quote
+        if tok == "(":
+            depth += 1
+        elif tok:
+            depth -= tok == ")"
+            if depth <= 0:
+                return match.end()
+    return None
 
 
 def _parse(tokens: list[str], pos: int):

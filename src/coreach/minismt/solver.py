@@ -26,6 +26,7 @@ to unknown, never to a wrong verdict.
 from __future__ import annotations
 
 import time
+from collections.abc import Iterable, Iterator
 from functools import lru_cache
 from itertools import product
 from operator import itemgetter
@@ -1322,11 +1323,15 @@ def check_formula(assertions, decls: dict[str, str], timeout_s: float):
         refute_slice = min(2 * refute_slice, REFUTE_STEP_BUDGET)
 
 
-def run_script(text: str, timeout_s: float = 30.0) -> list[str]:
-    forms = parse_all(text)
+def run_commands(forms: Iterable, timeout_s: float = 30.0) -> Iterator[str]:
+    """The output of each SMT-LIB command in `forms`, yielded as soon as the
+    command has run, so a reader of a stream can answer before the next
+    command arrives.  (push n) saves the declarations and assertions that
+    (pop n) restores; (reset) forgets everything.  Each check-sat has its
+    own `timeout_s`."""
     decls: dict[str, str] = {}
     assertions = []
-    out: list[str] = []
+    scopes: list[tuple[dict, int]] = []  # what each open (push) saved
     model: dict | None = None
     reason: str | None = None
     for form in forms:
@@ -1345,29 +1350,54 @@ def run_script(text: str, timeout_s: float = 30.0) -> list[str]:
             assertions.append(form[1])
         elif cmd == "check-sat":
             verdict, model, reason = check_formula(assertions, decls, timeout_s)
-            out.append(verdict)
+            yield verdict
         elif cmd == "get-model":
             if model is None:
-                out.append("(error \"no model\")")
+                yield "(error \"no model\")"
             else:
                 rows = []
                 for name in sorted(decls):
                     v = model.get(name, 0 if decls[name] == INT else False)
                     sv = str(v).lower() if decls[name] == BOOLS else (str(v) if v >= 0 else f"(- {-v})")
                     rows.append(f"  (define-fun {symbol(name)} () {decls[name]} {sv})")
-                out.append("(\n" + "\n".join(rows) + "\n)")
+                yield "(\n" + "\n".join(rows) + "\n)"
         elif cmd == "get-info":
             if form[1:] != [":reason-unknown"]:
-                out.append("unsupported")
+                yield "unsupported"
             elif reason is None:
-                out.append('(error "the last check-sat did not answer unknown")')
+                yield '(error "the last check-sat did not answer unknown")'
             else:
-                out.append(f"(:reason-unknown {reason})")
+                yield f"(:reason-unknown {reason})"
+        elif cmd == "push":
+            scopes += [(dict(decls), len(assertions))] * _levels(form)
+        elif cmd == "pop":
+            levels = _levels(form)
+            if levels > len(scopes):
+                raise SolveError(f"cannot pop {levels} of {len(scopes)} scopes")
+            if levels:
+                saved, kept = scopes[-levels]
+                decls = dict(saved)
+                del scopes[-levels:], assertions[kept:]
+            model = reason = None
+        elif cmd == "reset":
+            decls, assertions, scopes = {}, [], []
+            model = reason = None
         elif cmd == "exit":
-            break
+            return
         else:
             raise SolveError(f"unsupported command {cmd}")
-    return out
+
+
+def _levels(form) -> int:
+    """The level count of (push n) or (pop n); a bare (push) is one level."""
+    levels = form[1] if len(form) > 1 else 1
+    if not isinstance(levels, int) or levels < 0:
+        raise SolveError(f"bad {form[0]} level {levels!r}")
+    return levels
+
+
+def run_script(text: str, timeout_s: float = 30.0) -> list[str]:
+    return list(run_commands(parse_all(text), timeout_s))
 
 
 def solve_text(text: str, timeout_s: float = 30.0) -> str:

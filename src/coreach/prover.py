@@ -14,7 +14,8 @@ re-verified independently.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from contextlib import closing
+from dataclasses import dataclass, field, replace
 
 from .constraints import instance_condition, simplify, simplify_constrained
 from .errors import GuardednessViolation, InvalidOption, InvalidSplit, MalformedSolverOutput, SolverUnavailable
@@ -433,18 +434,21 @@ def audit_structure(tree: ProofNode) -> list[str]:
 
 
 def reverify(sig: Signature, tree: ProofNode, cfg: SolverConfig) -> list[str]:
-    """Re-run every recorded side condition with a fresh solver; returns
+    """Re-run every recorded side condition in a fresh session of `cfg`'s
+    solver, so no verdict of the run that built the tree is reused; returns
     descriptions of any disagreements."""
+    fresh = replace(cfg)
     bad = []
-    for node in tree.walk():
-        for cond in node.conditions:
-            if cond.verdict == Verdict.UNKNOWN:
-                continue  # recorded as unreliable to begin with
-            res = check_sat(sig, cond.formula, cfg)
-            if res.verdict != cond.verdict:
-                bad.append(
-                    f"{node.kind}/{cond.role}: recorded {cond.verdict.value}, got {res.verdict.value}"
-                )
+    with closing(fresh.session):
+        for node in tree.walk():
+            for cond in node.conditions:
+                if cond.verdict == Verdict.UNKNOWN:
+                    continue  # recorded as unreliable to begin with
+                res = check_sat(sig, cond.formula, fresh)
+                if res.verdict != cond.verdict:
+                    bad.append(
+                        f"{node.kind}/{cond.role}: recorded {cond.verdict.value}, got {res.verdict.value}"
+                    )
     return bad
 
 

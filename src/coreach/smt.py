@@ -1,22 +1,36 @@
-"""SMT backend: encode constraints to SMT-LIB 2 and drive an external solver.
+"""SMT backend: encode constraints to SMT-LIB 2 and drive a solver.
 
 `check_sat` is the only entry point: every query passes through it, and it
-alone decides what an answer means.  One stateless solver run per query; the
-constants true and false are answered without one.  The solver is an external
-executable (z3 by default) speaking SMT-LIB over stdin/stdout; the bundled
-pure-Python solver serves as the fallback and can run either in-process
-(command "builtin") or as a real subprocess (command "builtin-subprocess").
-An unknown answer is always legal and never enables a proof rule.
+alone decides what an answer means.  The constants true and false are
+answered without a solver.  The solver is an external executable (z3 by
+default) speaking SMT-LIB over stdin/stdout; the bundled pure-Python solver
+serves as the fallback and runs either in-process (command "builtin") or as
+a real subprocess (command "builtin-subprocess").  An unknown answer is
+always legal and never enables a proof rule.
+
+A `SolverConfig` is one run's solver session (`Session`).  It remembers the
+verdict of every script it got `sat` or `unsat` for and answers a repeated
+script without a solver run; `unknown` is never remembered, so a query that
+got it is sent again.  For "builtin-subprocess" the session keeps one
+solver process that reads commands as they come and answers each query
+after a `(reset)`; a process that died, or has not answered `timeout_ms` +
+2 s after the query was sent, answers that query unknown and is killed, and
+the next query starts a new one.  Closing the session stops its process.
+An external solver gets one process per query and is read for the first
+line of its output.
 """
 
 from __future__ import annotations
 
 import os
+import select
 import shlex
 import shutil
 import subprocess
 import sys
-from dataclasses import dataclass
+import time
+import weakref
+from dataclasses import dataclass, field
 from enum import Enum
 
 from .errors import InvalidOption, MalformedSolverOutput, NonBuiltinResidue, SolverUnavailable
@@ -63,21 +77,97 @@ class SmtResult:
     verdict: Verdict
 
 
+class Session:
+    """The solver state of one run: the verdict of every script answered sat
+    or unsat, and the run's solver process, if it keeps one."""
+
+    def __init__(self):
+        self.verdicts: dict[str, Verdict] = {}
+        self.proc: subprocess.Popen | None = None  # the latest process started
+        self._stop = None  # stops `proc`, at the latest when the session is collected
+        self._pending = b""  # what the process wrote past the last line read
+
+    def ask(self, argv: list[str], script: str, timeout_s: float) -> str:
+        """The first line the session's process answers to `script`, after a
+        (reset); a process is started when the session has none that it has
+        not stopped.  A process that has died or is silent for `timeout_s`
+        answers unknown; it is stopped, as is one that answers anything but
+        a verdict."""
+        if self._stop is None or not self._stop.alive:
+            try:
+                self.proc = subprocess.Popen(argv, stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL)
+            except FileNotFoundError as exc:
+                raise SolverUnavailable(f"cannot run {argv[0]}") from exc
+            self._stop = weakref.finalize(self, _stop_process, self.proc)
+            self._pending = b""
+        try:
+            self.proc.stdin.write(b"(reset)\n" + script.encode())
+            self.proc.stdin.flush()
+        except OSError:  # it died
+            line = None
+        else:
+            line = self._read_line(time.monotonic() + timeout_s)
+        if line not in ("sat", "unsat", "unknown"):
+            self.close()
+        return "unknown" if line is None else line
+
+    def _read_line(self, deadline: float) -> str | None:
+        """The next non-blank line of the process's output; None at its end
+        or once `deadline` has passed."""
+        fd = self.proc.stdout.fileno()
+        while True:
+            line, newline, rest = self._pending.partition(b"\n")
+            if newline:
+                self._pending = rest
+                if line.strip():
+                    return line.decode(errors="replace").strip()
+                continue
+            left = deadline - time.monotonic()
+            if left <= 0 or not select.select([fd], [], [], left)[0]:
+                return None
+            chunk = os.read(fd, 1 << 16)
+            if not chunk:
+                return None
+            self._pending += chunk
+
+    def close(self) -> None:
+        """Stop the session's process, if it has one; the memo stays."""
+        if self._stop is not None:
+            self._stop()
+
+
+def _stop_process(proc: subprocess.Popen) -> None:
+    proc.kill()
+    proc.wait()
+    proc.stdout.close()
+    try:
+        proc.stdin.close()
+    except OSError:  # unflushed input to a process that is gone
+        pass
+
+
 @dataclass(frozen=True)
 class SolverConfig:
+    """A solver and its per-query timeout, with the session of the run that
+    uses them.  The session is not an argument: every config, copies made by
+    `dataclasses.replace` included, starts a fresh one."""
+
     command: tuple[str, ...] = ("builtin",)
     timeout_ms: int = DEFAULT_TIMEOUT_MS
+    session: Session = field(default_factory=Session, init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        if not self.command or not self.command[0]:
+            raise InvalidOption("empty solver command")
         if self.timeout_ms <= 0:
             raise InvalidOption(f"timeout must be positive, got {self.timeout_ms} ms")
 
 
 def resolve_solver(spec: str | None = None, timeout_ms: int = DEFAULT_TIMEOUT_MS) -> SolverConfig:
     """Pick the solver: explicit flag, then RMT_SOLVER, then z3 if present,
-    then the bundled fallback."""
-    spec = spec or os.environ.get(SOLVER_ENV_VAR)
-    if spec is None:
+    then the bundled fallback.  A blank flag or variable counts as unset."""
+    spec = (spec or "").strip() or os.environ.get(SOLVER_ENV_VAR, "").strip()
+    if not spec:
         spec = "z3" if shutil.which("z3") else "builtin"
     if spec in ("builtin", "builtin-subprocess"):
         return SolverConfig(command=(spec,), timeout_ms=timeout_ms)
@@ -142,6 +232,11 @@ def encode(sig: Signature, f: Formula) -> str:
 # -- driving the solver -------------------------------------------------------------
 
 
+def _builtin_argv(timeout_s: float) -> list[str]:
+    """The bundled solver as a process that answers queries as they come."""
+    return [sys.executable, "-m", "coreach.minismt", str(timeout_s)]
+
+
 def _run_solver(script: str, cfg: SolverConfig) -> str:
     timeout_s = cfg.timeout_ms / 1000.0
     if cfg.command == ("builtin",):
@@ -152,9 +247,8 @@ def _run_solver(script: str, cfg: SolverConfig) -> str:
         except Exception as exc:
             raise MalformedSolverOutput(str(exc)) from exc
     if cfg.command == ("builtin-subprocess",):
-        argv = [sys.executable, "-m", "coreach.minismt", str(timeout_s)]
-    else:
-        argv = list(cfg.command)
+        return cfg.session.ask(_builtin_argv(timeout_s), script, timeout_s + 2.0)
+    argv = list(cfg.command)
     try:
         proc = subprocess.run(
             argv,
@@ -185,9 +279,10 @@ def _parse_answer(output: str) -> Verdict:
 
 def check_sat(sig: Signature, f: Formula, cfg: SolverConfig) -> SmtResult:
     """Satisfiability of f in the builtin model, the only solver entry point.
-    True and false need no solver.  A formula `encode` cannot write and a
-    timeout answer unknown; a solver that cannot start or whose answer is
-    unreadable raises (SolverUnavailable, MalformedSolverOutput)."""
+    True and false need no solver, nor does a script the session already
+    got sat or unsat for.  A formula `encode` cannot write and a timeout
+    answer unknown; a solver that cannot start or whose answer is unreadable
+    raises (SolverUnavailable, MalformedSolverOutput)."""
     if isinstance(f, TrueF):
         return SmtResult(Verdict.SAT)
     if isinstance(f, FalseF):
@@ -196,7 +291,13 @@ def check_sat(sig: Signature, f: Formula, cfg: SolverConfig) -> SmtResult:
         script = encode(sig, f)
     except NonBuiltinResidue:
         return SmtResult(Verdict.UNKNOWN)
-    return SmtResult(_parse_answer(_run_solver(script, cfg)))
+    verdicts = cfg.session.verdicts
+    verdict = verdicts.get(script)
+    if verdict is None:
+        verdict = _parse_answer(_run_solver(script, cfg))
+        if verdict != Verdict.UNKNOWN:
+            verdicts[script] = verdict
+    return SmtResult(verdict)
 
 
 def check_valid(sig: Signature, f: Formula, cfg: SolverConfig) -> tuple[Validity, SmtResult]:

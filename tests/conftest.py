@@ -9,8 +9,10 @@ from coreach.terms import INT, Lit, Var
 SYSTEMS = "systems"
 
 
-@pytest.fixture(scope="session")
+@pytest.fixture()
 def solver_cfg():
+    """A fresh solver session per test: verdicts remembered in one test do
+    not answer another's queries."""
     return SolverConfig(command=("builtin",), timeout_ms=20_000)
 
 

@@ -1,11 +1,13 @@
 """Exit codes and rendered output of every CLI command."""
 
+import io
 import json
 import os
 import stat
 import subprocess
 import sys
 import time
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
@@ -270,6 +272,53 @@ def test_prove_case_split_goal(tmp_path):
     assert proc.returncode == 0, proc.stdout + proc.stderr
     blob = run_cli("prove", str(f), "--dump-proof", "text")
     assert "[disj]" in blob.stdout
+
+
+@pytest.mark.parametrize("blank", ["", "   "])
+def test_a_blank_rmt_solver_counts_as_unset(blank):
+    env = {**os.environ, "RMT_SOLVER": blank}
+    cmd = [sys.executable, "-m", "coreach.cli", "prove", "systems/sum.lrw"]
+    proc = subprocess.run(cmd, capture_output=True, text=True, timeout=240, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.count("[proved]") == 2
+
+
+def test_an_empty_solver_command_is_an_input_error():
+    proc = run_cli("prove", "systems/sum.lrw", "--solver", '""')
+    assert proc.returncode == 3, proc.stdout + proc.stderr
+    assert proc.stderr == "error: empty solver command\n"
+
+
+def test_builtin_subprocess_answers_as_builtin_from_one_process_per_run(monkeypatch):
+    # The same output, byte for byte, from the in-process solver and from
+    # one solver process per run (none for a run that sends no query); that
+    # process has exited once prove returns.
+    from coreach import cli
+
+    configs, started = [], []
+    real_config, real_popen = cli.search_config, subprocess.Popen
+
+    def recording_config(*args):
+        configs.append(real_config(*args))
+        return configs[-1]
+
+    def recording_popen(*args, **kwargs):
+        started.append(real_popen(*args, **kwargs))
+        return started[-1]
+
+    monkeypatch.setattr(cli, "search_config", recording_config)
+    monkeypatch.setattr(subprocess, "Popen", recording_popen)
+    for path in sorted(Path("systems").glob("*.lrw")):
+        runs = []
+        for solver in ("builtin", "builtin-subprocess"):
+            out, err = io.StringIO(), io.StringIO()
+            with redirect_stdout(out), redirect_stderr(err):
+                code = cli.main(["prove", str(path), "--solver", solver, "--dump-proof", "json"])
+            runs.append((code, out.getvalue(), err.getvalue()))
+        assert runs[0] == runs[1], path
+        assert started == [p for p in [configs[-1].solver.session.proc] if p is not None], path
+        assert all(p.poll() is not None for p in started)
+        started.clear()
 
 
 def test_prove_solver_unavailable_exit_two():

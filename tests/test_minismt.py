@@ -16,8 +16,8 @@ from coreach.constraints import fold_term
 from coreach.formulas import Eq
 from coreach.minismt import solver
 from coreach.minismt.arith import Core, euclid_div, euclid_mod
-from coreach.minismt.sexpr import SexprError, parse_all, tokenize
-from coreach.minismt.solver import MODEL_BOUNDS, ModelCheck, ModelScan, run_script, solve_text
+from coreach.minismt.sexpr import SexprError, parse_all, read_forms, tokenize
+from coreach.minismt.solver import MODEL_BOUNDS, ModelCheck, ModelScan, SolveError, run_script, solve_text
 from coreach.oracle import Domain, eval_formula
 from coreach.signature import Signature
 from coreach.terms import INT, App, Lit, Var
@@ -269,6 +269,35 @@ def test_script_subprocess_interface():
         timeout=60,
     )
     assert proc.stdout.strip() == "unsat"
+
+
+def test_push_pop_and_reset_scope_declarations_and_assertions():
+    base = "(declare-const x Int)(assert (< x 3))"
+    assert run_script(base + "(push 1)(assert (> x 3))(check-sat)(pop 1)(check-sat)") == ["unsat", "sat"]
+    assert run_script(base + "(push)(push 2)(assert false)(pop 2)(check-sat)(pop)(check-sat)") == ["sat", "sat"]
+    assert run_script("(assert false)(reset)(declare-const x Bool)(assert x)(check-sat)") == ["sat"]
+    # each popped level restores its own copy of the declarations
+    with pytest.raises(SolveError, match="unknown symbol z"):
+        run_script("(push 2)(pop 1)(declare-const z Int)(pop 1)(assert (= z 1))(check-sat)")
+    with pytest.raises(SolveError, match="cannot pop 2 of 1 scopes"):
+        run_script("(push 1)(pop 2)")
+
+
+def test_read_forms_yields_each_form_once_its_line_is_read():
+    read = []
+
+    def lines():
+        for line in ("(declare-const x Int) (assert\n", "(< x |a\n", "b|))(check-sat)\n", "; end\n"):
+            read.append(line)
+            yield line
+
+    forms = read_forms(lines())
+    assert (next(forms), len(read)) == (["declare-const", "x", "Int"], 1)
+    assert (next(forms), len(read)) == (["assert", ["<", "x", "a\nb"]], 3)
+    assert (next(forms), len(read)) == (["check-sat"], 3)
+    assert list(forms) == []
+    with pytest.raises(SexprError, match="missing \\)"):
+        list(read_forms(["(check-sat\n"]))
 
 
 def test_sexpr_parser_handles_comments_and_quotes():

@@ -1,10 +1,12 @@
 """Encoding and solver-driving behavior, including the subprocess path."""
 
 import stat
+import sys
 
 import pytest
 
-from coreach.errors import MalformedSolverOutput, NonBuiltinResidue, SolverUnavailable
+import coreach.smt as smt
+from coreach.errors import InvalidOption, MalformedSolverOutput, NonBuiltinResidue, SolverUnavailable
 from coreach.formulas import Atom, Eq, Exists, FALSE, Not, TRUE, conj
 from coreach.minismt.sexpr import parse_all, unparse
 from coreach.smt import (
@@ -102,9 +104,18 @@ def test_check_valid_guard_complementarity(comp_sig, solver_cfg):
 
 
 def test_builtin_subprocess_path(comp_sig):
+    # One process answers every query of a session; each query is sent after
+    # a (reset), so the declarations of one do not reach the next.
     cfg = SolverConfig(command=("builtin-subprocess",), timeout_ms=20_000)
-    f = conj([psi(comp_sig.make_app), Eq(n, Lit(5))])
-    assert check_sat(comp_sig, f, cfg).verdict == Verdict.UNSAT
+    try:
+        assert check_sat(comp_sig, conj([psi(comp_sig.make_app), Eq(n, Lit(5))]), cfg).verdict == Verdict.UNSAT
+        proc = cfg.session.proc
+        assert check_sat(comp_sig, conj([psi(comp_sig.make_app), Eq(n, Lit(6))]), cfg).verdict == Verdict.SAT
+        assert check_sat(comp_sig, exists_double(comp_sig.make_app), cfg).verdict == Verdict.SAT
+        assert cfg.session.proc is proc and proc.poll() is None
+    finally:
+        cfg.session.close()
+    assert proc.poll() is not None
 
 
 def test_solver_unavailable(comp_sig):
@@ -176,6 +187,110 @@ def test_resolve_solver_precedence(monkeypatch):
     assert resolve_solver(None).command == ("builtin-subprocess",)
     monkeypatch.setenv("RMT_SOLVER", "z3 -smt2")
     assert resolve_solver(None).command == ("z3", "-smt2", "-in")
+
+
+@pytest.mark.parametrize("blank", ["", "   "])
+def test_a_blank_solver_spec_counts_as_unset(monkeypatch, blank):
+    monkeypatch.delenv("RMT_SOLVER", raising=False)
+    unset = resolve_solver(None).command
+    monkeypatch.setenv("RMT_SOLVER", blank)
+    assert resolve_solver(None).command == unset
+    assert resolve_solver(blank).command == unset
+    monkeypatch.setenv("RMT_SOLVER", "builtin-subprocess")
+    assert resolve_solver(blank).command == ("builtin-subprocess",)
+
+
+@pytest.mark.parametrize("command", [(), ("",)])
+def test_an_empty_solver_command_is_an_input_error(command):
+    with pytest.raises(InvalidOption, match="empty solver command"):
+        SolverConfig(command=command)
+
+
+# -- the run's solver session --------------------------------------------------------
+
+
+def _counting_solver(tmp_path, first: str, later: str):
+    """A one-query solver that answers `first` to its first query and
+    `later` to every other, and the file counting its queries."""
+    calls = tmp_path / "calls"
+    fake = tmp_path / "counting-solver"
+    fake.write_text(
+        "#!/bin/sh\ncat > /dev/null\n"
+        f'echo x >> "{calls}"\n'
+        f'if [ "$(wc -l < "{calls}")" -eq 1 ]; then echo {first}; else echo {later}; fi\n'
+    )
+    fake.chmod(fake.stat().st_mode | stat.S_IEXEC)
+    return SolverConfig(command=(str(fake),), timeout_ms=5000), lambda: len(calls.read_text().splitlines())
+
+
+def test_a_session_sends_a_decided_script_once_and_reverify_sends_it_again(comp_sig, tmp_path):
+    from coreach.formulas import ConstrainedTerm
+    from coreach.prover import ProofNode, SideCondition, reverify
+    from coreach.rewriting import ReachabilityFormula
+
+    cfg, calls = _counting_solver(tmp_path, "sat", "unsat")
+    f = Eq(n, Lit(5))
+    assert check_sat(comp_sig, f, cfg).verdict == Verdict.SAT
+    assert check_sat(comp_sig, f, cfg).verdict == Verdict.SAT
+    assert calls() == 1
+    done = ConstrainedTerm(comp_sig.make_app("comp", ()), TRUE)
+    node = ProofNode("subs", ReachabilityFormula(done, done), (SideCondition("inclusion-sat", f, Verdict.SAT),))
+    assert reverify(comp_sig, node, cfg) == ["subs/inclusion-sat: recorded sat, got unsat"]
+    assert calls() == 2
+    assert check_sat(comp_sig, f, cfg).verdict == Verdict.SAT  # reverify left the run's memo alone
+    assert calls() == 2
+
+
+def test_a_session_sends_an_unknown_script_again(comp_sig, tmp_path):
+    cfg, calls = _counting_solver(tmp_path, "unknown", "sat")
+    f = Eq(n, Lit(5))
+    assert check_sat(comp_sig, f, cfg).verdict == Verdict.UNKNOWN
+    assert check_sat(comp_sig, f, cfg).verdict == Verdict.SAT
+    assert check_sat(comp_sig, f, cfg).verdict == Verdict.SAT
+    assert calls() == 2
+
+
+def _streaming_solver(tmp_path, monkeypatch, body: str) -> SolverConfig:
+    """A builtin-subprocess config whose process runs `body` instead of the
+    bundled solver."""
+    fake = tmp_path / "streaming-solver.py"
+    fake.write_text("import sys\n" + body)
+    monkeypatch.setattr(smt, "_builtin_argv", lambda _timeout_s: [sys.executable, str(fake)])
+    return SolverConfig(command=("builtin-subprocess",), timeout_ms=100)
+
+
+def test_a_process_that_exits_answers_unknown_and_is_replaced(comp_sig, monkeypatch, tmp_path):
+    body = 'for line in sys.stdin:\n    if "(check-sat)" in line:\n        print("sat", flush=True)\n        break\n'
+    cfg = _streaming_solver(tmp_path, monkeypatch, body)
+    try:
+        assert check_sat(comp_sig, Eq(n, Lit(1)), cfg).verdict == Verdict.SAT
+        first = cfg.session.proc
+        assert check_sat(comp_sig, Eq(n, Lit(2)), cfg).verdict == Verdict.UNKNOWN
+        assert first.poll() is not None
+        assert check_sat(comp_sig, Eq(n, Lit(3)), cfg).verdict == Verdict.SAT
+        assert cfg.session.proc is not first
+    finally:
+        cfg.session.close()
+
+
+def test_a_silent_process_answers_unknown_and_is_killed(comp_sig, monkeypatch, tmp_path):
+    cfg = _streaming_solver(tmp_path, monkeypatch, "for line in sys.stdin:\n    pass\n")
+    try:
+        assert check_sat(comp_sig, Eq(n, Lit(1)), cfg).verdict == Verdict.UNKNOWN
+        assert cfg.session.proc.poll() is not None
+    finally:
+        cfg.session.close()
+
+
+def test_a_process_that_answers_an_error_is_stopped(comp_sig, monkeypatch, tmp_path):
+    body = 'for line in sys.stdin:\n    if "(check-sat)" in line:\n        print("(error \\"no\\")", flush=True)\n'
+    cfg = _streaming_solver(tmp_path, monkeypatch, body)
+    try:
+        with pytest.raises(MalformedSolverOutput):
+            check_sat(comp_sig, Eq(n, Lit(1)), cfg)
+        assert cfg.session.proc.poll() is not None
+    finally:
+        cfg.session.close()
 
 
 def test_bruteforce_sat_never_contradicted_by_solver(comp_sig, solver_cfg):
