@@ -15,7 +15,7 @@ import argparse
 import sys
 from contextlib import closing
 
-from .errors import CoreachError, MalformedSolverOutput, ParseError, SolverUnavailable
+from .errors import CoreachError, DerivativeRefused, MalformedSolverOutput, ParseError, SolverUnavailable
 from .formulas import pretty_constrained, pretty_formula, pretty_term
 from .oracle import (
     Domain,
@@ -151,6 +151,8 @@ def cmd_prove(args) -> int:
                 print(f"  open [{reason}]: {pretty_constrained(og.formula.lhs)}", file=sys.stderr)
                 if og.reason == UNKNOWN:
                     print(f"    query: {pretty_formula(og.query)}", file=sys.stderr)
+                elif og.detail:
+                    print(f"    refused: {og.detail}", file=sys.stderr)
         else:
             inconclusive = True
             print(f"  aborted: {res.detail}", file=sys.stderr)
@@ -170,6 +172,9 @@ def cmd_derive(args) -> int:
             successors = derivatives(spec.system, ct, FreshCounter(), cfg)
     except (SolverUnavailable, MalformedSolverOutput) as exc:
         print(f"aborted: {exc}", file=sys.stderr)  # a solver failure, not an input error
+        return 2
+    except DerivativeRefused as exc:
+        print(f"refused: {exc}", file=sys.stderr)  # successors could be missing
         return 2
     for d in successors:
         print(pretty_constrained(d))

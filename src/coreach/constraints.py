@@ -2,11 +2,10 @@
 
 Unification reduces a mixed equation over constructors and builtin operators
 to constructor-variable bindings plus a residual conjunction of builtin
-equations.  Builtin-operator-headed subterms are opaque here: their equations
-ship to the solver untouched.  A caller may name variables that unification
-may also bind across the builtin boundary (a derivative step names its
-freshly renamed rule's): an equation `t = x` with such an `x` not in `t`
-becomes the binding `x := t` instead of a residual.
+equations.  Builtin-sorted terms are opaque here: their equations ship to
+the solver untouched, and no builtin variable is ever bound.  Between two
+variables of one sort the binding keeps the user's name in view; between
+sorts it binds the larger-sorted variable to the smaller-sorted one.
 """
 
 from __future__ import annotations
@@ -59,15 +58,11 @@ def _is_builtin_valued(sig: Signature, t: Term) -> bool:
     return sig.least_sort(t).builtin
 
 
-def unify_modulo_builtins(
-    sig: Signature, t1: Term, t2: Term, bindable: frozenset[Var] | set[Var] = frozenset()
-) -> list[SolvedForm]:
+def unify_modulo_builtins(sig: Signature, t1: Term, t2: Term) -> list[SolvedForm]:
     """Solved forms whose disjunction is equivalent to t1 = t2 in the term model.
 
     Empty list means the equation is unsatisfiable (constructor clash or a
-    cyclic constructor equation).  A builtin equation between a term and a
-    variable of `bindable` that does not occur in it binds the variable
-    (the one-point rule); every other builtin equation stays residual.
+    cyclic constructor equation).  Every builtin equation stays residual.
     """
     s1, s2 = sig.least_sort(t1), sig.least_sort(t2)
     if not (sig.connected(s1, s2) or sig.is_subsort(s1, s2) or sig.is_subsort(s2, s1)):
@@ -90,12 +85,7 @@ def unify_modulo_builtins(
         if a_builtin and b_builtin:
             if isinstance(a, Lit) and isinstance(b, Lit):
                 return []  # distinct literals
-            if b in bindable and b not in term_vars(a):
-                bindings = _bind(bindings, b, a)
-            elif a in bindable and a not in term_vars(b):
-                bindings = _bind(bindings, a, b)
-            else:
-                residual.append(Eq(a, b))
+            residual.append(Eq(a, b))
             continue
         if a_builtin != b_builtin:
             return []  # builtin value vs constructor term
@@ -110,8 +100,8 @@ def unify_modulo_builtins(
                     a, b = b, a
                 else:
                     return []
-                if FRESH_SEP in b.name and FRESH_SEP not in a.name:
-                    a, b = b, a
+                if a.sort == b.sort and FRESH_SEP in b.name and FRESH_SEP not in a.name:
+                    a, b = b, a  # a renaming: keep the user's name
                 bindings = _bind(bindings, a, b)
                 continue
             if a in term_vars(b):

@@ -45,6 +45,11 @@ class InvalidSplit(CoreachError):
     pass
 
 
+class DerivativeRefused(CoreachError):
+    """A symbolic step that could miss successors: it would have to narrow a
+    user-sorted variable of the subject, or a redex could sit inside one."""
+
+
 class UnsupportedQuantifier(CoreachError):
     """A quantifier ranges over a sort the finite-domain evaluator cannot enumerate."""
 

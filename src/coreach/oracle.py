@@ -707,7 +707,8 @@ class DeltaReport:
 
 def check_derivative_theorem(system: Lctrs, ct: ConstrainedTerm, dom: Domain) -> DeltaReport:
     """Instances of the symbolic successors against the one-step image of the
-    instances: the two must coincide exactly."""
+    instances: the two must coincide exactly.  A term whose symbolic step is
+    refused raises `DerivativeRefused`."""
     from .rewriting import derivatives
     from .terms import FreshCounter
 

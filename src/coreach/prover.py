@@ -7,7 +7,8 @@ and a symbolic step over all derivatives (derivative).  A goal annotated
 with cases is first split on them (disjunction).  Every rule application
 is a `Step`: its side conditions and the goals it leaves.  Search tries the
 steps in the order above and backtracks; solver unknowns never enable a
-rule.  Emitted trees carry every discharged side condition so they can be
+rule, and neither does a derivative step that `rewriting` refuses.
+Emitted trees carry every discharged side condition so they can be
 re-verified independently.
 """
 
@@ -18,7 +19,14 @@ from contextlib import closing
 from dataclasses import dataclass, field, replace
 
 from .constraints import instance_condition, simplify, simplify_constrained
-from .errors import GuardednessViolation, InvalidOption, InvalidSplit, MalformedSolverOutput, SolverUnavailable
+from .errors import (
+    DerivativeRefused,
+    GuardednessViolation,
+    InvalidOption,
+    InvalidSplit,
+    MalformedSolverOutput,
+    SolverUnavailable,
+)
 from .formulas import (
     BINDERS,
     ConstrainedTerm,
@@ -116,15 +124,18 @@ class SearchConfig:
 @dataclass(frozen=True)
 class OpenGoal:
     formula: ReachabilityFormula
-    reason: str  # depth | no-rule | budget | unknown
+    reason: str  # depth | no-rule | budget | unknown | der-refused
     role: str | None = None  # for `unknown`: the side condition that got the verdict
     query: Formula | None = None  # for `unknown`: exactly what was sent to the solver
+    detail: str | None = None  # for `der-refused`: why the step was refused
 
 
-# A goal is inconclusive when its search failed and an unknown verdict
-# blocked a rule somewhere in it: that rule might have closed the goal.
+# A goal is inconclusive when its search failed and an unknown verdict or a
+# refused derivative step blocked a rule somewhere in it: that rule might
+# have closed the goal.
 PROVED, FAILED, INCONCLUSIVE, ABORTED = "proved", "failed", "inconclusive", "aborted"
-UNKNOWN = "unknown"
+UNKNOWN, DER_REFUSED = "unknown", "der-refused"
+BLOCKED = (UNKNOWN, DER_REFUSED)
 
 
 @dataclass
@@ -156,7 +167,7 @@ class Prover:
         self.ctr = FreshCounter()
         self.nodes = 0
         self.unknowns = 0
-        self._unknown: tuple[str, Formula] | None = None  # of the last rule application
+        self._blocked: tuple | None = None  # OpenGoal fields but the goal: what blocked the last rule
 
     # -- solver wrappers -----------------------------------------------------------
 
@@ -164,16 +175,16 @@ class Prover:
         verdict = check_sat(self.sig, f, self.cfg.solver).verdict
         if verdict == Verdict.UNKNOWN:
             self.unknowns += 1
-            self._unknown = (role, f)
+            self._blocked = (UNKNOWN, role, f)
         return verdict
 
-    def _take_unknown(self, goal: Goal) -> list[OpenGoal]:
-        """The unknown verdict that blocked the rule application just tried,
-        as an open goal; each application sends at most one query."""
-        hit, self._unknown = self._unknown, None
+    def _take_blocked(self, goal: Goal) -> list[OpenGoal]:
+        """The unknown verdict or refusal that blocked the rule application
+        just tried, as an open goal; each application meets at most one."""
+        hit, self._blocked = self._blocked, None
         if hit is None:
             return []
-        return [OpenGoal(goal.formula, UNKNOWN, *hit)]
+        return [OpenGoal(goal.formula, *hit)]
 
     # -- single rule applications -----------------------------------------------------
 
@@ -235,10 +246,15 @@ class Prover:
 
     def apply_der(self, goal: Goal) -> Step | None:
         """One symbolic step: all derivatives become children, provided every
-        instance of the goal's left-hand side has a successor."""
+        instance of the goal's left-hand side has a successor.  A refused
+        step blocks the rule."""
         rf = goal.formula
         protected = frozenset(v.name for v in free_vars(rf.lhs) | free_vars(rf.rhs))
-        ds = derivatives_detailed(self.system, rf.lhs, self.ctr, self.cfg.solver, protected)
+        try:
+            ds = derivatives_detailed(self.system, rf.lhs, self.ctr, self.cfg.solver, protected)
+        except DerivativeRefused as exc:
+            self._blocked = (DER_REFUSED, None, None, str(exc))
+            return None
         if not ds or len(ds) > self.cfg.max_branching:
             return None
         total = simplify(self.sig, totality_condition(rf.lhs, [d.ct for d in ds]))
@@ -262,7 +278,7 @@ class Prover:
 
     def prove_goal(self, rf: ReachabilityFormula, split: tuple[Formula, Formula] | None = None) -> GoalResult:
         self.nodes = 0
-        self._unknown = None
+        self._blocked = None
         lhs = simplify_constrained(self.sig, rf.lhs, _rhs_names(rf))
         root = Goal(ReachabilityFormula(lhs, rf.rhs))
         try:
@@ -274,7 +290,7 @@ class Prover:
             return GoalResult(ABORTED, detail=str(exc))
         if node is not None:
             return GoalResult(PROVED, node)
-        status = INCONCLUSIVE if any(og.reason == UNKNOWN for og in frontier) else FAILED
+        status = INCONCLUSIVE if any(og.reason in BLOCKED for og in frontier) else FAILED
         return GoalResult(status, frontier=frontier)
 
     def prove_all(self, splits: dict[int, tuple[Formula, Formula]] | None = None) -> ProveResult:
@@ -287,26 +303,26 @@ class Prover:
     def _search(self, goal: Goal) -> tuple[ProofNode | None, list[OpenGoal]]:
         """A proof of the goal, or the open goals of the failed search: its
         open leaves and, for every rule application at or below this node
-        that an unknown verdict blocked, an `unknown` entry."""
+        that an unknown verdict or a refusal blocked, an entry saying so."""
         self.nodes += 1
         if self.nodes > NODE_BUDGET:
             return None, [OpenGoal(goal.formula, "budget")]
-        unknown: list[OpenGoal] = []
-        for step in self._steps(goal, unknown):
+        blocked: list[OpenGoal] = []
+        for step in self._steps(goal, blocked):
             node, frontier = self._close(goal, step)
             if node is not None:
                 return node, []
             if step.kind in EXHAUSTIVE:
-                return None, frontier + unknown
-            unknown += [og for og in frontier if og.reason == UNKNOWN]
+                return None, frontier + blocked
+            blocked += [og for og in frontier if og.reason in BLOCKED]
         if goal.depth >= self.cfg.max_der_depth:
-            return None, [OpenGoal(goal.formula, "depth")] + unknown
-        return None, unknown or [OpenGoal(goal.formula, "no-rule")]  # the unknowns are why no rule applied
+            return None, [OpenGoal(goal.formula, "depth")] + blocked
+        return None, blocked or [OpenGoal(goal.formula, "no-rule")]  # why no rule applied
 
-    def _steps(self, goal: Goal, unknown: list[OpenGoal]):
+    def _steps(self, goal: Goal, blocked: list[OpenGoal]):
         """The rule applications that apply to the goal, in the calculus'
-        order, tried one at a time; an unknown verdict that blocked one of
-        them goes to `unknown`."""
+        order, tried one at a time; an unknown verdict or a refusal that
+        blocked one of them goes to `blocked`."""
         attempts = [(self.apply_axiom,)]
         if goal.last_rule != SUBS:
             attempts.append((self.apply_subs,))
@@ -316,7 +332,7 @@ class Prover:
             attempts.append((self.apply_der,))
         for apply, *args in attempts:
             step = apply(goal, *args)
-            unknown += self._take_unknown(goal)
+            blocked += self._take_blocked(goal)
             if step is not None:
                 yield step
 

@@ -31,9 +31,6 @@ def test_prove_compositeness_exit_zero():
 
 
 def test_prove_failure_without_circularity(tmp_path):
-    lines = [ln for ln in Path(COMP).read_text().splitlines() if not ln.startswith("circ")]
-    # also drop the circularity's continuation line
-    text = "\n".join(ln for ln in lines if not ln.lstrip().startswith("=> comp /\\ true;") or "prove" in ln)
     trimmed = tmp_path / "nocirc.lrw"
     trimmed.write_text(Path(COMP).read_text().split("circ")[0])
     proc = run_cli("prove", str(trimmed), "--max-depth", "3")
@@ -148,6 +145,26 @@ def test_benchmark_tracer_finds_every_binding_site():
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(root / "src"), str(root / "perfbench")])}
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120, env=env)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_every_traced_binding_site_resolves():
+    # The same sites read in-process, without installing a wrapper: the
+    # failing assertion names the site that is gone.
+    import importlib
+    import importlib.util
+
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    sites = [site for _name, group, _attrs in tracing.BINDINGS for site in group]
+    assert "coreach.rewriting:unify_modulo_builtins" in sites
+    for site in sites:
+        module_name, _, path = site.partition(":")
+        owner = importlib.import_module(module_name)
+        for part in path.split("."):
+            owner = getattr(owner, part, None)
+        assert callable(owner), site
 
 
 def test_prove_parse_error_exit_three(tmp_path):
@@ -325,3 +342,34 @@ def test_prove_solver_unavailable_exit_two():
     proc = run_cli("prove", COMP, "--solver", "/nonexistent/solver")
     assert proc.returncode == 2
     assert "[aborted]" in proc.stdout
+
+
+@pytest.mark.parametrize(
+    "name, counterexample",
+    [
+        ("narrow_totality", "wrap(cnt(-1))"),
+        ("narrow_subsort", "wrap(fin(-2))"),
+        ("redex_under_variable", "pair(cnt(-2), cnt(0)) -> pair(fin(-2), cnt(0)) -> pair(fin(-2), fin(0))"),
+    ],
+)
+def test_a_goal_the_oracle_refutes_is_never_proved(name, counterexample):
+    # Each symbolic step here would have to narrow a user-sorted variable or
+    # could miss a redex inside one: der refuses it and the goal stays open.
+    path = f"tests/specs/{name}.lrw"
+    proc = run_cli("prove", path, "--solver", "builtin")
+    assert "[proved]" not in proc.stdout
+    assert proc.stdout.startswith("[inconclusive]")
+    assert proc.stderr.splitlines()[-2].startswith("  open [der-refused]: ")
+    assert proc.stderr.splitlines()[-1].startswith("    refused: ")
+    assert proc.returncode == 2
+    proc = run_cli("oracle", path, "--bound", "2")
+    assert proc.stdout == f"[invalid] prove goal: counterexample {counterexample}\n"
+    assert proc.returncode == 1
+
+
+def test_derive_refuses_to_narrow():
+    # wrap(b) with b : Busy covers only the Busy values of c : Cfg.
+    proc = run_cli("derive", "tests/specs/narrow_subsort.lrw", "--term", "wrap(c) /\\ true", "--solver", "builtin")
+    assert proc.stdout == ""
+    assert proc.stderr == "refused: b : Busy would narrow c : Cfg\n"
+    assert proc.returncode == 2

@@ -74,34 +74,30 @@ def test_unify_ground_equivalence_exhaustive(comp_sig, mk):
         (mk("loop", (n, i)), mk("loop", (k, k))),
         (mk("loop", (mk("+", (n, Lit(1))), n)), mk("loop", (k, mk("-", (k, Lit(1)))))),
     ]
-    # Also with the right side's variables bound across the builtin boundary.
     for t1, t2 in pairs:
-        for bindable in (frozenset(), free_vars(t2)):
-            forms = unify_modulo_builtins(comp_sig, t1, t2, bindable)
-            vs = sorted(free_vars(t1) | free_vars(t2), key=lambda v: v.name)
-            for combo in product(dom.ints(), repeat=len(vs)):
-                val = dict(zip(vs, combo))
-                lhs_eq = eval_formula(comp_sig, Eq(t1, t2), val, dom)
-                by_forms = any(
-                    eval_formula(comp_sig, sf.as_formula(), val, dom) for sf in forms
-                )
-                assert lhs_eq == by_forms, (pretty_constrained(ConstrainedTerm(t1, TRUE)), val)
+        forms = unify_modulo_builtins(comp_sig, t1, t2)
+        vs = sorted(free_vars(t1) | free_vars(t2), key=lambda v: v.name)
+        for combo in product(dom.ints(), repeat=len(vs)):
+            val = dict(zip(vs, combo))
+            lhs_eq = eval_formula(comp_sig, Eq(t1, t2), val, dom)
+            by_forms = any(eval_formula(comp_sig, sf.as_formula(), val, dom) for sf in forms)
+            assert lhs_eq == by_forms, (pretty_constrained(ConstrainedTerm(t1, TRUE)), val)
 
 
-def test_unify_binds_only_the_named_builtin_variables(comp_sig, mk):
-    # The rule side's variables are bound (one-point rule); the subject's
-    # never are, and a builtin application stays residual with them solved.
-    i0, k0 = Var("i#0", INT), Var("k#1", INT)
-    (sf,) = unify_modulo_builtins(
-        comp_sig, mk("loop", (n, i)), mk("loop", (mk("*", (i0, k0)), i0)), frozenset({i0, k0})
-    )
-    assert sf.subst.mapping == {i0: i}
-    assert sf.residual == (Eq(n, mk("*", (i, k0))),)
-    (sf,) = unify_modulo_builtins(comp_sig, mk("init", (Var("n#0", INT),)), mk("init", (n,)), frozenset({n}))
-    assert sf.subst.mapping == {n: Var("n#0", INT)} and sf.residual == ()
-    # A repeated one is bound once; its second occurrence leaves an equation.
-    (sf,) = unify_modulo_builtins(comp_sig, mk("loop", (n, i)), mk("loop", (i0, i0)), frozenset({i0}))
-    assert sf.subst.mapping == {i0: n} and sf.residual == (Eq(i, n),)
+def test_unify_binds_the_larger_sorted_variable():
+    # c : Cfg against b#1 : Busy with Busy < Cfg: only c := b#1 keeps the
+    # sort order, fresh name or not; a user name wins only within one sort.
+    from coreach.specfile import parse_spec
+
+    with open("tests/specs/narrow_subsort.lrw", encoding="utf-8") as handle:
+        sig = parse_spec(handle.read()).signature
+    c, b1 = Var("c", sig.sorts["Cfg"]), Var("b#1", sig.sorts["Busy"])
+    for t1, t2 in ((c, b1), (b1, c)):
+        (sf,) = unify_modulo_builtins(sig, t1, t2)
+        assert sf.subst.mapping == {c: b1} and sf.residual == ()
+    c1 = Var("c#1", sig.sorts["Cfg"])
+    (sf,) = unify_modulo_builtins(sig, c, c1)
+    assert sf.subst.mapping == {c1: c}
 
 
 def psi_formula(mk):

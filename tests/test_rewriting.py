@@ -11,14 +11,18 @@ from coreach.formulas import (
     conj,
     free_vars,
 )
-from coreach.constraints import unify_modulo_builtins
+import re
+
+import pytest
+
+from coreach.errors import DerivativeRefused
 from coreach.oracle import Domain, check_derivative_theorem, enumerate_instances, ground_step
 from coreach.rewriting import (
     derivatives,
     derivatives_detailed,
-    rename_rule_fresh,
     totality_condition,
 )
+from coreach.specfile import parse_spec
 from coreach.smt import Validity, Verdict, check_valid
 from coreach.terms import FRESH_SEP, FreshCounter, INT, Lit, Var
 
@@ -74,14 +78,17 @@ def test_totality_of_empty_derivative_set(comp_sig):
     assert tot == Implies(ct.constraint, FALSE)
 
 
-def test_fresh_rule_instances_are_disjoint(comp_system):
+def test_only_unmatched_rule_variables_get_fresh_names(comp_sig, comp_system, solver_cfg):
+    # Every rule spends one index per variable, in name order: init(n) takes
+    # 0, loop(i * k, i) takes 1 and 2, loop(n, i) takes 3 and 4.  Matching
+    # binds n and i; only k, inside a builtin application, is renamed.
+    mk = comp_sig.make_app
+    ct = ConstrainedTerm(mk("loop", (n, i)), TRUE)
     ctr = FreshCounter()
-    rule = comp_system.rules[2]
-    r1 = rename_rule_fresh(rule, ctr)
-    r2 = rename_rule_fresh(rule, ctr)
-    assert not (r1.variables() & r2.variables())
-    assert not (r1.variables() & rule.variables())
-    assert all(FRESH_SEP in v.name for v in r1.variables())
+    ds = derivatives_detailed(comp_system, ct, ctr, solver_cfg)
+    fresh = [sorted(v.name for v in free_vars(d.ct) if FRESH_SEP in v.name) for d in ds]
+    assert fresh == [["k#2"], []]
+    assert ctr.next_index == 5
 
 
 def test_derivatives_free_of_rule_variable_capture(comp_sig, comp_system, solver_cfg):
@@ -196,29 +203,17 @@ def test_derivatives_rename_rules_apart_from_fresh_subject_names():
     assert ctr.next_index == 5_000_004 + sum(len(r.variables()) for r in spec.system.rules)
 
 
-def test_skipped_rule_keeps_later_fresh_names(monkeypatch, solver_cfg):
-    # `gstart` heads no position of a `gloop` subject: it is neither renamed
-    # nor unified, yet the later rules get the names they got when it was.
-    import coreach.rewriting as rewriting
-
-    spec = _gcd_sub()
-    rules = spec.system.rules
-    mk = spec.signature.make_app
-    seen = []
-
-    def spy(sig, t1, t2, bindable=frozenset()):
-        seen.append(t2)
-        return unify_modulo_builtins(sig, t1, t2, bindable)
-
-    monkeypatch.setattr(rewriting, "unify_modulo_builtins", spy)
+def test_skipped_rule_keeps_later_fresh_names(comp_sig, comp_system, solver_cfg):
+    # `init` heads no position of a `loop` subject, so rule 0 is never
+    # matched, yet it spends index 7 and the product rule's k is k#9.
+    mk = comp_sig.make_app
     ctr = FreshCounter(start=7)
-    ct = ConstrainedTerm(mk("gloop", (Var("x", INT), Var("y", INT))), TRUE)
-    derivatives_detailed(spec.system, ct, ctr, solver_cfg)
-    every = FreshCounter(start=7)
-    renamed = [rename_rule_fresh(r, every) for r in rules]
-    assert rules[0].lhs.symbol == "gstart"
-    assert seen == [r.lhs for r in renamed[1:]]
-    assert ctr.next_index == every.next_index
+    ct = ConstrainedTerm(mk("loop", (n, i)), TRUE)
+    ds = derivatives_detailed(comp_system, ct, ctr, solver_cfg)
+    assert comp_system.rules[0].lhs.symbol == "init"
+    (comp,) = [d.ct for d in ds if d.rule_index == 1]
+    assert {v.name for v in free_vars(comp)} == {"n", "i", "k#9"}
+    assert ctr.next_index == 7 + sum(len(r.variables()) for r in comp_system.rules)
 
 
 def test_non_linear_left_hand_side_keeps_its_equation(comp_sig, solver_cfg):
@@ -245,3 +240,112 @@ def test_composite_step_solves_i_and_keeps_the_product(comp_sig, comp_system, so
     assert comp.term == mk("comp", ())
     assert Eq(n, mk("*", (i, k_fresh))) in comp.constraint.parts
     assert {v.name for v in free_vars(comp)} == {"n", "i", k_fresh.name}
+
+
+def test_matching_never_substitutes_into_the_subject(comp_sig, comp_system, solver_cfg):
+    # The subject uses the rule's names the other way round: the rule's n is
+    # the subject's i and its i the subject's n, and the subject's own
+    # constraint n > i keeps its meaning.
+    mk = comp_sig.make_app
+    ct = ConstrainedTerm(mk("loop", (i, n)), Atom(mk(">", (n, i))))
+    ds = derivatives_detailed(comp_system, ct, FreshCounter(), solver_cfg)
+    (step,) = [d.ct for d in ds if d.rule_index == 2]
+    assert step.term == mk("loop", (i, mk("+", (n, Lit(1)))))
+    assert step.constraint.parts[0] == Atom(mk(">", (n, i)))
+    assert check_derivative_theorem(comp_system, ct, Domain(3)).ok
+
+
+def test_a_fresh_named_subject_variable_is_bound_without_an_equation(comp_sig, comp_system, solver_cfg):
+    mk = comp_sig.make_app
+    n0 = Var("n#0", INT)
+    ds = derivatives(comp_system, ConstrainedTerm(mk("init", (n0,)), TRUE), FreshCounter(), solver_cfg)
+    assert ds == [ConstrainedTerm(mk("loop", (n0, Lit(2))), TRUE)]
+
+
+TWIN = """
+sorts Top, Cfg;
+symbols two : Cfg Cfg -> Top; same : Cfg -> Top; box : Int -> Cfg;
+vars x : Cfg, c : Cfg, d : Cfg, n : Int, m : Int;
+rules two(x, x) => same(x) if true;
+"""
+
+
+def test_repeated_variable_images_leave_their_equation(solver_cfg):
+    spec = parse_spec(TWIN)
+    mk = spec.signature.make_app
+    cfg = spec.signature.sorts["Cfg"]
+    m, c = Var("m", INT), Var("c", cfg)
+    ct = ConstrainedTerm(mk("two", (mk("box", (n,)), mk("box", (m,)))), TRUE)
+    assert derivatives(spec.system, ct, FreshCounter(), solver_cfg) == [
+        ConstrainedTerm(mk("same", (mk("box", (n,)),)), Eq(m, n))
+    ]
+    assert check_derivative_theorem(spec.system, ct, Domain(2)).ok
+    same = ConstrainedTerm(mk("two", (c, c)), TRUE)
+    assert derivatives(spec.system, same, FreshCounter(), solver_cfg) == [ConstrainedTerm(mk("same", (c,)), TRUE)]
+
+
+def test_images_that_unify_only_by_binding_a_subject_variable_are_refused(solver_cfg):
+    spec = parse_spec(TWIN)
+    mk = spec.signature.make_app
+    cfg = spec.signature.sorts["Cfg"]
+    c, d = Var("c", cfg), Var("d", cfg)
+    for term in (mk("two", (c, d)), mk("two", (mk("box", (n,)), c))):
+        with pytest.raises(DerivativeRefused, match="the two images of x would narrow"):
+            derivatives(spec.system, ConstrainedTerm(term, TRUE), FreshCounter(), solver_cfg)
+
+
+def _spec(name):
+    with open(f"tests/specs/{name}.lrw", encoding="utf-8") as handle:
+        return parse_spec(handle.read())
+
+
+@pytest.mark.parametrize(
+    "name, why",
+    [
+        ("narrow_totality", "fin(n) would narrow c : Cfg"),
+        ("narrow_subsort", "b : Busy would narrow c : Cfg"),
+        ("redex_under_variable", "a redex could sit inside c : Cfg"),
+    ],
+)
+def test_a_step_that_would_narrow_is_refused(name, why, solver_cfg):
+    spec = _spec(name)
+    lhs = spec.goals[0].formula.lhs
+    with pytest.raises(DerivativeRefused, match=re.escape(why)):
+        derivatives_detailed(spec.system, lhs, FreshCounter(), solver_cfg)
+
+
+def test_sorts_that_can_hold_a_redex(solver_cfg):
+    # cnt-terms step, and they are Busy, so Busy and Cfg can hold a redex,
+    # and Top through pair's Cfg arguments; Idle cannot, nor can Int.
+    from coreach.rewriting import _facts
+
+    spec = _spec("redex_under_variable")
+    assert _facts(spec.system).redex_sorts == {"Busy", "Cfg", "Top"}
+    mk = spec.signature.make_app
+    idle = Var("e", spec.signature.sorts["Idle"])
+    ct = ConstrainedTerm(mk("pair", (idle, mk("cnt", (n,)))), Atom(mk(">", (n, Lit(0)))))
+    (d,) = derivatives(spec.system, ct, FreshCounter(), solver_cfg)
+    assert d.term == mk("pair", (idle, mk("cnt", (mk("-", (n, Lit(1))),))))
+    # Every corpus system keeps Int subjects out of it.
+    assert "Int" not in _facts(_gcd_sub().system).redex_sorts
+
+
+def test_a_subject_term_whose_instances_can_have_a_smaller_sort_is_refused(solver_cfg):
+    # f(c) has sort Top, but f(cnt(k)) has sort Done, which the rule's x needs.
+    spec = parse_spec(
+        """
+        sorts Top, Done, Cfg, Busy;
+        subsort Done < Top;
+        subsort Busy < Cfg;
+        symbols f : Cfg -> Top; f : Busy -> Done; g : Top -> Top; h : Done -> Top;
+                cnt : Int -> Busy; fin : Int -> Cfg;
+        vars x : Done, c : Cfg, n : Int;
+        rules g(x) => h(x) if true;
+        """
+    )
+    mk = spec.signature.make_app
+    c = Var("c", spec.signature.sorts["Cfg"])
+    with pytest.raises(DerivativeRefused, match=re.escape("x : Done would narrow f(c)")):
+        derivatives(spec.system, ConstrainedTerm(mk("g", (mk("f", (c,)),)), TRUE), FreshCounter(), solver_cfg)
+    ground = ConstrainedTerm(mk("g", (mk("f", (mk("fin", (n,)),)),)), TRUE)
+    assert derivatives(spec.system, ground, FreshCounter(), solver_cfg) == []
