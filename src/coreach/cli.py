@@ -17,15 +17,6 @@ from contextlib import closing
 
 from .errors import CoreachError, DerivativeRefused, MalformedSolverOutput, ParseError, SolverUnavailable
 from .formulas import pretty_constrained, pretty_formula, pretty_term
-from .oracle import (
-    Domain,
-    build_graph,
-    check_dvp,
-    edge_list,
-    enumerate_instances,
-    goal_instances,
-    to_dot,
-)
 from .prover import (
     FAILED,
     INCONCLUSIVE,
@@ -182,6 +173,8 @@ def cmd_derive(args) -> int:
 
 
 def cmd_oracle(args) -> int:
+    from .oracle import Domain, build_graph, check_dvp, goal_instances
+
     spec = _load(args.file)
     dom = Domain(_pick(args.bound, spec, "bound", 8))
     steps = _pick(args.steps, spec, "steps", 10_000)
@@ -208,6 +201,8 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_check_graph(args) -> int:
+    from .oracle import Domain, build_graph, edge_list, enumerate_instances, to_dot
+
     spec = _load(args.file)
     dom = Domain(_pick(args.bound, spec, "bound", 8))
     steps = _pick(args.steps, spec, "steps", 10_000)

@@ -1,6 +1,7 @@
 """Ground semantics on a finite integer domain: the brute-force cross-check.
 
-Everything here is solver-free and deterministic.  Quantifiers in ground
+Everything here is deterministic, and everything but the symbolic half of
+the derivative cross-check is solver-free.  Quantifiers in ground
 formula evaluation range over the bounded domain [-B, B]; the documentation
 and the test fixtures keep quantifier witnesses inside the bound.  Graph
 construction marks every truncation (step budget, out-of-domain successors)
@@ -16,9 +17,14 @@ die with the signature.
 Each ground state is stepped once per system and domain: `ground_step`
 keeps a successor table (folded state -> its successors) beside the rules
 compiled for that system and domain.  Graph building, the derivative
-cross-check and every other caller read it through `ground_step`.  The table
-is rebuilt with the compiled rules when the system gains a rule or its
-signature an operation or subsort, and it dies with the system.
+cross-check and every other caller read it through `ground_step`.  Beside
+it, the derivative cross-check keeps one report per constrained term it
+checked, so a term asked about again is answered from the table.  Both
+tables are rebuilt with the compiled rules when the system gains a rule or
+its signature an operation or subsort, and they die with the system.  The
+cross-check's derivative filter runs in one solver session for the whole
+process: the bundled solver's verdict depends on the script alone, as its
+limits are step budgets, and the session never remembers `unknown`.
 """
 
 from __future__ import annotations
@@ -52,9 +58,10 @@ from .formulas import (
     free_vars,
     subst_constrained,
 )
-from .rewriting import Lctrs, ReachabilityFormula, RewriteRule
+from .rewriting import Lctrs, ReachabilityFormula, RewriteRule, derivatives
 from .signature import BUILTIN_FUNCTIONS, Signature
-from .terms import BOOL, App, Lit, Substitution, Term, Var, positions, replace_at, subterm_at
+from .smt import SolverConfig
+from .terms import BOOL, App, FreshCounter, Lit, Substitution, Term, Var, positions, replace_at, subterm_at
 
 StatePredicate = frozenset  # of ground Terms
 
@@ -543,11 +550,13 @@ def _compile_rule(sig: Signature, dom: Domain, rule: RewriteRule) -> _RuleCode:
 
 class _Stepper(NamedTuple):
     """What stepping needs for one system and domain: the compiled rules and
-    the successor table, folded ground state -> its one-step successors."""
+    the successor table, folded ground state -> its one-step successors; and
+    the derivative cross-check's reports, constrained term -> its report."""
 
     stamp: tuple
     rules: list[_RuleCode]
     successors: dict[Term, StatePredicate]
+    reports: dict[ConstrainedTerm, DeltaReport]
 
 
 # One stepper per system, then per domain.  The keys are weak, so the code
@@ -557,15 +566,15 @@ _STEPPERS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 def _stepper(system: Lctrs, dom: Domain) -> _Stepper:
     sig = system.signature
-    # The code and the table depend on the rules and, through the value pools
-    # and least sorts, on the signature's operations and subsorts, which only
-    # ever grow.  A changed stamp rebuilds both.
+    # The code and the tables depend on the rules and, through the value
+    # pools and least sorts, on the signature's operations and subsorts,
+    # which only ever grow.  A changed stamp rebuilds them all.
     stamp = (tuple(system.rules), sig, len(sig.operations), len(sig.subsort_pairs))
     per_domain = _STEPPERS.setdefault(system, {})
     hit = per_domain.get(dom)
     if hit is None or hit.stamp != stamp:
         rules = [_compile_rule(sig, dom, r) for r in system.rules]
-        hit = per_domain[dom] = _Stepper(stamp, rules, {})
+        hit = per_domain[dom] = _Stepper(stamp, rules, {}, {})
     return hit
 
 
@@ -705,22 +714,27 @@ class DeltaReport:
         return not self.symbolic_only and not self.ground_only
 
 
+# The derivative cross-check's solver session, one for the process.
+_SOLVER = SolverConfig()
+
+
 def check_derivative_theorem(system: Lctrs, ct: ConstrainedTerm, dom: Domain) -> DeltaReport:
     """Instances of the symbolic successors against the one-step image of the
-    instances: the two must coincide exactly.  A term whose symbolic step is
-    refused raises `DerivativeRefused`."""
-    from .rewriting import derivatives
-    from .terms import FreshCounter
-
-    sig = system.signature
-    sym = set()
-    for d in derivatives(system, ct, FreshCounter(start=5_000_000)):
-        sym |= enumerate_instances(sig, d, dom)
-    ground = set()
+    instances: the two must coincide exactly.  Each term is checked once per
+    system and domain; a term whose symbolic step is refused raises
+    `DerivativeRefused`, on every call."""
     stepper = _stepper(system, dom)
-    for inst in enumerate_instances(sig, ct, dom):
-        ground |= ground_step(system, inst, dom, stepper)
-    return DeltaReport(frozenset(sym - ground), frozenset(ground - sym))
+    report = stepper.reports.get(ct)
+    if report is None:
+        sig = system.signature
+        sym = set()
+        for d in derivatives(system, ct, FreshCounter(), _SOLVER):
+            sym |= enumerate_instances(sig, d, dom)
+        ground = set()
+        for inst in enumerate_instances(sig, ct, dom):
+            ground |= ground_step(system, inst, dom, stepper)
+        report = stepper.reports[ct] = DeltaReport(frozenset(sym - ground), frozenset(ground - sym))
+    return report
 
 
 # -- exports ------------------------------------------------------------------------------

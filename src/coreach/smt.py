@@ -8,16 +8,17 @@ serves as the fallback and runs either in-process (command "builtin") or as
 a real subprocess (command "builtin-subprocess").  An unknown answer is
 always legal and never enables a proof rule.
 
-A `SolverConfig` is one run's solver session (`Session`).  It remembers the
-verdict of every script it got `sat` or `unsat` for and answers a repeated
-script without a solver run; `unknown` is never remembered, so a query that
-got it is sent again.  For "builtin-subprocess" the session keeps one
-solver process that reads commands as they come and answers each query
-after a `(reset)`; a process that died, or has not answered `timeout_ms` +
-2 s after the query was sent, answers that query unknown and is killed, and
-the next query starts a new one.  Closing the session stops its process.
-An external solver gets one process per query and is read for the first
-line of its output.
+A `SolverConfig` carries a solver session (`Session`): each prover run has
+its own, and the oracle's derivative cross-check has one for the whole
+process.  A session remembers the verdict of every script it got `sat` or
+`unsat` for and answers a repeated script without a solver run; `unknown`
+is never remembered, so a query that got it is sent again.  For
+"builtin-subprocess" the session keeps one solver process that reads
+commands as they come and answers each query after a `(reset)`; a process
+that died, or has not answered `timeout_ms` + 2 s after the query was sent,
+answers that query unknown and is killed, and the next query starts a new
+one.  Closing the session stops its process.  An external solver gets one
+process per query and is read for the first line of its output.
 """
 
 from __future__ import annotations

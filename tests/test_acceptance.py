@@ -210,7 +210,7 @@ def test_criterion_4_one_step_commutation():
     for name in CORPUS:
         spec = load(name)
         n_vars = max((len(free_vars(d.formula.lhs)) for d in spec.goals), default=1)
-        dom = Domain(8 if n_vars <= 2 else 4)
+        dom = Domain(8 if n_vars <= 2 else 5)
         terms = _delta_terms(spec)
         assert len(terms) >= 20, name
         for ct in terms:

@@ -8,9 +8,9 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from coreach import oracle
+from coreach import cli, minismt, oracle
 from coreach.constraints import fold_term
-from coreach.errors import UnsupportedQuantifier
+from coreach.errors import DerivativeRefused, UnsupportedQuantifier
 from coreach.formulas import (
     And,
     Atom,
@@ -43,7 +43,8 @@ from coreach.oracle import (
 )
 from coreach.rewriting import Lctrs, RewriteRule
 from coreach.signature import Signature
-from coreach.specfile import parse_spec
+from coreach.smt import SolverConfig
+from coreach.specfile import parse_cterm_in, parse_spec
 from coreach.terms import App, BOOL, INT, Lit, Substitution, Var
 from test_acceptance import AUDIT_SAMPLES
 
@@ -200,6 +201,8 @@ def test_compiled_rules_do_not_keep_the_system_alive(comp_sig):
     system = Lctrs(comp_sig)
     system.add_rule(RewriteRule(mk("init", (n,)), mk("loop", (n, Lit(2))), TRUE))
     assert ground_step(system, mk("init", (Lit(4),)), Domain(6)) == frozenset({mk("loop", (Lit(4), Lit(2)))})
+    # The cross-check's reports, and its solver session, hold nothing of it either.
+    assert check_derivative_theorem(system, ConstrainedTerm(mk("init", (n,)), psi(mk)), Domain(6)).ok
     ref = weakref.ref(system)
     del system
     gc.collect()
@@ -487,6 +490,112 @@ def test_delta_image_agreement_examples(comp_sig, comp_system):
         conj([Atom(mk("<=", (Lit(2), i))), Atom(mk("<=", (i, n))), Atom(mk("<=", (n, Lit(6))))]),
     )
     assert check_derivative_theorem(comp_system, mid, Domain(6)).ok
+
+
+# -- the cross-check answers each question once -------------------------------------
+
+
+@pytest.fixture()
+def counted(monkeypatch):
+    """Counts of the cross-check's `derivatives` calls and of bundled-solver
+    runs, starting from an empty cross-check session."""
+    calls = {"derivatives": 0, "run_script": 0}
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(oracle, "_SOLVER", SolverConfig())
+    monkeypatch.setattr(oracle, "derivatives", counting("derivatives", oracle.derivatives))
+    monkeypatch.setattr(minismt, "run_script", counting("run_script", minismt.run_script))
+    return calls
+
+
+def _composite_init(mk):
+    return ConstrainedTerm(mk("init", (n,)), psi(mk))
+
+
+def test_a_repeated_check_runs_no_derivatives_and_no_solver(comp_sig, comp_system, counted):
+    mk = comp_sig.make_app
+    first = check_derivative_theorem(comp_system, _composite_init(mk), Domain(6))
+    assert counted == {"derivatives": 1, "run_script": 1}
+    again = check_derivative_theorem(comp_system, _composite_init(mk), Domain(6))  # an equal, new term
+    assert again is first and first.ok
+    assert counted == {"derivatives": 1, "run_script": 1}
+    check_derivative_theorem(comp_system, _composite_init(mk), Domain(5))  # another domain: its own report
+    assert counted == {"derivatives": 2, "run_script": 1}
+
+
+def test_a_second_system_with_the_same_scripts_sends_none(comp_sig, comp_system, counted):
+    mk = comp_sig.make_app
+    twin = Lctrs(comp_sig)
+    for rule in comp_system.rules:
+        twin.add_rule(rule)
+    assert check_derivative_theorem(comp_system, _composite_init(mk), Domain(6)).ok
+    assert counted == {"derivatives": 1, "run_script": 1}
+    assert check_derivative_theorem(twin, _composite_init(mk), Domain(6)).ok
+    assert counted == {"derivatives": 2, "run_script": 1}
+
+
+def test_a_new_rule_changes_the_next_report(counted):
+    # Once cnt terms can step, a Cfg variable could hold a redex, so the
+    # symbolic step of wrap(c) is refused: the report made before the rule
+    # must not answer.
+    spec = parse_spec(
+        "sorts Top, Cfg; symbols wrap : Cfg -> Top; done : Cfg -> Top; cnt : Int -> Cfg;"
+        " vars n : Int, c : Cfg; rules wrap(c) => done(c) if true;"
+    )
+    ct = parse_cterm_in(spec, "wrap(c) /\\ true")
+    dom = Domain(1)
+    for _ in range(2):
+        assert check_derivative_theorem(spec.system, ct, dom).ok
+    assert counted["derivatives"] == 1
+    mk = spec.signature.make_app
+    spec.system.add_rule(RewriteRule(mk("cnt", (n,)), mk("cnt", (mk("-", (n, Lit(1))),)), TRUE))
+    with pytest.raises(DerivativeRefused, match="a redex could sit inside c : Cfg"):
+        check_derivative_theorem(spec.system, ct, dom)
+    assert counted["derivatives"] == 2
+
+
+def test_a_refused_term_raises_on_every_call(counted):
+    with open("tests/specs/narrow_subsort.lrw", encoding="utf-8") as handle:
+        spec = parse_spec(handle.read())
+    ct = parse_cterm_in(spec, "wrap(c) /\\ true")
+    dom = Domain(1)
+    for _ in range(2):
+        with pytest.raises(DerivativeRefused, match="b : Busy would narrow c : Cfg"):
+            check_derivative_theorem(spec.system, ct, dom)
+    assert counted["derivatives"] == 2
+    assert not oracle._stepper(spec.system, dom).reports
+
+
+def test_fresh_names_start_past_the_subjects_own(comp_sig, monkeypatch):
+    mk = comp_sig.make_app
+    m, x7 = Var("m", INT), Var("x#7", INT)
+    system = Lctrs(comp_sig)
+    system.add_rule(RewriteRule(mk("init", (n,)), mk("loop", (n, m)), TRUE))  # m is unbound
+    seen, real = [], oracle.derivatives
+
+    def spy(*args):
+        out = real(*args)
+        seen.extend(out)
+        return out
+
+    monkeypatch.setattr(oracle, "derivatives", spy)
+    assert check_derivative_theorem(system, ConstrainedTerm(mk("init", (x7,)), TRUE), Domain(2)).ok
+    assert seen == [ConstrainedTerm(mk("loop", (x7, Var("m#8", INT))), TRUE)]
+
+
+def test_each_prove_run_keeps_its_own_session(counted, capsys):
+    runs = []
+    for _ in range(2):
+        assert cli.main(["prove", "systems/sum.lrw", "--solver", "builtin"]) == 0
+        runs.append(counted["run_script"] - sum(runs))
+    capsys.readouterr()
+    assert runs[0] == runs[1] > 0
 
 
 # -- randomized coherence ---------------------------------------------------------
