@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import SortMismatch
 from .formulas import (
     JUNCTIONS,
     And,
@@ -32,7 +31,6 @@ from .formulas import (
     atom_terms,
     children,
     conj,
-    disj,
     exists,
     free_vars,
     junction,
@@ -44,7 +42,7 @@ from .terms import App, FRESH_SEP, Lit, Substitution, Term, Var, rebuild_app, te
 
 @dataclass(frozen=True)
 class SolvedForm:
-    """One disjunct of a unification result."""
+    """A satisfiable unification result: bindings and builtin equations."""
 
     subst: Substitution
     residual: tuple[Formula, ...]
@@ -58,15 +56,16 @@ def _is_builtin_valued(sig: Signature, t: Term) -> bool:
     return sig.least_sort(t).builtin
 
 
-def unify_modulo_builtins(sig: Signature, t1: Term, t2: Term) -> list[SolvedForm]:
-    """Solved forms whose disjunction is equivalent to t1 = t2 in the term model.
+def unify_modulo_builtins(sig: Signature, t1: Term, t2: Term) -> SolvedForm | None:
+    """The solved form equivalent to t1 = t2 in the term model.
 
-    Empty list means the equation is unsatisfiable (constructor clash or a
-    cyclic constructor equation).  Every builtin equation stays residual.
+    None means the equation is unsatisfiable (sorts that share no
+    supersort, a constructor clash or a cyclic constructor equation).  Every
+    builtin equation stays residual.
     """
     s1, s2 = sig.least_sort(t1), sig.least_sort(t2)
     if not (sig.connected(s1, s2) or sig.is_subsort(s1, s2) or sig.is_subsort(s2, s1)):
-        raise SortMismatch(f"{t1!r} : {s1} and {t2!r} : {s2} share no supersort")
+        return None
 
     work: list[tuple[Term, Term]] = [(t1, t2)]
     bindings: dict[Var, Term] = {}
@@ -84,11 +83,11 @@ def unify_modulo_builtins(sig: Signature, t1: Term, t2: Term) -> list[SolvedForm
         b_builtin = _is_builtin_valued(sig, b)
         if a_builtin and b_builtin:
             if isinstance(a, Lit) and isinstance(b, Lit):
-                return []  # distinct literals
+                return None  # distinct literals
             residual.append(Eq(a, b))
             continue
         if a_builtin != b_builtin:
-            return []  # builtin value vs constructor term
+            return None  # builtin value vs constructor term
         # Both constructor-sorted.
         if isinstance(b, Var) and not isinstance(a, Var):
             a, b = b, a
@@ -99,26 +98,26 @@ def unify_modulo_builtins(sig: Signature, t1: Term, t2: Term) -> list[SolvedForm
                 elif sig.is_subsort(a.sort, b.sort):
                     a, b = b, a
                 else:
-                    return []
+                    return None
                 if a.sort == b.sort and FRESH_SEP in b.name and FRESH_SEP not in a.name:
                     a, b = b, a  # a renaming: keep the user's name
                 bindings = _bind(bindings, a, b)
                 continue
             if a in term_vars(b):
-                return []  # occurs check: no cyclic constructor values
+                return None  # occurs check: no cyclic constructor values
             if not sig.is_subsort(sig.least_sort(b), a.sort):
-                return []
+                return None
             bindings = _bind(bindings, a, b)
             continue
         assert isinstance(a, App) and isinstance(b, App)
         if a.symbol != b.symbol or len(a.args) != len(b.args):
-            return []
+            return None
         work.extend(zip(a.args, b.args))
 
     sigma = Substitution(bindings)
     residual = [Eq(sigma.apply(e.lhs), sigma.apply(e.rhs)) for e in residual]
     residual = [e for e in residual if e.lhs != e.rhs]
-    return [SolvedForm(sigma, tuple(residual))]
+    return SolvedForm(sigma, tuple(residual))
 
 
 def _bind(bindings: dict[Var, Term], v: Var, t: Term) -> dict[Var, Term]:
@@ -183,19 +182,18 @@ def _simp(sig: Signature, f: Formula) -> Formula:
     """One simplification pass; `f` itself where the pass changes nothing.
 
     The pass is pure in `f` and the signature, so `f` keeps its result,
-    keyed like the oracle's stepper by the signature's identity and the
-    sizes of its only-growing operations and subsorts.  Later passes over a
-    formula that contains `f` then return at once where `f` did not change.
+    keyed by the signature's stamp.  Later passes over a formula that
+    contains `f` then return at once where `f` did not change.
     """
     if isinstance(f, (TrueF, FalseF)):
         return f
-    stamp = (len(sig.operations), len(sig.subsort_pairs))
+    stamp = sig.stamp
     memo = getattr(f, "_simp", None)
-    if memo is not None and memo[0] is sig and memo[1] == stamp:
-        return f if memo[2] is None else memo[2]
+    if memo is not None and memo[0] == stamp:
+        return f if memo[1] is None else memo[1]
     nf = _simp_pass(sig, f)
     # `None` stands for `f` itself, so a normal form does not refer to itself.
-    object.__setattr__(f, "_simp", (sig, stamp, None if nf is f else nf))
+    object.__setattr__(f, "_simp", (stamp, None if nf is f else nf))
     return nf
 
 
@@ -214,13 +212,7 @@ def _simp_pass(sig: Signature, f: Formula) -> Formula:
             return TRUE
         if isinstance(lt, Lit) and isinstance(rt, Lit):
             return TRUE if lt.value == rt.value else FALSE
-        if _is_builtin_valued(sig, lt) and _is_builtin_valued(sig, rt):
-            return f if lt is f.lhs and rt is f.rhs else Eq(lt, rt)
-        try:
-            forms = unify_modulo_builtins(sig, lt, rt)
-        except SortMismatch:
-            return FALSE
-        nf = disj([sf.as_formula() for sf in forms])
+        nf = reduced_equation(sig, lt, rt)
         return f if nf == f else nf
     kids = [_simp(sig, k) for k in children(f)]
     if isinstance(f, Not):
@@ -418,14 +410,11 @@ def _elimination(parts: list[Formula], protected: frozenset[str]) -> tuple[Subst
 
 
 def reduced_equation(sig: Signature, t1: Term, t2: Term) -> Formula:
-    """t1 = t2 as a constructor-free formula (disjunction over solved forms)."""
+    """t1 = t2 as a constructor-free formula: its solved form, or false."""
     if _is_builtin_valued(sig, t1) and _is_builtin_valued(sig, t2):
         return Eq(t1, t2)
-    try:
-        forms = unify_modulo_builtins(sig, t1, t2)
-    except SortMismatch:
-        return FALSE
-    return disj([sf.as_formula() for sf in forms])
+    sf = unify_modulo_builtins(sig, t1, t2)
+    return FALSE if sf is None else sf.as_formula()
 
 
 def instance_condition(sig: Signature, t: Term, ct: ConstrainedTerm, private) -> Formula:

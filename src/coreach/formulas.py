@@ -48,9 +48,6 @@ class Eq(_Node):
     lhs: Term
     rhs: Term
 
-    def __repr__(self):
-        return f"{self.lhs!r} = {self.rhs!r}"
-
 
 @dataclass(frozen=True, slots=True)
 class Atom(_Node):
@@ -58,32 +55,20 @@ class Atom(_Node):
 
     term: Term
 
-    def __repr__(self):
-        return repr(self.term)
-
 
 @dataclass(frozen=True, slots=True)
 class Not(_Node):
     body: "Formula"
-
-    def __repr__(self):
-        return f"~({self.body!r})"
 
 
 @dataclass(frozen=True, slots=True)
 class And(_Node):
     parts: tuple["Formula", ...]
 
-    def __repr__(self):
-        return "(" + " /\\ ".join(map(repr, self.parts)) + ")"
-
 
 @dataclass(frozen=True, slots=True)
 class Or(_Node):
     parts: tuple["Formula", ...]
-
-    def __repr__(self):
-        return "(" + " \\/ ".join(map(repr, self.parts)) + ")"
 
 
 @dataclass(frozen=True, slots=True)
@@ -91,17 +76,11 @@ class Implies(_Node):
     premise: "Formula"
     conclusion: "Formula"
 
-    def __repr__(self):
-        return f"({self.premise!r} -> {self.conclusion!r})"
-
 
 @dataclass(frozen=True, slots=True)
 class Iff(_Node):
     lhs: "Formula"
     rhs: "Formula"
-
-    def __repr__(self):
-        return f"({self.lhs!r} <-> {self.rhs!r})"
 
 
 @dataclass(frozen=True, slots=True)
@@ -109,17 +88,11 @@ class Exists(_Node):
     bound: tuple[Var, ...]
     body: "Formula"
 
-    def __repr__(self):
-        return f"(exists {', '.join(map(repr, self.bound))} . {self.body!r})"
-
 
 @dataclass(frozen=True, slots=True)
 class Forall(_Node):
     bound: tuple[Var, ...]
     body: "Formula"
-
-    def __repr__(self):
-        return f"(forall {', '.join(map(repr, self.bound))} . {self.body!r})"
 
 
 Formula = Union[TrueF, FalseF, Eq, Atom, Not, And, Or, Implies, Iff, Exists, Forall]
@@ -215,9 +188,6 @@ class ConstrainedTerm:
 
     term: Term
     constraint: Formula
-
-    def __repr__(self):
-        return f"<{self.term!r} | {self.constraint!r}>"
 
 
 def free_vars(x) -> frozenset[Var]:

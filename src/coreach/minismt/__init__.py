@@ -6,7 +6,7 @@ quantifier instantiation, bounded case splits) certifies unsat, and
 everything else is unknown.  Runs standalone as `python -m coreach.minismt`.
 """
 
-__all__ = ["run_script", "solve_text"]
+__all__ = ["run_script"]
 
 
 def __getattr__(name: str):

@@ -6,11 +6,10 @@ Commands are read and run one at a time, as they arrive, and each output
 line is flushed at once: a (check-sat) answers `sat`, `unsat` or `unknown`
 on one line before the next command is read, so one process serves a whole
 session of queries, as `smt.check_sat` uses it for `builtin-subprocess`.
-(push n) and (pop n) open and close scopes of declarations and assertions;
-(reset) forgets them all.  TIMEOUT_S (default 30) is each check-sat's
-safety-net deadline.  The process ends at (exit) or at the end of its
-input.  A command it cannot run is answered `(error "...")` and ends the
-process with status 1.
+(reset) forgets every declaration and assertion.  TIMEOUT_S (default 30)
+is each check-sat's safety-net deadline.  The process ends at (exit) or at
+the end of its input.  A command it cannot run is answered `(error "...")`
+and ends the process with status 1.
 """
 
 import sys

@@ -1326,12 +1326,10 @@ def check_formula(assertions, decls: dict[str, str], timeout_s: float):
 def run_commands(forms: Iterable, timeout_s: float = 30.0) -> Iterator[str]:
     """The output of each SMT-LIB command in `forms`, yielded as soon as the
     command has run, so a reader of a stream can answer before the next
-    command arrives.  (push n) saves the declarations and assertions that
-    (pop n) restores; (reset) forgets everything.  Each check-sat has its
-    own `timeout_s`."""
+    command arrives.  (reset) forgets every declaration and assertion.
+    Each check-sat has its own `timeout_s`."""
     decls: dict[str, str] = {}
     assertions = []
-    scopes: list[tuple[dict, int]] = []  # what each open (push) saved
     model: dict | None = None
     reason: str | None = None
     for form in forms:
@@ -1368,19 +1366,8 @@ def run_commands(forms: Iterable, timeout_s: float = 30.0) -> Iterator[str]:
                 yield '(error "the last check-sat did not answer unknown")'
             else:
                 yield f"(:reason-unknown {reason})"
-        elif cmd == "push":
-            scopes += [(dict(decls), len(assertions))] * _levels(form)
-        elif cmd == "pop":
-            levels = _levels(form)
-            if levels > len(scopes):
-                raise SolveError(f"cannot pop {levels} of {len(scopes)} scopes")
-            if levels:
-                saved, kept = scopes[-levels]
-                decls = dict(saved)
-                del scopes[-levels:], assertions[kept:]
-            model = reason = None
         elif cmd == "reset":
-            decls, assertions, scopes = {}, [], []
+            decls, assertions = {}, []
             model = reason = None
         elif cmd == "exit":
             return
@@ -1388,17 +1375,5 @@ def run_commands(forms: Iterable, timeout_s: float = 30.0) -> Iterator[str]:
             raise SolveError(f"unsupported command {cmd}")
 
 
-def _levels(form) -> int:
-    """The level count of (push n) or (pop n); a bare (push) is one level."""
-    levels = form[1] if len(form) > 1 else 1
-    if not isinstance(levels, int) or levels < 0:
-        raise SolveError(f"bad {form[0]} level {levels!r}")
-    return levels
-
-
 def run_script(text: str, timeout_s: float = 30.0) -> list[str]:
     return list(run_commands(parse_all(text), timeout_s))
-
-
-def solve_text(text: str, timeout_s: float = 30.0) -> str:
-    return "\n".join(run_script(text, timeout_s))

@@ -567,9 +567,9 @@ _STEPPERS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 def _stepper(system: Lctrs, dom: Domain) -> _Stepper:
     sig = system.signature
     # The code and the tables depend on the rules and, through the value
-    # pools and least sorts, on the signature's operations and subsorts,
-    # which only ever grow.  A changed stamp rebuilds them all.
-    stamp = (tuple(system.rules), sig, len(sig.operations), len(sig.subsort_pairs))
+    # pools and least sorts, on the signature.  A changed stamp rebuilds
+    # them all.
+    stamp = system.stamp
     per_domain = _STEPPERS.setdefault(system, {})
     hit = per_domain.get(dom)
     if hit is None or hit.stamp != stamp:
@@ -751,7 +751,7 @@ def edge_list(g: TransitionGraph) -> str:
     return "\n".join(lines)
 
 
-def to_dot(g: TransitionGraph, p: StatePredicate = frozenset(), q: StatePredicate = frozenset()) -> str:
+def to_dot(g: TransitionGraph) -> str:
     from .formulas import pretty_term
 
     names = {node: f"n{i}" for i, node in enumerate(sorted(g.nodes, key=_key))}
@@ -760,10 +760,6 @@ def to_dot(g: TransitionGraph, p: StatePredicate = frozenset(), q: StatePredicat
         attrs = [f'label="{pretty_term(node)}"']
         if node in g.frontier_exceeded:
             attrs.append("style=dashed")
-        if node in q:
-            attrs.append("shape=doublecircle")
-        elif node in p:
-            attrs.append("shape=box")
         lines.append(f"  {name} [{', '.join(attrs)}];")
     for node, name in names.items():
         for s in sorted(g.successors(node), key=_key):

@@ -97,13 +97,18 @@ class Lctrs:
             raise SortMismatch(f"rule sides have unrelated sorts {ls} and {rs}")
         self.rules.append(rule)
 
+    @property
+    def stamp(self) -> tuple:
+        """The key of a cache of facts derived from this system: its rules
+        and its signature's stamp."""
+        return (tuple(self.rules), self.signature.stamp)
+
 
 @dataclass(frozen=True)
 class Derivative:
     """One symbolic successor plus the verdict that kept it."""
 
     ct: ConstrainedTerm
-    rule_index: int
     verdict: Verdict
 
 
@@ -128,9 +133,7 @@ _FACTS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 def _facts(system: Lctrs) -> _Facts:
     sig = system.signature
-    # Stamped like the oracle's stepper: the facts depend on the rules and on
-    # the signature's operations and subsorts, which only ever grow.
-    stamp = (tuple(system.rules), sig, len(sig.operations), len(sig.subsort_pairs))
+    stamp = system.stamp
     hit = _FACTS.get(system)
     if hit is None or hit.stamp != stamp:
         rules = [
@@ -230,13 +233,9 @@ def _match(sig: Signature, subject: Term, pattern: Term):
                     return None
                 binds[p] = s
             elif img != s:
-                try:
-                    forms = unify_modulo_builtins(sig, s, img)
-                except SortMismatch:
+                sf = unify_modulo_builtins(sig, s, img)
+                if sf is None:
                     return None
-                if not forms:
-                    return None
-                (sf,) = forms
                 if sf.subst:
                     names = ", ".join(sorted(v.name for v in sf.subst.mapping))
                     raise DerivativeRefused(f"the two images of {p.name} would narrow {names}")
@@ -283,7 +282,7 @@ def derivatives_detailed(
     sites: dict[str, list[tuple[Position, App, Sort]]] = {}
     for site in every:
         sites.setdefault(site[1].symbol, []).append(site)
-    for idx, (rule, rf) in enumerate(zip(system.rules, facts.rules)):
+    for rule, rf in zip(system.rules, facts.rules):
         # Every rule spends one fresh index per variable, matched or not, so
         # each fresh name is the one a renaming of every rule would give.
         start = ctr.next_index
@@ -314,7 +313,7 @@ def derivatives_detailed(
                 continue
             verdict = check_sat(sig, cand.constraint, cfg).verdict
             if verdict != Verdict.UNSAT:
-                out.append(Derivative(cand, idx, verdict))
+                out.append(Derivative(cand, verdict))
     return out
 
 

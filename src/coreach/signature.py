@@ -104,6 +104,13 @@ class Signature:
         for s in joined:
             self._component[s] = joined
 
+    @property
+    def stamp(self) -> tuple:
+        """The key of a cache of facts derived from this signature: the
+        signature itself and the sizes of its operations and subsorts, which
+        only ever grow."""
+        return (self, len(self.operations), len(self.subsort_pairs))
+
     # -- declaration helpers (used by the frontend and tests) ----------------
 
     def add_sort(self, name: str) -> Sort:

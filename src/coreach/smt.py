@@ -67,12 +67,6 @@ class Verdict(Enum):
     UNKNOWN = "unknown"
 
 
-class Validity(Enum):
-    VALID = "valid"
-    INVALID = "invalid"
-    UNKNOWN = "unknown"
-
-
 @dataclass(frozen=True)
 class SmtResult:
     verdict: Verdict
@@ -300,13 +294,3 @@ def check_sat(sig: Signature, f: Formula, cfg: SolverConfig) -> SmtResult:
             verdicts[script] = verdict
     return SmtResult(verdict)
 
-
-def check_valid(sig: Signature, f: Formula, cfg: SolverConfig) -> tuple[Validity, SmtResult]:
-    """Validity via unsatisfiability of the negation; returns both views."""
-    neg = Not(f)
-    res = check_sat(sig, neg, cfg)
-    if res.verdict == Verdict.UNSAT:
-        return Validity.VALID, res
-    if res.verdict == Verdict.SAT:
-        return Validity.INVALID, res
-    return Validity.UNKNOWN, res

@@ -190,9 +190,6 @@ class Substitution:
             if v.sort.builtin and not t.sort.builtin:
                 raise SortMismatch(f"{v!r} := {t!r} crosses the builtin boundary")
 
-    def get(self, v: Var) -> Term:
-        return self.mapping.get(v, v)
-
     def apply(self, t: Term) -> Term:
         """`t` under the substitution; `t` itself where no variable moves."""
         if isinstance(t, Var):

@@ -36,6 +36,7 @@ from coreach.formulas import (
     Atom,
     ConstrainedTerm,
     Eq,
+    Not,
     TRUE,
     conj,
     free_vars,
@@ -65,7 +66,7 @@ from coreach.prover import (
     reverify,
 )
 from coreach.rewriting import derivatives
-from coreach.smt import SolverConfig, Validity, check_valid
+from coreach.smt import SolverConfig, Verdict, check_sat
 from coreach.specfile import parse_spec
 from coreach.terms import App, FreshCounter, INT, Lit, Sort, Substitution, Var
 
@@ -268,8 +269,8 @@ def test_criterion_5_inclusion_agreement(comp_sig):
         ct2 = _random_cterm(rng, comp_sig, mk)
         pairs += 1
         cond = simplify(comp_sig, semantic_inclusion_condition(comp_sig, ct1, ct2))
-        verdict, _ = check_valid(comp_sig, cond, SOLVER)
-        if verdict == Validity.UNKNOWN:
+        verdict = check_sat(comp_sig, Not(cond), SOLVER).verdict
+        if verdict == Verdict.UNKNOWN:
             unknowns += 1
             continue
         shared = sorted(free_vars(ct1) & free_vars(ct2), key=lambda v: v.name)
@@ -281,7 +282,7 @@ def test_criterion_5_inclusion_agreement(comp_sig):
             if not p <= q:
                 brute = False
                 break
-        if brute != (verdict == Validity.VALID):
+        if brute != (verdict == Verdict.UNSAT):
             disagreements.append((pretty_constrained(ct1), pretty_constrained(ct2), verdict))
     report(
         5,

@@ -249,6 +249,13 @@ def test_oracle_valid_run():
     assert proc.stdout.count("[valid]") == 2
 
 
+def test_oracle_truncated_run_is_inconclusive():
+    # one expansion step cuts every run; n < 0 gives the goal no instances
+    proc = run_cli("oracle", "systems/sum.lrw", "--bound", "3", "--steps", "1")
+    assert proc.returncode == 2, proc.stdout + proc.stderr
+    assert proc.stdout.count("[inconclusive]") == 2
+
+
 def test_check_graph_edge_list_and_dot(tmp_path):
     proc = run_cli("check-graph", COMP, "--bound", "6", "--steps", "200")
     assert proc.returncode == 0
@@ -268,6 +275,9 @@ def test_validate_reports_clean_and_violations(tmp_path):
     proc2 = run_cli("validate", str(bad))
     assert proc2.returncode == 1
     assert "builtin-overlap" in proc2.stderr
+    proc3 = run_cli("prove", str(bad))
+    assert proc3.returncode == 3
+    assert "builtin-overlap" in proc3.stderr
 
 
 def test_missing_file_exit_three():

@@ -45,26 +45,25 @@ def mk(comp_sig):
 
 
 def test_unify_variable_against_variable(comp_sig, mk):
-    forms = unify_modulo_builtins(comp_sig, mk("init", (Var("n#0", INT),)), mk("init", (n,)))
-    assert len(forms) == 1
-    assert forms[0].residual == (Eq(Var("n#0", INT), n),)
-    assert not forms[0].subst
+    sf = unify_modulo_builtins(comp_sig, mk("init", (Var("n#0", INT),)), mk("init", (n,)))
+    assert sf.residual == (Eq(Var("n#0", INT), n),)
+    assert not sf.subst
 
 
 def test_unify_builtin_application_stays_residual(comp_sig, mk):
     lhs = mk("loop", (n, Lit(2)))
     rhs = mk("loop", (mk("*", (i, k)), i))
-    (sf,) = unify_modulo_builtins(comp_sig, lhs, rhs)
+    sf = unify_modulo_builtins(comp_sig, lhs, rhs)
     assert set(sf.residual) == {Eq(n, mk("*", (i, k))), Eq(Lit(2), i)}
 
 
 def test_unify_constructor_clash(comp_sig, mk):
-    assert unify_modulo_builtins(comp_sig, mk("comp", ()), mk("loop", (n, i))) == []
+    assert unify_modulo_builtins(comp_sig, mk("comp", ()), mk("loop", (n, i))) is None
 
 
 def test_unify_ground_equivalence_exhaustive(comp_sig, mk):
-    # The disjunction of solved forms must hold for exactly the valuations
-    # that make the two terms equal, checked by brute force on [-B, B].
+    # The solved form must hold for exactly the valuations that make the
+    # two terms equal (no solved form for none), by brute force on [-B, B].
     dom = Domain(2)
     pairs = [
         (mk("init", (n,)), mk("init", (mk("+", (i, Lit(1))),))),
@@ -75,12 +74,12 @@ def test_unify_ground_equivalence_exhaustive(comp_sig, mk):
         (mk("loop", (mk("+", (n, Lit(1))), n)), mk("loop", (k, mk("-", (k, Lit(1)))))),
     ]
     for t1, t2 in pairs:
-        forms = unify_modulo_builtins(comp_sig, t1, t2)
+        sf = unify_modulo_builtins(comp_sig, t1, t2)
         vs = sorted(free_vars(t1) | free_vars(t2), key=lambda v: v.name)
         for combo in product(dom.ints(), repeat=len(vs)):
             val = dict(zip(vs, combo))
             lhs_eq = eval_formula(comp_sig, Eq(t1, t2), val, dom)
-            by_forms = any(eval_formula(comp_sig, sf.as_formula(), val, dom) for sf in forms)
+            by_forms = sf is not None and eval_formula(comp_sig, sf.as_formula(), val, dom)
             assert lhs_eq == by_forms, (pretty_constrained(ConstrainedTerm(t1, TRUE)), val)
 
 
@@ -93,11 +92,47 @@ def test_unify_binds_the_larger_sorted_variable():
         sig = parse_spec(handle.read()).signature
     c, b1 = Var("c", sig.sorts["Cfg"]), Var("b#1", sig.sorts["Busy"])
     for t1, t2 in ((c, b1), (b1, c)):
-        (sf,) = unify_modulo_builtins(sig, t1, t2)
+        sf = unify_modulo_builtins(sig, t1, t2)
         assert sf.subst.mapping == {c: b1} and sf.residual == ()
     c1 = Var("c#1", sig.sorts["Cfg"])
-    (sf,) = unify_modulo_builtins(sig, c, c1)
+    sf = unify_modulo_builtins(sig, c, c1)
     assert sf.subst.mapping == {c1: c}
+
+
+NAT_SPEC = """
+sorts Nat, Pos, Zero, Other;
+subsort Pos < Nat;
+subsort Zero < Nat;
+symbols
+  z : -> Zero;
+  o : -> Other;
+  s : Nat -> Pos;
+  h : Nat -> Nat;
+vars x : Nat, y : Nat, p : Pos, q : Zero;
+"""
+
+
+@pytest.mark.parametrize(
+    "left, right, bound",
+    [
+        ("s(x)", "y", {"y": "s(x)"}),  # a term against a variable binds the variable
+        ("p", "q", None),  # no value is both Pos and Zero
+        ("x", "s(x)", None),  # occurs check: no cyclic values
+        ("p", "h(x)", None),  # a Nat term need not be a Pos
+        ("x", "o", None),  # Nat and Other share no supersort
+    ],
+)
+def test_unify_constructor_sorted_cases(left, right, bound):
+    from coreach.specfile import parse_cterm_in, parse_spec
+
+    spec = parse_spec(NAT_SPEC)
+    term = lambda text: parse_cterm_in(spec, text + " /\\ true").term
+    sf = unify_modulo_builtins(spec.signature, term(left), term(right))
+    if bound is None:
+        assert sf is None
+    else:
+        assert sf.residual == ()
+        assert sf.subst.mapping == {term(v): term(t) for v, t in bound.items()}
 
 
 def psi_formula(mk):
@@ -229,7 +264,7 @@ def test_inclusion_constructor_clash_is_unsatisfiable_consequent(comp_sig, mk):
 def test_inclusion_agrees_with_bruteforce_on_shared_instances(comp_sig, mk):
     # Prop-style desk check: the condition is valid exactly when instance
     # sets are included for every shared valuation.
-    from coreach.smt import SolverConfig, Validity, check_valid
+    from coreach.smt import SolverConfig, Verdict, check_sat
 
     dom = Domain(3)
     cfgs = SolverConfig()
@@ -242,7 +277,7 @@ def test_inclusion_agrees_with_bruteforce_on_shared_instances(comp_sig, mk):
     ]
     for ct1, ct2 in cases:
         cond = simplify(comp_sig, semantic_inclusion_condition(comp_sig, ct1, ct2))
-        verdict, _ = check_valid(comp_sig, cond, cfgs)
+        verdict = check_sat(comp_sig, Not(cond), cfgs).verdict
         shared = sorted(free_vars(ct1) & free_vars(ct2), key=lambda v: v.name)
         brute = True
         for combo in product(dom.ints(), repeat=len(shared)):
@@ -255,10 +290,10 @@ def test_inclusion_agrees_with_bruteforce_on_shared_instances(comp_sig, mk):
             if not p <= q:
                 brute = False
                 break
-        if verdict == Validity.VALID:
+        if verdict == Verdict.UNSAT:
             # the solver speaks about all integers; the bounded check must agree
             assert brute
-        elif verdict == Validity.INVALID and brute:
+        elif verdict == Verdict.SAT and brute:
             # counterexample must lie outside the small domain; tolerated only
             # for unconstrained targets, not expected in this fixed case list
             pytest.fail(f"solver invalid but bounded inclusion holds: {pretty_constrained(ct1)}")

@@ -17,7 +17,7 @@ from coreach.formulas import Eq
 from coreach.minismt import solver
 from coreach.minismt.arith import Core, euclid_div, euclid_mod
 from coreach.minismt.sexpr import SexprError, parse_all, read_forms, tokenize
-from coreach.minismt.solver import MODEL_BOUNDS, ModelCheck, ModelScan, SolveError, run_script, solve_text
+from coreach.minismt.solver import MODEL_BOUNDS, ModelCheck, ModelScan, SolveError, run_script
 from coreach.oracle import Domain, eval_formula
 from coreach.signature import Signature
 from coreach.terms import INT, App, Lit, Var
@@ -25,8 +25,12 @@ from coreach.terms import INT, App, Lit, Var
 PSI = "(exists ((u Int)) (and (< 1 u) (< u n) (= (mod n u) 0)))"
 
 
+def script_output(script, timeout=30.0):
+    return "\n".join(run_script(script, timeout))
+
+
 def verdict(script, timeout=30.0):
-    return solve_text(script, timeout)
+    return script_output(script, timeout)
 
 
 def test_propositional_basics():
@@ -44,6 +48,31 @@ def test_linear_arithmetic():
 def test_quantified_witness_and_refutation():
     assert verdict("(assert (exists ((k Int)) (and (> k 1) (= 6 (* 2 k)))))(check-sat)") == "sat"
     assert verdict("(assert (exists ((k Int)) (and (> k 1) (= 7 (* 2 k)))))(check-sat)") == "unsat"
+
+
+@pytest.mark.parametrize(
+    "script",
+    [
+        # a Bool universal is instantiated at false and at true
+        "(declare-const x Int)(assert (< x 0))(assert (forall ((b Bool)) (or b (> x 0))))",
+        "(declare-const x Int)(assert (< x 0))(assert (forall ((b Bool)) (or (not b) (> x 0))))",
+        # an instance's conjunctions keep their literal true, false and c
+        "(declare-const c Bool)(declare-const x Int)(assert (< x 0))"
+        "(assert (forall ((b Bool)) (or (and b c (> x 0)) (> x 1))))",
+        # instantiating b leaves the free c alone
+        "(declare-const c Bool)(declare-const x Int)(assert (not c))(assert (< x 0))"
+        "(assert (forall ((b Bool)) (or b c (> x 0))))",
+        # a Bool witness is named like an Int one
+        "(declare-const x Int)(assert (< x 0))(assert (exists ((b Bool)) (and b (> x 0))))",
+        # the asserted literal refutes one alternative of a clause
+        "(declare-const b Bool)(declare-const x Int)(assert (not b))(assert (< x 0))(assert (or b (> x 0)))",
+        # and makes the clause b \/ x > 0 true, so it is dropped
+        "(declare-const b Bool)(declare-const x Int)(assert b)(assert (= x 0))"
+        "(assert (or (< x 0) (> x 0)))(assert (or b (> x 0)))",
+    ],
+)
+def test_bool_literals_in_refutation(script):
+    assert run_script(script + "(check-sat)") == ["unsat"]
 
 
 def test_divisor_reasoning():
@@ -247,7 +276,7 @@ def test_euclidean_division_invariant(a, b):
 
 
 def test_get_model_lines():
-    out = solve_text("(declare-const x Int)(assert (= x (- 3)))(check-sat)(get-model)", 10.0)
+    out = script_output("(declare-const x Int)(assert (= x (- 3)))(check-sat)(get-model)", 10.0)
     lines = out.splitlines()
     assert lines[0] == "sat"
     assert any("define-fun x () Int (- 3)" in ln for ln in lines)
@@ -255,7 +284,7 @@ def test_get_model_lines():
 
 def test_get_model_quotes_a_symbol_that_starts_with_a_digit():
     # SMT-LIB 2.6 simple symbols cannot start with a digit
-    out = solve_text("(declare-const |1x| Int)(assert (= |1x| 2))(check-sat)(get-model)", 10.0)
+    out = script_output("(declare-const |1x| Int)(assert (= |1x| 2))(check-sat)(get-model)", 10.0)
     assert out.splitlines()[1:] == ["(", "  (define-fun |1x| () Int 2)", ")"]
 
 
@@ -271,16 +300,13 @@ def test_script_subprocess_interface():
     assert proc.stdout.strip() == "unsat"
 
 
-def test_push_pop_and_reset_scope_declarations_and_assertions():
-    base = "(declare-const x Int)(assert (< x 3))"
-    assert run_script(base + "(push 1)(assert (> x 3))(check-sat)(pop 1)(check-sat)") == ["unsat", "sat"]
-    assert run_script(base + "(push)(push 2)(assert false)(pop 2)(check-sat)(pop)(check-sat)") == ["sat", "sat"]
+def test_reset_forgets_declarations_and_assertions():
     assert run_script("(assert false)(reset)(declare-const x Bool)(assert x)(check-sat)") == ["sat"]
-    # each popped level restores its own copy of the declarations
     with pytest.raises(SolveError, match="unknown symbol z"):
-        run_script("(push 2)(pop 1)(declare-const z Int)(pop 1)(assert (= z 1))(check-sat)")
-    with pytest.raises(SolveError, match="cannot pop 2 of 1 scopes"):
-        run_script("(push 1)(pop 2)")
+        run_script("(declare-const z Int)(reset)(assert (= z 1))(check-sat)")
+    # scopes are not part of the session protocol
+    with pytest.raises(SolveError, match="unsupported command push"):
+        run_script("(push 1)")
 
 
 def test_read_forms_yields_each_form_once_its_line_is_read():
@@ -438,7 +464,7 @@ def _mismatch(body, names: list[str], timeout=5.0):
     truth)."""
     decls = "".join(f"(declare-const {v} Int)" for v in names)
     asserted = ["and", *(_in_range(v) for v in names), body]
-    out = solve_text(f"{decls}(assert {_smt(asserted)})(check-sat)(get-model)", timeout).splitlines()
+    out = script_output(f"{decls}(assert {_smt(asserted)})(check-sat)(get-model)", timeout).splitlines()
     truth = "sat" if _truth_over_range(asserted, names) else "unsat"
     if out[0] == "sat":
         model = {}
@@ -498,7 +524,7 @@ def test_unbounded_universal_is_never_taken_to_hold():
     # Nothing bounds u, so the candidates tried for it are not exhaustive;
     # for x = 0 the counterexample u = 1000 lies outside them.  A model may
     # only be reported for an x that really has no such u.
-    out = solve_text("(declare-const x Int)(assert (forall ((u Int)) (not (= (* u u) (+ x 1000000)))))(check-sat)(get-model)")
+    out = script_output("(declare-const x Int)(assert (forall ((u Int)) (not (= (* u u) (+ x 1000000)))))(check-sat)(get-model)")
     lines = out.splitlines()
     assert lines[0] in ("sat", "unknown")
     if lines[0] == "sat":
@@ -509,7 +535,7 @@ def test_unbounded_universal_is_never_taken_to_hold():
 def test_model_search_order_is_pinned():
     # Candidates are tried in the order 0, 1, -1, 2, -2, ... per variable,
     # lexicographically over the declared names; the first model is stable.
-    out = solve_text("(declare-const x Int)(declare-const y Int)(assert (and (> x 2) (< y (- 1))))(check-sat)(get-model)")
+    out = script_output("(declare-const x Int)(declare-const y Int)(assert (and (> x 2) (< y (- 1))))(check-sat)(get-model)")
     assert out.splitlines() == [
         "sat",
         "(",
@@ -517,9 +543,9 @@ def test_model_search_order_is_pinned():
         "  (define-fun y () Int (- 2))",
         ")",
     ]
-    out = solve_text(f"(declare-const n Int)(assert {PSI})(check-sat)(get-model)")
+    out = script_output(f"(declare-const n Int)(assert {PSI})(check-sat)(get-model)")
     assert "(define-fun n () Int 4)" in out
-    out = solve_text("(declare-const b Bool)(declare-const x Int)(assert (and b (= x (- 1))))(check-sat)(get-model)")
+    out = script_output("(declare-const b Bool)(declare-const x Int)(assert (and b (= x (- 1))))(check-sat)(get-model)")
     assert out.splitlines()[1:3] == ["(", "  (define-fun b () Bool true)"]
 
 

@@ -668,5 +668,8 @@ def test_graph_exports(comp_sig, comp_system):
     g = build_graph(comp_system, frozenset({mk("init", (Lit(4),))}), Domain(12), 10)
     text = edge_list(g)
     assert "init(4) -> [loop(4, 2)]" in text
-    dot = to_dot(g, q=frozenset({mk("comp", ())}))
-    assert dot.startswith("digraph") and "doublecircle" in dot
+    dot = to_dot(g)
+    assert dot.startswith("digraph") and 'label="init(4)"' in dot and " -> " in dot
+    assert "style=dashed" not in dot
+    cut = build_graph(comp_system, frozenset({mk("init", (Lit(4),))}), Domain(12), 1)
+    assert cut.frontier_exceeded and "style=dashed" in to_dot(cut)

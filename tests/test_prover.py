@@ -18,15 +18,18 @@ from coreach.prover import (
     AXIOM,
     CIRC,
     DER,
+    DISJ,
     FAILED,
     INCONCLUSIVE,
     UNKNOWN,
     Goal,
+    OPEN,
     PROVED,
     ProofNode,
     Prover,
     SUBS,
     SearchConfig,
+    SideCondition,
     audit_structure,
     check_guarded,
     render_json,
@@ -230,6 +233,43 @@ def test_reverify_accepts_fresh_run(prover, comp_sig, solver_cfg):
         assert reverify(comp_sig, r.tree, solver_cfg) == []
 
 
+AUDIT_DEFECTS = {
+    "axiom node with children": lambda g: ProofNode(AXIOM, g, children=(ProofNode(AXIOM, g),)),
+    "subsumption node without exactly one child": lambda g: ProofNode(SUBS, g),
+    "subsumption chained on its own residual": lambda g: ProofNode(
+        SUBS, g, children=(ProofNode(SUBS, g, children=(ProofNode(AXIOM, g),)),)
+    ),
+    "circ node without exactly two children": lambda g: ProofNode(CIRC, g, children=(ProofNode(AXIOM, g),)),
+    "disj node without exactly two children": lambda g: ProofNode(DISJ, g),
+    "derivative node with no children": lambda g: ProofNode(DER, g),
+    "open leaf in a closed tree": lambda g: ProofNode(DER, g, children=(ProofNode(OPEN, g),)),
+}
+
+
+@pytest.mark.parametrize("problem", sorted(AUDIT_DEFECTS))
+def test_audit_structure_names_each_defect(problem, comp_goals):
+    assert audit_structure(AUDIT_DEFECTS[problem](comp_goals[0])) == [problem]
+
+
+def test_reverify_skips_a_condition_recorded_unknown(comp_sig, comp_goals, solver_cfg):
+    # `true` is sat, so only the condition recorded unsat disagrees
+    node = ProofNode(
+        AXIOM,
+        comp_goals[0],
+        (SideCondition("lhs-unsat", TRUE, Verdict.UNKNOWN), SideCondition("lhs-unsat", TRUE, Verdict.UNSAT)),
+    )
+    assert reverify(comp_sig, node, solver_cfg) == ["axiom/lhs-unsat: recorded unsat, got sat"]
+
+
+def test_an_exhausted_node_budget_fails_the_goal(monkeypatch, capsys):
+    from coreach import cli, prover
+
+    monkeypatch.setattr(prover, "NODE_BUDGET", 1)
+    assert cli.main(["prove", "systems/sum.lrw", "--solver", "builtin"]) == 1
+    out, err = capsys.readouterr()
+    assert "[failed]" in out and "open [budget]" in err
+
+
 def test_check_guarded_examples(prover, comp_goals):
     result = prover.prove_all()
     assert all(check_guarded(r.tree) for r in result.per_goal)
@@ -345,8 +385,11 @@ RENAMING_SPEC = (
         ("init(y) /\\ y > 0 /\\ (exists y : Int . y = 1) /\\ z < 5", None),
         ("init(y) /\\ y > 0 /\\ (exists y : Int . y = 1) /\\ y < 5", {"x": "y"}),
         ("init(y) /\\ y > 0 /\\ (exists z : Int . z = 1) /\\ y < 5", {"x": "y"}),
+        ("init(1) /\\ 1 > 0 /\\ (exists y : Int . y = 1) /\\ 1 < 5", None),
+        ("init(y) /\\ y > 0 /\\ (forall y : Int . y = 1) /\\ y < 5", None),
+        ("init(y) /\\ y > 0 /\\ (exists y : Bool . y) /\\ y < 5", None),
     ],
-    ids=["rebound-elsewhere", "restored", "renamed-binder"],
+    ids=["rebound-elsewhere", "restored", "renamed-binder", "literal", "other-binder", "other-binder-sort"],
 )
 def test_match_onto_is_a_renaming_across_binders(target, expected):
     spec = parse_spec(RENAMING_SPEC)

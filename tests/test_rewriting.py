@@ -7,9 +7,11 @@ from coreach.formulas import (
     Exists,
     FALSE,
     Implies,
+    Not,
     TRUE,
     conj,
     free_vars,
+    pretty_term,
 )
 import re
 
@@ -22,8 +24,8 @@ from coreach.rewriting import (
     derivatives_detailed,
     totality_condition,
 )
-from coreach.specfile import parse_spec
-from coreach.smt import Validity, Verdict, check_valid
+from coreach.specfile import parse_cterm_in, parse_spec
+from coreach.smt import Verdict, check_sat
 from coreach.terms import FRESH_SEP, FreshCounter, INT, Lit, Var
 
 n, i, k, u = (Var(x, INT) for x in "niku")
@@ -64,11 +66,11 @@ def test_loop_state_has_both_branches(comp_sig, comp_system, solver_cfg):
     )
     ct = ConstrainedTerm(mk("loop", (n, i)), psi_i)
     ds = derivatives_detailed(comp_system, ct, FreshCounter(), solver_cfg)
-    assert [d.rule_index for d in ds] == [1, 2]
+    assert [d.ct.term.symbol for d in ds] == ["comp", "loop"]  # rules 1 and 2
     tot = totality_condition(ct, [d.ct for d in ds])
     from coreach.constraints import simplify
 
-    assert check_valid(comp_sig, simplify(comp_sig, tot), solver_cfg)[0] == Validity.VALID
+    assert check_sat(comp_sig, Not(simplify(comp_sig, tot)), solver_cfg).verdict == Verdict.UNSAT
 
 
 def test_totality_of_empty_derivative_set(comp_sig):
@@ -159,11 +161,11 @@ def test_solved_form_residuals_are_builtin_only(comp_sig, comp_system):
         (mk("init", (mk("+", (n, Lit(1))),)), mk("init", (i,))),
     ]
     for t1, t2 in pairs:
-        for sf in unify_modulo_builtins(comp_sig, t1, t2):
-            for res in sf.residual:
-                assert isinstance(res, EqF)
-                assert comp_sig.least_sort(res.lhs).builtin
-                assert comp_sig.least_sort(res.rhs).builtin
+        sf = unify_modulo_builtins(comp_sig, t1, t2)
+        for res in sf.residual:
+            assert isinstance(res, EqF)
+            assert comp_sig.least_sort(res.lhs).builtin
+            assert comp_sig.least_sort(res.rhs).builtin
 
 
 def test_unknown_constraints_keep_the_derivative(comp_sig, solver_cfg):
@@ -211,7 +213,7 @@ def test_skipped_rule_keeps_later_fresh_names(comp_sig, comp_system, solver_cfg)
     ct = ConstrainedTerm(mk("loop", (n, i)), TRUE)
     ds = derivatives_detailed(comp_system, ct, ctr, solver_cfg)
     assert comp_system.rules[0].lhs.symbol == "init"
-    (comp,) = [d.ct for d in ds if d.rule_index == 1]
+    (comp,) = [d.ct for d in ds if d.ct.term == mk("comp", ())]
     assert {v.name for v in free_vars(comp)} == {"n", "i", "k#9"}
     assert ctr.next_index == 7 + sum(len(r.variables()) for r in comp_system.rules)
 
@@ -235,7 +237,7 @@ def test_composite_step_solves_i_and_keeps_the_product(comp_sig, comp_system, so
     ct = ConstrainedTerm(mk("loop", (n, i)), TRUE)
     ctr = FreshCounter()
     ds = derivatives_detailed(comp_system, ct, ctr, solver_cfg)
-    (comp,) = [d.ct for d in ds if d.rule_index == 1]
+    (comp,) = [d.ct for d in ds if d.ct.term == mk("comp", ())]
     (k_fresh,) = [v for v in free_vars(comp) if v.name.startswith("k" + FRESH_SEP)]
     assert comp.term == mk("comp", ())
     assert Eq(n, mk("*", (i, k_fresh))) in comp.constraint.parts
@@ -249,7 +251,7 @@ def test_matching_never_substitutes_into_the_subject(comp_sig, comp_system, solv
     mk = comp_sig.make_app
     ct = ConstrainedTerm(mk("loop", (i, n)), Atom(mk(">", (n, i))))
     ds = derivatives_detailed(comp_system, ct, FreshCounter(), solver_cfg)
-    (step,) = [d.ct for d in ds if d.rule_index == 2]
+    (step,) = [d.ct for d in ds if d.ct.term.symbol == "loop"]
     assert step.term == mk("loop", (i, mk("+", (n, Lit(1)))))
     assert step.constraint.parts[0] == Atom(mk(">", (n, i)))
     assert check_derivative_theorem(comp_system, ct, Domain(3)).ok
@@ -349,3 +351,57 @@ def test_a_subject_term_whose_instances_can_have_a_smaller_sort_is_refused(solve
         derivatives(spec.system, ConstrainedTerm(mk("g", (mk("f", (c,)),)), TRUE), FreshCounter(), solver_cfg)
     ground = ConstrainedTerm(mk("g", (mk("f", (mk("fin", (n,)),)),)), TRUE)
     assert derivatives(spec.system, ground, FreshCounter(), solver_cfg) == []
+
+
+MATCH_SPEC = """
+sorts S, Top, Cfg, Busy, Idle;
+subsort Busy < Cfg;
+subsort Idle < Cfg;
+symbols
+  k : Int -> S;
+  k : Cfg -> S;
+  r : Int -> S;
+  r : Idle -> Top;
+  g : Int Int -> S;
+  m : Cfg Cfg -> S;
+  m : Cfg Top -> S;
+  done : Int -> S;
+  h : Cfg Cfg -> Top;
+  wrap : Cfg -> Top;
+  top : -> Top;
+  cnt : Int -> Busy;
+  fin : Int -> Idle;
+vars x : Int, y : Int, c : Cfg, d : Cfg, b : Busy;
+rules
+  k(0) => done(0) if true;
+  k(c) => done(1) if true;
+  r(0) => done(3) if true;
+  g(x, x) => done(x) if true;
+  m(c, c) => done(2) if true;
+  h(c, c) => wrap(c) if true;
+  wrap(fin(x)) => wrap(cnt(x)) if true;
+"""
+
+
+@pytest.mark.parametrize(
+    "subject, successors",
+    [
+        ("k(0)", ["done(0)"]),  # a literal argument matches itself; k(c) takes no Int
+        ("k(1)", []),  # and no other literal
+        ("k(c)", ["done(1)"]),  # k(0) takes no Cfg
+        ("g(1, 2)", []),  # a repeated variable's two literal images differ
+        ("g(y, y)", ["done(y)"]),  # or are one term
+        ("m(d, top)", []),  # its two images have unrelated sorts
+        ("h(fin(y), cnt(y))", []),  # or clash
+        ("wrap(cnt(y))", []),  # a constructor mismatch below the root
+        ("wrap(b)", []),  # no Busy value is a fin term
+        ("r(fin(y))", []),  # r(0) is an S, r(fin(y)) a Top
+    ],
+)
+def test_match_mismatches_leave_no_successor(subject, successors, solver_cfg):
+    spec = parse_spec(MATCH_SPEC)
+    ct = parse_cterm_in(spec, subject + " /\\ true")
+    ds = derivatives(spec.system, ct, FreshCounter(), solver_cfg)
+    assert [pretty_term(d.term) for d in ds] == successors
+    assert all(d.constraint == TRUE for d in ds)
+    assert check_derivative_theorem(spec.system, ct, Domain(2)).ok

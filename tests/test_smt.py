@@ -11,10 +11,8 @@ from coreach.formulas import Atom, Eq, Exists, FALSE, Not, TRUE, conj
 from coreach.minismt.sexpr import parse_all, unparse
 from coreach.smt import (
     SolverConfig,
-    Validity,
     Verdict,
     check_sat,
-    check_valid,
     encode,
     resolve_solver,
 )
@@ -86,9 +84,10 @@ def test_check_sat_composite_is_sat(comp_sig, solver_cfg):
 
 
 def test_check_valid_trivialities(comp_sig, solver_cfg):
-    assert check_valid(comp_sig, TRUE, solver_cfg)[0] == Validity.VALID
+    # a formula is valid when its negation is unsat
+    assert check_sat(comp_sig, Not(TRUE), solver_cfg).verdict == Verdict.UNSAT
     mk = comp_sig.make_app
-    assert check_valid(comp_sig, Atom(mk(">", (n, Lit(0)))), solver_cfg)[0] == Validity.INVALID
+    assert check_sat(comp_sig, Not(Atom(mk(">", (n, Lit(0))))), solver_cfg).verdict == Verdict.SAT
 
 
 def test_check_valid_guard_complementarity(comp_sig, solver_cfg):
@@ -100,7 +99,7 @@ def test_check_valid_guard_complementarity(comp_sig, solver_cfg):
     from coreach.formulas import Implies, Or
 
     f = Implies(p, Or((conj([p, b]), conj([p, Not(b)]))))
-    assert check_valid(comp_sig, f, solver_cfg)[0] == Validity.VALID
+    assert check_sat(comp_sig, Not(f), solver_cfg).verdict == Verdict.UNSAT
 
 
 def test_builtin_subprocess_path(comp_sig):
