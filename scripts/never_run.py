@@ -3,12 +3,12 @@
 
     python scripts/never_run.py [PYTEST_ARG ...]
 
-Runs `python -m pytest -q --hypothesis-seed=0` from the repository root
-(the fixed seed makes the property tests, and so the count, repeat) with
-a line tracer (`sys.settrace`) in the test process and in every Python
-process it starts that inherits PYTHONPATH, such as the `coreach` CLI runs
-of the tests: a generated `sitecustomize` on PYTHONPATH installs the
-tracer at start-up.
+Runs `python -m pytest -q` from the repository root (tests/conftest.py
+derandomizes the property tests, so the count repeats) with a line tracer
+(`sys.settrace`) in the test process and in every Python process it
+starts that inherits PYTHONPATH, such as the `coreach` CLI runs of the
+tests: a generated `sitecustomize` on PYTHONPATH installs the tracer at
+start-up.
 Each process appends every src/ line it runs for the first time to a file
 of its own as it goes, so a process that is killed still counts.
 
@@ -102,7 +102,7 @@ def main() -> int:
         (site / "sitecustomize.py").write_text(SITECUSTOMIZE.format(root=str(SRC), out=str(out)))
         path_var = os.pathsep.join(filter(None, [str(site), str(SRC), os.environ.get("PYTHONPATH")]))
         env = {**os.environ, "PYTHONPATH": path_var}
-        argv = [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "--hypothesis-seed=0", *sys.argv[1:]]
+        argv = [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", *sys.argv[1:]]
         code = subprocess.run(argv, cwd=ROOT, env=env).returncode
         ran = set()
         for f in out.iterdir():

@@ -15,7 +15,7 @@ import argparse
 import sys
 from contextlib import closing
 
-from .errors import CoreachError, DerivativeRefused, MalformedSolverOutput, ParseError, SolverUnavailable
+from .errors import CoreachError, DerivativeRefused, MalformedSolverOutput, SolverUnavailable
 from .formulas import pretty_constrained, pretty_formula, pretty_term
 from .prover import (
     FAILED,
@@ -29,50 +29,70 @@ from .prover import (
     render_text,
 )
 from .rewriting import derivatives
+from .signature import Violation
 from .smt import DEFAULT_TIMEOUT_MS, SolverConfig, resolve_solver
 from .specfile import SpecFile, parse_spec, parse_cterm_in
 from .terms import FreshCounter
 
 
-def _common_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("file", help="specification file")
+class _ArgumentParser(argparse.ArgumentParser):
+    """Usage errors are input errors: they exit 3, not argparse's 2, which
+    this CLI reserves for inconclusive runs."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(3, f"{self.prog}: error: {message}\n")
+
+
+def _solver_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--solver", default=None, help="solver command (default: $RMT_SOLVER, z3, or builtin)")
     p.add_argument("--timeout-ms", type=int, default=None, help="per-query solver timeout")
 
 
-def build_arg_parser() -> argparse.ArgumentParser:
-    top = argparse.ArgumentParser(prog="coreach", description=__doc__.splitlines()[0])
-    sub = top.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("prove", help="prove the reachability goals")
-    _common_flags(p)
-    p.add_argument("--max-depth", type=int, default=None, help="derivative-step bound (default 20)")
-    p.add_argument("--max-branch", type=int, default=None, help="branching bound (default 64)")
-    p.add_argument("--dump-proof", choices=["text", "json"], default=None)
-
-    p = sub.add_parser("derive", help="print the symbolic successors of a constrained term")
-    _common_flags(p)
-    p.add_argument("--term", required=True, help='constrained term, e.g. "init(n) /\\ n > 0"')
-
-    p = sub.add_parser("oracle", help="check the goals by brute force on a finite domain")
-    _common_flags(p)
+def _domain_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--bound", type=int, default=None, help="integer domain bound (default 8)")
     p.add_argument("--steps", type=int, default=None, help="graph expansion budget (default 10000)")
 
-    p = sub.add_parser("check-graph", help="build and export the reachable transition graph")
-    _common_flags(p)
-    p.add_argument("--bound", type=int, default=None)
-    p.add_argument("--steps", type=int, default=None)
+
+def build_arg_parser() -> argparse.ArgumentParser:
+    top = _ArgumentParser(prog="coreach", description=__doc__.splitlines()[0])
+    sub = top.add_subparsers(dest="command", required=True)
+
+    def command(name: str, run, help: str) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=help)
+        p.add_argument("file", help="specification file")
+        p.set_defaults(run=run)
+        return p
+
+    p = command("prove", cmd_prove, "prove the reachability goals")
+    _solver_flags(p)
+    p.add_argument("--max-depth", type=int, default=None, help="derivative-step bound (default 20)")
+    p.add_argument("--dump-proof", choices=["text", "json"], default=None)
+
+    p = command("derive", cmd_derive, "print the symbolic successors of a constrained term")
+    _solver_flags(p)
+    p.add_argument("--term", required=True, help='constrained term, e.g. "init(n) /\\ n > 0"')
+
+    _domain_flags(command("oracle", cmd_oracle, "check the goals by brute force on a finite domain"))
+
+    p = command("check-graph", cmd_check_graph, "build and export the reachable transition graph")
+    _domain_flags(p)
     p.add_argument("--dot", default=None, help="write a DOT document to this path")
 
-    p = sub.add_parser("validate", help="parse and check the specification only")
-    _common_flags(p)
+    command("validate", None, "parse and check the specification only")
     return top
 
 
-def _load(path: str) -> SpecFile:
+def _load(path: str) -> tuple[SpecFile, list[Violation]]:
+    """The spec in `path` and its signature's violations, each reported on
+    stderr: `validate` counts them, and every other command refuses the
+    spec (exit 3)."""
     with open(path, encoding="utf-8") as handle:
-        return parse_spec(handle.read())
+        spec = parse_spec(handle.read())
+    violations = spec.signature.validate()
+    for v in violations:
+        print(f"violation: {v}", file=sys.stderr)
+    return spec, violations
 
 
 def _solver_config(spec: SpecFile, solver: str | None, timeout_ms: int | None) -> SolverConfig:
@@ -90,36 +110,17 @@ def search_config(
     solver: str | None = None,
     timeout_ms: int | None = None,
     max_depth: int | None = None,
-    max_branch: int | None = None,
 ) -> SearchConfig:
     """The prover's settings for a spec, shared with scripts/run_corpus.py:
     a flag wins over the spec's option, which wins over the default."""
     return SearchConfig(
         max_der_depth=_pick(max_depth, spec, "max-depth", SearchConfig.max_der_depth),
-        max_branching=_pick(max_branch, spec, "max-branch", SearchConfig.max_branching),
         solver=_solver_config(spec, solver, timeout_ms),
     )
 
 
-def cmd_validate(args) -> int:
-    spec = _load(args.file)
-    violations = spec.signature.validate()
-    for v in violations:
-        print(f"violation: {v}", file=sys.stderr)
-    n_rules = len(spec.system.rules)
-    n_goals = len(spec.goals)
-    print(f"{args.file}: {n_rules} rules, {n_goals} goals, {len(violations)} violations")
-    return 0 if not violations else 1
-
-
-def cmd_prove(args) -> int:
-    spec = _load(args.file)
-    violations = spec.signature.validate()
-    if violations:
-        for v in violations:
-            print(f"violation: {v}", file=sys.stderr)
-        return 3
-    cfg = search_config(spec, args.solver, args.timeout_ms, args.max_depth, args.max_branch)
+def cmd_prove(args, spec: SpecFile) -> int:
+    cfg = search_config(spec, args.solver, args.timeout_ms, args.max_depth)
     with closing(cfg.solver.session):
         result = Prover(spec.system, spec.goal_set(), cfg).prove_all(spec.splits())
     had_failure = False
@@ -154,8 +155,7 @@ def cmd_prove(args) -> int:
     return 0
 
 
-def cmd_derive(args) -> int:
-    spec = _load(args.file)
+def cmd_derive(args, spec: SpecFile) -> int:
     ct = parse_cterm_in(spec, args.term)
     cfg = _solver_config(spec, args.solver, args.timeout_ms)
     try:
@@ -172,10 +172,9 @@ def cmd_derive(args) -> int:
     return 0
 
 
-def cmd_oracle(args) -> int:
+def cmd_oracle(args, spec: SpecFile) -> int:
     from .oracle import Domain, build_graph, check_dvp, goal_instances
 
-    spec = _load(args.file)
     dom = Domain(_pick(args.bound, spec, "bound", 8))
     steps = _pick(args.steps, spec, "steps", 10_000)
     worst = 0  # 0 valid, 1 inconclusive, 2 invalid
@@ -200,10 +199,9 @@ def cmd_oracle(args) -> int:
     return {0: 0, 1: 2, 2: 1}[worst]
 
 
-def cmd_check_graph(args) -> int:
+def cmd_check_graph(args, spec: SpecFile) -> int:
     from .oracle import Domain, build_graph, edge_list, enumerate_instances, to_dot
 
-    spec = _load(args.file)
     dom = Domain(_pick(args.bound, spec, "bound", 8))
     steps = _pick(args.steps, spec, "steps", 10_000)
     seeds = set()
@@ -226,22 +224,15 @@ def cmd_check_graph(args) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_arg_parser().parse_args(argv)
-    handlers = {
-        "prove": cmd_prove,
-        "derive": cmd_derive,
-        "oracle": cmd_oracle,
-        "check-graph": cmd_check_graph,
-        "validate": cmd_validate,
-    }
     try:
-        return handlers[args.command](args)
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except CoreachError as exc:
+        spec, violations = _load(args.file)
+        if args.command == "validate":
+            print(f"{args.file}: {len(spec.system.rules)} rules, {len(spec.goals)} goals, {len(violations)} violations")
+            return 1 if violations else 0
+        if violations:
+            return 3
+        return args.run(args, spec)
+    except (FileNotFoundError, CoreachError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
 

@@ -283,14 +283,15 @@ def pretty_term(t: Term, prec: int = 0) -> str:
     return f"{t.symbol}({', '.join(pretty_term(a) for a in t.args)})"
 
 
-# Infix connectives: (precedence, symbol, right-associative).  Operands
-# print one level tighter, except the last operand of a right-associative
-# connective.  `~` is 5 and atoms 6; `<->` parses left-associatively.
-_INFIX = {And: (4, "/\\", False), Or: (3, "\\/", False), Implies: (2, "->", True), Iff: (1, "<->", False)}
+# Infix connectives: (precedence, symbol, right-associative), read by this
+# printer and by the parser in `specfile`.  Operands print one level tighter,
+# except the last operand of a right-associative connective.  `~` is 5 and
+# atoms 6.
+INFIX = {And: (4, "/\\", False), Or: (3, "\\/", False), Implies: (2, "->", True), Iff: (1, "<->", False)}
 
 
 def pretty_formula(f: Formula, prec: int = 0) -> str:
-    infix = _INFIX.get(type(f))
+    infix = INFIX.get(type(f))
     if infix is not None:
         p, symbol, right = infix
         kids = children(f)

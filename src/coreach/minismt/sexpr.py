@@ -103,11 +103,3 @@ _SIMPLE_SYMBOL = re.compile(r"[A-Za-z~!@$%^&*_+=<>.?/-][A-Za-z0-9~!@$%^&*_+=<>.?
 def symbol(name: str) -> str:
     """`name` written as an SMT-LIB symbol: bare if simple, else quoted in bars."""
     return name if _SIMPLE_SYMBOL.fullmatch(name) else f"|{name}|"
-
-
-def unparse(x) -> str:
-    if isinstance(x, list):
-        return "(" + " ".join(unparse(i) for i in x) + ")"
-    if isinstance(x, int) and not isinstance(x, bool):
-        return str(x)
-    return str(x)

@@ -111,14 +111,11 @@ EXHAUSTIVE = (DER, DISJ)
 @dataclass(frozen=True)
 class SearchConfig:
     max_der_depth: int = 20
-    max_branching: int = 64
     solver: SolverConfig = field(default_factory=SolverConfig)
 
     def __post_init__(self):
-        if self.max_der_depth <= 0 or self.max_branching <= 0:
-            raise InvalidOption(
-                f"search bounds must be positive (max depth {self.max_der_depth}, max branch {self.max_branching})"
-            )
+        if self.max_der_depth <= 0:
+            raise InvalidOption(f"the depth bound must be positive, not {self.max_der_depth}")
 
 
 @dataclass(frozen=True)
@@ -255,7 +252,7 @@ class Prover:
         except DerivativeRefused as exc:
             self._blocked = (DER_REFUSED, None, None, str(exc))
             return None
-        if not ds or len(ds) > self.cfg.max_branching:
+        if not ds:
             return None
         total = simplify(self.sig, totality_condition(rf.lhs, [d.ct for d in ds]))
         neg = simplify(self.sig, Not(total))

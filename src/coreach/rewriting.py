@@ -89,11 +89,7 @@ class Lctrs:
 
     def add_rule(self, rule: RewriteRule) -> None:
         ls, rs = self.signature.least_sort(rule.lhs), self.signature.least_sort(rule.rhs)
-        if not (
-            self.signature.is_subsort(ls, rs)
-            or self.signature.is_subsort(rs, ls)
-            or self.signature.connected(ls, rs)
-        ):
+        if not self.signature.connected(ls, rs):
             raise SortMismatch(f"rule sides have unrelated sorts {ls} and {rs}")
         self.rules.append(rule)
 
@@ -289,11 +285,7 @@ def derivatives_detailed(
         ctr.next_index += len(rf.fresh)
         cands = sites.get(rule.lhs.symbol, ()) if isinstance(rule.lhs, App) else every
         for pos, sub, sub_sort in cands:
-            if not (
-                sig.connected(sub_sort, rf.lhs_sort)
-                or sig.is_subsort(sub_sort, rf.lhs_sort)
-                or sig.is_subsort(rf.lhs_sort, sub_sort)
-            ):
+            if not sig.connected(sub_sort, rf.lhs_sort):
                 continue
             found = _match(sig, sub, rule.lhs)
             if found is None:

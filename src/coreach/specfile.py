@@ -23,13 +23,14 @@ override it.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import IllTyped, ParseError, ResolutionError, UnknownSort
 from .formulas import (
     COMPARISONS,
+    INFIX,
+    JUNCTIONS,
     TERM_PREC,
-    And,
     Atom,
     ConstrainedTerm,
     Eq,
@@ -37,10 +38,7 @@ from .formulas import (
     FalseF,
     Forall,
     Formula,
-    Iff,
-    Implies,
     Not,
-    Or,
     TRUE,
     pretty_constrained,
     pretty_formula,
@@ -52,6 +50,7 @@ from .terms import App, BOOL, Lit, Sort, Term, Var
 
 SECTION_KEYWORDS = {"sorts", "subsort", "symbols", "vars", "rules", "prove", "circ", "options"}
 _LEVELS = sorted(set(TERM_PREC.values()))  # the infix precedences, loosest first
+_CONNECTIVES = {symbol: (cls, prec, right) for cls, (prec, symbol, right) in INFIX.items()}
 
 _TOKEN = re.compile(
     r"""(?P<ws>\s+|//[^\n]*)
@@ -105,10 +104,6 @@ class SpecFile:
     system: Lctrs
     goals: list[GoalDecl]
     options: dict[str, int]
-    sort_order: list[str] = field(default_factory=list)
-    subsort_order: list[tuple[str, str]] = field(default_factory=list)
-    symbol_order: list[tuple[str, list[str], str]] = field(default_factory=list)
-    var_order: list[tuple[str, str]] = field(default_factory=list)
 
     def goal_set(self) -> list[ReachabilityFormula]:
         return [g.formula for g in self.goals]
@@ -117,21 +112,17 @@ class SpecFile:
         return {i: g.split for i, g in enumerate(self.goals) if g.split is not None}
 
 
-OPTION_KEYS = {"max-depth", "max-branch", "timeout-ms", "bound", "steps"}
+OPTION_KEYS = {"max-depth", "timeout-ms", "bound", "steps"}
 
 
 class Parser:
-    def __init__(self, text: str):
+    def __init__(self, text: str, sig: Signature | None = None):
         self.tokens = tokenize(text)
         self.pos = 0
-        self.sig = Signature()
+        self.sig = sig or Signature()
         self.goals: list[GoalDecl] = []
         self.rules: list[RewriteRule] = []
         self.options: dict[str, int] = {}
-        self.sort_order: list[str] = []
-        self.subsort_order: list[tuple[str, str]] = []
-        self.symbol_order: list[tuple[str, list[str], str]] = []
-        self.var_order: list[tuple[str, str]] = []
         self.scopes: list[dict[str, Var]] = []
 
     # -- token helpers ---------------------------------------------------------
@@ -189,16 +180,7 @@ class Parser:
         system = Lctrs(self.sig)
         for r in self.rules:
             system.add_rule(r)
-        return SpecFile(
-            self.sig,
-            system,
-            self.goals,
-            self.options,
-            self.sort_order,
-            self.subsort_order,
-            self.symbol_order,
-            self.var_order,
-        )
+        return SpecFile(self.sig, system, self.goals, self.options)
 
     def _sorts(self):
         self.next()
@@ -207,7 +189,6 @@ class Parser:
             if tok.text in self.sig.sorts:
                 raise ParseError(f"sort {tok.text} already exists", tok.line, tok.column)
             self.sig.add_sort(tok.text)
-            self.sort_order.append(tok.text)
             if self.at(","):
                 self.next()
                 continue
@@ -224,7 +205,6 @@ class Parser:
             self.sig.add_subsort(sub.text, sup.text)
         except UnknownSort as exc:
             raise ParseError(f"unknown sort {exc}", sub.line, sub.column)
-        self.subsort_order.append((sub.text, sup.text))
 
     def _sort_ref(self) -> Sort:
         tok = self.expect_ident()
@@ -244,7 +224,6 @@ class Parser:
             result = self._sort_ref()
             self.expect(";")
             self.sig.add_operation(name.text, args, result)
-            self.symbol_order.append((name.text, [a.name for a in args], result.name))
 
     def _vars(self):
         self.next()
@@ -255,7 +234,6 @@ class Parser:
             if name.text in self.sig.variables:
                 raise ParseError(f"variable {name.text} already declared", name.line, name.column)
             self.sig.add_variable(name.text, sort)
-            self.var_order.append((name.text, sort.name))
             if self.at(","):
                 self.next()
                 continue
@@ -392,37 +370,20 @@ class Parser:
 
     # -- formulas ----------------------------------------------------------------------
 
-    def parse_formula(self) -> Formula:
-        return self._iff()
-
-    def _iff(self) -> Formula:
-        f = self._implies()
-        while self.at("<->"):
-            self.next()
-            f = Iff(f, self._implies())
+    def parse_formula(self, prec: int = 0) -> Formula:
+        """A formula whose connectives bind at least as tightly as `prec`, at
+        the precedences of `INFIX`: a run of `/\\` or of `\\/` is one
+        junction, `->` nests to the right and `<->` to the left."""
+        f = self._neg()
+        while (infix := _CONNECTIVES.get(self.peek().text)) is not None and infix[1] >= prec:
+            cls, p, right = infix
+            symbol = self.next().text
+            parts = [f, self.parse_formula(p if right else p + 1)]
+            while cls in JUNCTIONS and self.at(symbol):
+                self.next()
+                parts.append(self.parse_formula(p + 1))
+            f = cls(tuple(parts)) if cls in JUNCTIONS else cls(*parts)
         return f
-
-    def _implies(self) -> Formula:
-        f = self._disj()
-        if self.at("->"):
-            self.next()
-            return Implies(f, self._implies())
-        return f
-
-    def _disj(self) -> Formula:
-        f = self._conj()
-        parts = [f]
-        while self.at("\\/"):
-            self.next()
-            parts.append(self._conj())
-        return parts[0] if len(parts) == 1 else Or(tuple(parts))
-
-    def _conj(self) -> Formula:
-        parts = [self._neg()]
-        while self.at("/\\"):
-            self.next()
-            parts.append(self._neg())
-        return parts[0] if len(parts) == 1 else And(tuple(parts))
 
     def _neg(self) -> Formula:
         if self.at("~"):
@@ -502,10 +463,7 @@ def parse_spec(text: str) -> SpecFile:
 
 def parse_cterm_in(spec: SpecFile, text: str) -> ConstrainedTerm:
     """Parse a constrained term against an already-loaded specification."""
-    p = Parser("")
-    p.tokens = tokenize(text)
-    p.pos = 0
-    p.sig = spec.signature
+    p = Parser(text, spec.signature)
     ct = p.parse_cterm()
     tok = p.peek()
     if tok.kind != "eof":
@@ -517,18 +475,21 @@ def parse_cterm_in(spec: SpecFile, text: str) -> ConstrainedTerm:
 
 
 def render_spec(spec: SpecFile) -> str:
+    sig = spec.signature
     out = []
-    if spec.sort_order:
-        out.append("sorts " + ", ".join(spec.sort_order) + ";")
-    for sub, sup in spec.subsort_order:
+    sorts = [name for name, sort in sig.sorts.items() if not sort.builtin]
+    if sorts:
+        out.append("sorts " + ", ".join(sorts) + ";")
+    for sub, sup in sorted(sig.subsort_pairs):
         out.append(f"subsort {sub} < {sup};")
-    if spec.symbol_order:
+    symbols = [op for op in sig.operations if not op.builtin]
+    if symbols:
         out.append("symbols")
-        for name, args, result in spec.symbol_order:
-            arglist = (" " + " ".join(args)) if args else ""
-            out.append(f"  {name} :{arglist} -> {result};")
-    if spec.var_order:
-        out.append("vars " + ", ".join(f"{n} : {s}" for n, s in spec.var_order) + ";")
+        for op in symbols:
+            arglist = "".join(" " + a.name for a in op.arg_sorts)
+            out.append(f"  {op.name} :{arglist} -> {op.result.name};")
+    if sig.variables:
+        out.append("vars " + ", ".join(f"{n} : {s.name}" for n, s in sig.variables.items()) + ";")
     if spec.system.rules:
         out.append("rules")
         for r in spec.system.rules:

@@ -229,16 +229,16 @@ def test_derive_aborts_on_a_solver_failure(tmp_path, solver):
 @pytest.mark.parametrize(
     "command, flags",
     [
-        ("prove", ["--max-depth", "0"]),
-        ("prove", ["--max-branch", "0"]),
-        ("prove", ["--timeout-ms", "-5"]),
-        ("prove", ["--timeout-ms", "0"]),
-        ("derive", ["--timeout-ms", "0", "--term", "sum(n) /\\ n >= 0"]),
+        ("prove", ["--solver", "builtin", "--max-depth", "0"]),
+        ("prove", ["--solver", "builtin", "--max-depth", "-1"]),
+        ("prove", ["--solver", "builtin", "--timeout-ms", "-5"]),
+        ("prove", ["--solver", "builtin", "--timeout-ms", "0"]),
+        ("derive", ["--solver", "builtin", "--timeout-ms", "0", "--term", "sum(n) /\\ n >= 0"]),
         ("oracle", ["--bound", "-1"]),
     ],
 )
 def test_out_of_range_settings_are_input_errors(command, flags):
-    proc = run_cli(command, "systems/sum.lrw", "--solver", "builtin", *flags)
+    proc = run_cli(command, "systems/sum.lrw", *flags)
     assert proc.returncode == 3, proc.stdout + proc.stderr
     assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
 
@@ -266,7 +266,13 @@ def test_check_graph_edge_list_and_dot(tmp_path):
     assert dotfile.read_text().startswith("digraph")
 
 
-def test_validate_reports_clean_and_violations(tmp_path):
+@pytest.mark.parametrize(
+    "command, flags",
+    [("prove", []), ("derive", ["--term", "div(1, 2) /\\ true"]), ("oracle", []), ("check-graph", [])],
+    ids=["prove", "derive", "oracle", "check-graph"],
+)
+def test_validate_reports_clean_and_violations(tmp_path, command, flags):
+    # validate counts the violations; every other command refuses the spec
     proc = run_cli("validate", COMP)
     assert proc.returncode == 0
     assert "0 violations" in proc.stdout
@@ -274,10 +280,37 @@ def test_validate_reports_clean_and_violations(tmp_path):
     bad.write_text("sorts Cfg;\nsymbols div : Int Int -> Cfg;\nvars n : Int;\n")
     proc2 = run_cli("validate", str(bad))
     assert proc2.returncode == 1
-    assert "builtin-overlap" in proc2.stderr
-    proc3 = run_cli("prove", str(bad))
+    assert "violation: builtin-overlap" in proc2.stderr
+    proc3 = run_cli(command, str(bad), *flags)
     assert proc3.returncode == 3
-    assert "builtin-overlap" in proc3.stderr
+    assert proc3.stdout == ""
+    assert proc3.stderr.startswith("violation: builtin-overlap: ")
+    assert proc3.stderr.splitlines() == proc2.stderr.splitlines()
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["prove", "systems/sum.lrw", "--max-branch", "5"],
+        ["oracle", "systems/sum.lrw", "--solver", "builtin"],
+        ["prove", "systems/sum.lrw", "--bogus"],
+        ["prove"],
+    ],
+    ids=["removed-flag", "flag-of-another-command", "unknown-flag", "missing-file"],
+)
+def test_usage_errors_are_input_errors(args):
+    # argparse's own exit code, 2, would read as inconclusive
+    proc = run_cli(*args)
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("usage: coreach") and "error: " in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_help_exits_zero():
+    proc = run_cli("prove", "--help")
+    assert proc.returncode == 0
+    assert "--max-depth" in proc.stdout and "--max-branch" not in proc.stdout
 
 
 def test_missing_file_exit_three():

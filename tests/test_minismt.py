@@ -665,7 +665,7 @@ def _affordable_prefixes(decls: dict):
     ]
 
 
-@settings(derandomize=True, max_examples=150, deadline=None)
+@settings(max_examples=150, deadline=None)
 @given(_model_query(), st.integers(0, 40))
 def test_model_search_matches_the_plain_scan(query, tiny_budget):
     # The same first model, or None, as the plain scan: on every affordable

@@ -357,7 +357,7 @@ def _constrained_term(draw):
     return ConstrainedTerm(term, And(tuple(parts)))
 
 
-@settings(derandomize=True, max_examples=120, deadline=None)
+@settings(max_examples=120, deadline=None)
 @given(_constrained_term())
 def test_level_wise_enumeration_matches_the_flat_product(ct):
     dom = Domain(1)

@@ -8,7 +8,7 @@ import pytest
 import coreach.smt as smt
 from coreach.errors import InvalidOption, MalformedSolverOutput, NonBuiltinResidue, SolverUnavailable
 from coreach.formulas import Atom, Eq, Exists, FALSE, Not, TRUE, conj
-from coreach.minismt.sexpr import parse_all, unparse
+from coreach.minismt.sexpr import parse_all
 from coreach.smt import (
     SolverConfig,
     Verdict,
@@ -55,9 +55,8 @@ def test_encode_deterministic_and_sexpr_roundtrip(comp_sig):
     s1, s2 = encode(comp_sig, f), encode(comp_sig, f)
     assert s1 == s2
     forms = parse_all(s1)
-    once = "\n".join(unparse(x) for x in forms)
-    twice = "\n".join(unparse(x) for x in parse_all(once))
-    assert once == twice
+    assert [form[0] for form in forms] == ["set-logic", "declare-const", "assert", "check-sat"]
+    assert forms[2][1][-1] == ["<", 0, "n"]
 
 
 def test_encode_rejects_constructor_residue(comp_sig):

@@ -5,8 +5,9 @@ from pathlib import Path
 import pytest
 
 from coreach.errors import ParseError, ResolutionError
-from coreach.formulas import Exists, Not, TrueF, pretty_formula
+from coreach.formulas import And, Atom, Exists, Iff, Implies, Not, Or, TrueF, pretty_formula
 from coreach.specfile import parse_cterm_in, parse_spec, render_spec
+from coreach.terms import BOOL, Var
 
 COMPOSITENESS = Path("systems/compositeness.lrw").read_text()
 
@@ -104,7 +105,9 @@ def test_parse_cterm_in_context():
         parse_cterm_in(spec, "loop(n, 2) /\\ n > 0 trailing")
 
 
-@pytest.mark.parametrize("path", sorted(Path("systems").glob("*.lrw")), ids=lambda p: p.stem)
+@pytest.mark.parametrize(
+    "path", sorted(Path("systems").glob("*.lrw")) + sorted(Path("tests/specs").glob("*.lrw")), ids=lambda p: p.stem
+)
 def test_parse_print_roundtrip(path):
     spec = parse_spec(path.read_text())
     printed = render_spec(spec)
@@ -116,9 +119,37 @@ def test_parse_print_roundtrip(path):
         (g.kind, g.formula, g.split) for g in spec.goals
     ]
     assert again.options == spec.options
-    assert again.sort_order == spec.sort_order
-    assert again.symbol_order == spec.symbol_order
+    assert list(again.signature.sorts.items()) == list(spec.signature.sorts.items())
+    assert again.signature.subsort_pairs == spec.signature.subsort_pairs
+    assert again.signature.operations == spec.signature.operations
+    assert list(again.signature.variables.items()) == list(spec.signature.variables.items())
     assert render_spec(again) == printed
+
+
+CHAIN_SPEC = """
+sorts S;
+symbols st : -> S;
+vars a : Bool, b : Bool, c : Bool;
+prove st /\\ true => st /\\ true;
+"""
+A, B, C = (Atom(Var(name, BOOL)) for name in "abc")
+
+
+@pytest.mark.parametrize(
+    "text, expected",
+    [
+        ("a -> b -> c", Implies(A, Implies(B, C))),
+        ("a <-> b <-> c", Iff(Iff(A, B), C)),
+        ("a /\\ b /\\ c", And((A, B, C))),
+        ("a \\/ b /\\ c", Or((A, And((B, C))))),
+        ("~a /\\ b", And((Not(A), B))),
+        ("a \\/ b \\/ c -> a <-> b", Iff(Implies(Or((A, B, C)), A), B)),
+    ],
+    ids=["implies-right", "iff-left", "and-run", "and-under-or", "not-under-and", "mixed"],
+)
+def test_unparenthesized_chains_parse_as_documented(text, expected):
+    spec = parse_spec(CHAIN_SPEC)
+    assert parse_cterm_in(spec, f"st /\\ {text}").constraint == expected
 
 
 ROUNDTRIP_SPEC = """
@@ -132,8 +163,8 @@ prove st(x, -3) /\\ true => st(x, y) /\\ true;
 def _roundtrip_formulas(mk):
     """Every connective in every operand position of every connective, over
     leaves with negative literals, unary minus and a Bool variable."""
-    from coreach.formulas import And, Atom, Eq, Forall, Iff, Implies, Or
-    from coreach.terms import BOOL, INT, Lit, Var
+    from coreach.formulas import Eq, Forall
+    from coreach.terms import INT, Lit
 
     x, y, u, b = Var("x", INT), Var("y", INT), Var("u", INT), Var("b", BOOL)
     p = Atom(mk("<", (x, Lit(-3))))
