@@ -13,6 +13,7 @@ branch never asserts anything.
 from __future__ import annotations
 
 import operator
+from collections.abc import Iterator
 from functools import lru_cache
 from math import gcd
 
@@ -214,7 +215,15 @@ def normalize_eq(p: Poly) -> tuple[Poly | None, bool]:
 
 
 class Core:
-    """A conjunction of integer constraints with saturation-based refutation."""
+    """A conjunction of integer constraints with saturation-based refutation.
+
+    `add` and `add_bool` assert a fact and close the core at once when it
+    clashes with the indexed facts (p <= 0 against the largest constant
+    kept for -p, p = 0 against p != 0, a boolean against its other value);
+    the solver probes literals by asserting them into a `clone`.
+    `saturate` derives more at a price in steps.  The indexes are read only
+    here: the solver asks `holds`, and takes its case splits from
+    `sign_splits` and `ne_split` as copies made by `branch`."""
 
     def __init__(self, budget=None):
         self.les: set[tuple] = set()  # frozen polys, p <= 0
@@ -280,19 +289,8 @@ class Core:
             if fp in self.les:
                 return
             self.les.add(fp)
-            # Complement index: p <= 0 against -p + c <= 0 closes or implies p = 0.
-            nc = {m: v for m, v in np.items() if m != ()}
-            c0 = const_of(np)
-            key = freeze(nc)
-            best = self.le_best.get(key)
-            if best is None or c0 > best:
-                self.le_best[key] = c0
-            comp = self.le_best.get(freeze(pneg(nc)))
-            if comp is not None:
-                if c0 + comp > 0:
-                    self.closed = True
-                elif c0 + comp == 0:
-                    self.add(np, EQ0)
+            if self._index_le({m: v for m, v in np.items() if m != ()}, const_of(np)):
+                self.add(np, EQ0)
         elif rel == EQ0:
             np, bad = normalize_eq(p)
             if bad:
@@ -300,35 +298,21 @@ class Core:
                 return
             if np is None:
                 return
-            if is_const(np):
-                if const_of(np) != 0:
-                    self.closed = True
-                return
             fp = freeze(np)
             if fp in self.nes:
                 self.closed = True
                 return
             self.eqs.add(fp)
-            # Feed both reading directions into the complement index.
+            # p = 0 is p <= 0 and -p <= 0.
             nc = {m: v for m, v in np.items() if m != ()}
-            c0 = const_of(np)
-            for part, cc in ((nc, c0), (pneg(nc), -c0)):
-                key = freeze(part)
-                best = self.le_best.get(key)
-                if best is None or cc > best:
-                    self.le_best[key] = cc
-                comp = self.le_best.get(freeze(pneg(part)))
-                if comp is not None and cc + comp > 0:
-                    self.closed = True
-                    return
+            self._index_le(nc, const_of(np))
+            self._index_le(pneg(nc), -const_of(np))
         elif rel == NE0:
-            np, _ = normalize_eq(p)
+            np, bad = normalize_eq(p)
+            if bad:
+                return  # p = 0 has no integer solution
             if np is None:
                 self.closed = True  # 0 != 0
-                return
-            if is_const(np):
-                if const_of(np) == 0:
-                    self.closed = True
                 return
             fp = freeze(np)
             if fp in self.eqs:
@@ -337,6 +321,71 @@ class Core:
             self.nes.add(fp)
         else:
             raise ValueError(rel)
+
+    def _index_le(self, nc: Poly, c0: int) -> bool:
+        """Enters nc + c0 <= 0 into the complement index, which keeps the
+        largest constant per non-constant part, and checks it against the
+        complement -nc + c <= 0 kept there.  The two close the core when
+        c0 + c > 0; when c0 + c = 0 they imply nc + c0 = 0, and the answer
+        is True."""
+        key = freeze(nc)
+        if c0 > self.le_best.get(key, c0 - 1):
+            self.le_best[key] = c0
+        comp = self.le_best.get(freeze(pneg(nc)))
+        if comp is None:
+            return False
+        if c0 + comp > 0:
+            self.closed = True
+        return c0 + comp == 0
+
+    def holds(self, p: Poly, rel: str) -> bool:
+        """Whether p rel 0 holds by the definitions alone."""
+        p = self.apply_defs(p)
+        if rel == LE0:
+            return normalize_le(p) is None
+        if rel == EQ0:
+            return normalize_eq(p) == (None, False)
+        return is_const(p) and const_of(p) != 0
+
+    def holds_bool(self, name: str, value: bool) -> bool:
+        return self.bools.get(name) == value
+
+    # -- case splits ---------------------------------------------------------------
+
+    def branch(self, p: Poly, rel: str, drop: tuple | None = None) -> "Core":
+        """A copy of the core with p rel 0 asserted, without the disequality
+        `drop` (frozen, as `ne_split` gives it)."""
+        c = self.clone()
+        c.nes.discard(drop)
+        c.add(p, rel)
+        return c
+
+    def sign_splits(self) -> Iterator[list[tuple[Poly, str]]]:
+        """For each factor k of a product whose sign the bounds leave open,
+        in a pinned order, its cases k <= 0, k = 1 and k >= 2 as (p, rel)
+        pairs."""
+        bounds = self.bounds()
+        for m in sorted(self._monos(), key=lambda x: (len(x), repr(x))):
+            if len(m) < 2:
+                continue
+            for k in m:
+                lo, hi = bounds.get((k,), (None, None))
+                if lo is not None and (lo >= 2 or (lo >= 0 and hi is not None and hi <= 1)):
+                    continue
+                if hi is not None and hi <= 0:
+                    continue
+                kp = pvar(k)
+                yield [(kp, LE0), (psub(kp, pconst(1)), EQ0), (psub(pconst(2), kp), LE0)]
+
+    def ne_split(self) -> tuple[tuple, list[Poly]] | None:
+        """The first disequality p != 0 in a pinned order, frozen, with the
+        polynomials q of its cases q <= 0: p <= -1 and p >= 1.  None when
+        there is none."""
+        if not self.nes:
+            return None
+        ne = min(self.nes, key=repr)
+        p = thaw(ne)
+        return ne, [padd(p, pconst(1)), padd(pneg(p), pconst(1))]
 
     # -- saturation ----------------------------------------------------------------
 
@@ -351,7 +400,6 @@ class Core:
             before = (len(self.les), len(self.eqs), len(self.nes))
             self._divmod_axioms(self.bounds())
             self._gauss()
-            self._check_pairs()
             if self.stopped():
                 return
             b = self.bounds()
@@ -427,21 +475,6 @@ class Core:
                 if done:
                     break
             if not done:
-                return
-
-    def _check_pairs(self):
-        # p <= 0 and -p <= 0 imply p = 0; p = 0 with p != 0 closes.
-        if self.spend(len(self.les) + len(self.nes)):
-            return
-        les = set(self.les)
-        for fp in sorted(les, key=_rk):
-            p = thaw(fp)
-            if freeze(pneg(p)) in les:
-                self.add(p, EQ0)
-        for fp in sorted(self.nes, key=_rk):
-            p = thaw(fp)
-            if freeze(p) in self.eqs or freeze(pneg(p)) in self.eqs:
-                self.closed = True
                 return
 
     def bounds(self) -> dict:

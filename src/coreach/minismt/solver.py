@@ -17,7 +17,10 @@ still charged to the candidate budget one by one, so the first model and
 the budget cut-off are those of a plain scan.  Refutation works on the tree
 itself, whose atoms hold term trees that are lowered to polynomial
 constraints only when asserted into a refutation core; a refutation step
-is a bounded amount of work (see `Budget`).  Quantifier evaluation during
+is a bounded amount of work (see `Budget`).  `Core.add` alone decides
+whether a literal contradicts a branch's facts: a probe asserts literals
+into a copy of the branch's core, and each case of a split refutes on a
+copy of its own (`_every_case_closes`).  Quantifier evaluation during
 model search derives finite candidate ranges from the atoms that bound the
 quantified variable; when no finite range is implied the result degrades
 to unknown, never to a wrong verdict.
@@ -28,7 +31,7 @@ from __future__ import annotations
 import time
 from collections.abc import Iterable, Iterator
 from functools import lru_cache
-from itertools import product
+from itertools import islice, product
 from operator import itemgetter
 
 from .arith import (
@@ -37,11 +40,6 @@ from .arith import (
     LE0,
     NE0,
     Core,
-    const_of,
-    freeze,
-    is_const,
-    normalize_eq,
-    normalize_le,
     padd,
     pconst,
     pdivmod,
@@ -622,12 +620,7 @@ def _last_slot(node, slots: dict) -> int:
 
 
 def _term_last_slot(t, slots: dict) -> int:
-    tag = t[0]
-    if tag == "int":
-        return -1
-    if tag == "var":
-        return slots.get(t[1], -1)
-    return max(_term_last_slot(t[1], slots), _term_last_slot(t[2], slots))
+    return max((slots.get(n, -1) for n in _term_names(t)), default=-1)
 
 
 def _exact_bound(node, name: str, slots: dict):
@@ -821,22 +814,19 @@ def _poly_of_term(t):
         return pvar(("v", t[1]))
     pa = _poly_of_term(t[1])
     pb = _poly_of_term(t[2])
-    match tag:
-        case "+":
-            return padd(pa, pb)
-        case "-":
-            return psub(pa, pb)
-        case "*":
-            return pmul(pa, pb)
-        case "div" | "mod":
-            return pdivmod(tag, pa, pb)
-    raise SolveError(tag)
+    if tag == "+":
+        return padd(pa, pb)
+    if tag == "-":
+        return psub(pa, pb)
+    if tag == "*":
+        return pmul(pa, pb)
+    return pdivmod(tag, pa, pb)  # div or mod
 
 
-def _add_atom(core: Core, node):
+def _fact(node) -> tuple:
+    """The (p, rel) fact of a comparison atom: p rel 0 over polynomials."""
     _, op, ta, tb = node
-    p = psub(_poly_of_term(ta), _poly_of_term(tb))
-    core.add(p, {"le": LE0, "eq": EQ0, "ne": NE0}[op])
+    return psub(_poly_of_term(ta), _poly_of_term(tb)), {"le": LE0, "eq": EQ0, "ne": NE0}[op]
 
 
 def _poly_to_term(p):
@@ -845,8 +835,6 @@ def _poly_to_term(p):
         t = ("int", c) if m == () else None
         for k in m:
             kt = _key_to_term(k)
-            if kt is None:
-                return None
             t = kt if t is None else ("*", t, kt)
         if m != () and c != 1:
             t = ("*", ("int", c), t)
@@ -862,11 +850,7 @@ def _poly_to_term(p):
 def _key_to_term(k):
     if k[0] == "v":
         return ("var", k[1])
-    ta = _poly_to_term(thaw(k[1]))
-    tb = _poly_to_term(thaw(k[2]))
-    if ta is None or tb is None:
-        return None
-    return (k[0], ta, tb)
+    return (k[0], _poly_to_term(thaw(k[1])), _poly_to_term(thaw(k[2])))
 
 
 def _candidate_terms(core: Core, numerals: set[int]) -> list:
@@ -874,129 +858,41 @@ def _candidate_terms(core: Core, numerals: set[int]) -> list:
     the opaque div/mod terms of the branch."""
     plain, opaque = [], []
     for key in sorted(core.all_keys(), key=repr):
-        t = _key_to_term(key)
-        if t is None:
-            continue
-        (plain if key[0] == "v" else opaque).append(t)
+        (plain if key[0] == "v" else opaque).append(_key_to_term(key))
     nums = [("int", k) for k in sorted(set(numerals) | {0, 1})]
     return (plain + nums[:8] + opaque)[:24]
 
 
-def _flat_atoms(node, out):
-    """Conjunction of literals, or None when the node branches or quantifies."""
-    tag = node[0]
-    if tag in ("true", "false", "cmp", "bvar"):
-        out.append(node)
-        return out
-    if tag == "and":
-        for p in node[1]:
-            if _flat_atoms(p, out) is None:
-                return None
-        return out
-    return None
+def _literals(node):
+    """The conjuncts of a conjunction of literals, or None when the node
+    branches or quantifies."""
+    parts = _conjuncts(node, [])
+    return parts if all(p[0] in ("false", "cmp", "bvar") for p in parts) else None
 
 
 def _probe_contradicts(core: Core, atoms) -> bool:
-    """Cheap definite-contradiction test for unit propagation: each literal is
-    normalized and checked against the core's indexes and against the other
-    probe literals, with no cloning and no saturation."""
-    local_best: dict = {}
-    local_eqs: set = set()
-    local_nes: set = set()
-    local_bools: dict = {}
+    """Whether the literals contradict the branch's facts: they are asserted
+    into a copy of the core, which closes on a clash with its indexed facts.
+    The copy is not saturated and no step is charged."""
+    probe = core.clone()
     for a in atoms:
-        tag = a[0]
-        if tag == "true":
-            continue
-        if tag == "false":
+        if a[0] == "false":
             return True
-        if tag == "bvar":
-            if core.bools.get(a[1], a[2]) != a[2] or local_bools.get(a[1], a[2]) != a[2]:
-                return True
-            local_bools[a[1]] = a[2]
-            continue
-        _, op, ta, tb = a
-        try:
-            p = core.apply_defs(psub(_poly_of_term(ta), _poly_of_term(tb)))
-        except SolveError:
-            continue
-        if op == "le":
-            np = normalize_le(p)
-            if np is None:
-                continue
-            if is_const(np):
-                if const_of(np) > 0:
-                    return True
-                continue
-            nc = freeze({m: v for m, v in np.items() if m != ()})
-            c0 = const_of(np)
-            comp_key = freeze(pneg({m: v for m, v in np.items() if m != ()}))
-            for table in (core.le_best, local_best):
-                comp = table.get(comp_key)
-                if comp is not None and c0 + comp > 0:
-                    return True
-            if c0 > local_best.get(nc, c0 - 1):
-                local_best[nc] = c0
+        if a[0] == "bvar":
+            probe.add_bool(a[1], a[2])
         else:
-            np, bad = normalize_eq(p)
-            if op == "eq":
-                if bad:
-                    return True
-                if np is None:
-                    continue
-                if is_const(np):
-                    if const_of(np) != 0:
-                        return True
-                    continue
-                fp = freeze(np)
-                if fp in core.nes or fp in local_nes:
-                    return True
-                nc = {m: v for m, v in np.items() if m != ()}
-                e0 = const_of(np)
-                for part, cc in ((nc, e0), (pneg(nc), -e0)):
-                    comp = core.le_best.get(freeze(pneg(part)))
-                    if comp is not None and cc + comp > 0:
-                        return True
-                local_eqs.add(fp)
-            else:  # ne
-                if np is None:
-                    return True
-                if is_const(np):
-                    if const_of(np) == 0:
-                        return True
-                    continue
-                fp = freeze(np)
-                if fp in core.eqs or fp in local_eqs:
-                    return True
-                local_nes.add(fp)
+            probe.add(*_fact(a))
+        if probe.closed:
+            return True
     return False
 
 
 def _definitely_true(core: Core, atoms) -> bool:
     """All atoms tautological under the core's definitions; such a clause
     constrains nothing and can be dropped."""
-    for a in atoms:
-        if a[0] == "true":
-            continue
-        if a[0] == "false":
-            return False
-        if a[0] == "bvar":
-            if core.bools.get(a[1]) != a[2]:
-                return False
-            continue
-        _, op, ta, tb = a
-        p = core.apply_defs(psub(_poly_of_term(ta), _poly_of_term(tb)))
-        if op == "le":
-            if normalize_le(p) is not None:
-                return False
-        elif op == "eq":
-            np, bad = normalize_eq(p)
-            if bad or np is not None:
-                return False
-        else:  # ne
-            if not (is_const(p) and const_of(p) != 0):
-                return False
-    return True
+    return all(
+        core.holds_bool(a[1], a[2]) if a[0] == "bvar" else a[0] == "cmp" and core.holds(*_fact(a)) for a in atoms
+    )
 
 
 @lru_cache(maxsize=4096)
@@ -1015,10 +911,7 @@ def _solve_candidates(node) -> list:
         elif tag in ("exists", "forall"):
             scan(n[2])
         elif tag == "cmp":
-            try:
-                p = psub(_poly_of_term(n[2]), _poly_of_term(n[3]))
-            except SolveError:
-                return
+            p, _ = _fact(n)
             for nm in bound_names:
                 key = ("v", nm)
                 if any(key in m and (len(m) > 1 or m.count(key) > 1) for m in p):
@@ -1029,14 +922,9 @@ def _solve_candidates(node) -> list:
                 a = p[mono]
                 rest = {m: c for m, c in p.items() if m != mono}
                 if all(c % a == 0 for c in rest.values()):
-                    t = _poly_to_term({m: -(c // a) for m, c in rest.items()})
-                    if t is not None:
-                        out.append(t)
-                        continue
-                if abs(a) > 1:
-                    num = _poly_to_term(pneg(rest) if a > 0 else rest)
-                    if num is not None:
-                        out.append(("div", num, ("int", abs(a))))
+                    out.append(_poly_to_term({m: -(c // a) for m, c in rest.items()}))
+                elif abs(a) > 1:
+                    out.append(("div", _poly_to_term(pneg(rest) if a > 0 else rest), ("int", abs(a))))
 
     scan(node[2])
     seen = []
@@ -1046,11 +934,27 @@ def _solve_candidates(node) -> list:
     return seen[:4]
 
 
+def _instances(u, pools, done: set | None = None) -> Iterator:
+    """The instances of the universal `u`, one per combination of terms
+    from `pools` (one pool per bound name), in product order.  With `done`,
+    a combination in it is skipped and one instantiated is added to it."""
+    bound, body = u[1], u[2]
+    for combo in product(*pools):
+        if done is not None:
+            if (u, combo) in done:
+                continue
+            done.add((u, combo))
+        inst = body
+        for (nm, _), c in zip(bound, combo):
+            inst = subst_nnf(inst, nm, c)
+        yield inst
+
+
 def _node_contradicts(core: Core, node, state, depth: int = 2) -> bool:
     """Definite refutation of a subformula against the core, without search:
     joint probing for literal conjunctions, all-disjuncts for or, and a
     single witnessing instance for universals (depth-capped)."""
-    atoms = _flat_atoms(node, [])
+    atoms = _literals(node)
     if atoms is not None:
         return _probe_contradicts(core, atoms)
     tag = node[0]
@@ -1059,16 +963,12 @@ def _node_contradicts(core: Core, node, state, depth: int = 2) -> bool:
     if tag == "and":
         return any(_node_contradicts(core, c, state, depth) for c in node[1])
     if tag == "forall" and depth > 0:
-        bound, body = node[1], node[2]
-        if any(srt == BOOLS for _, srt in bound):
+        if any(srt == BOOLS for _, srt in node[1]):
             return False
         cands = _solve_candidates(node) + _candidate_terms(core, state["numerals"])[:12]
-        for combo in product(cands, repeat=len(bound)):
+        for inst in _instances(node, [cands] * len(node[1])):
             if core.spend():
                 return False
-            inst = body
-            for (nm, _), c in zip(bound, combo):
-                inst = subst_nnf(inst, nm, c)
             if _node_contradicts(core, inst, state, depth - 1):
                 return True
     return False
@@ -1079,16 +979,25 @@ def _alive(core: Core, clause, state):
     None when one of them holds already (the clause carries no information)."""
     alive = []
     for alt in clause[1]:
-        atoms = _flat_atoms(alt, [])
-        if atoms is not None:
-            if _definitely_true(core, atoms):
-                return None
-            if _probe_contradicts(core, atoms):
-                continue
-        elif _node_contradicts(core, alt, state):
-            continue
-        alive.append(alt)
+        atoms = _literals(alt)
+        if atoms is not None and _definitely_true(core, atoms):
+            return None
+        if not _node_contradicts(core, alt, state):
+            alive.append(alt)
     return alive
+
+
+def _fork(state, splits: int) -> dict:
+    """The state of one case of a split: its own set of the instances
+    tried, and `splits` splits left."""
+    return dict(state, done=set(state["done"]), splits=splits)
+
+
+def _every_case_closes(cases, universals, budget: Budget, state, splits: int) -> bool:
+    """Whether every case of a split closes.  `cases` yields (items, core)
+    pairs, made one at a time: the items to refute, on the case's own copy
+    of the branch's core and of its state."""
+    return all(refute(items, sub, universals, budget, _fork(state, splits)) for items, sub in cases)
 
 
 def refute(items, core: Core, universals, budget: Budget, state) -> bool:
@@ -1153,13 +1062,8 @@ def refute(items, core: Core, universals, budget: Budget, state) -> bool:
             # Split on the narrowest clause.
             node, alive = min(clauses, key=lambda ca: len(ca[1]))
             items.remove(node)
-            for alt in alive:
-                sub = core.clone()
-                st = dict(state)
-                st["done"] = set(state["done"])
-                if not refute(items + [alt], sub, universals, budget, st):
-                    return False
-            return True
+            cases = ((items + [alt], core.clone()) for alt in alive)
+            return _every_case_closes(cases, universals, budget, state, state["splits"])
         if tag == "exists":
             body = node[2]
             for nm, _srt in node[1]:
@@ -1173,17 +1077,13 @@ def refute(items, core: Core, universals, budget: Budget, state) -> bool:
             continue
         if tag == "bvar":
             core.add_bool(node[1], node[2])
-            if core.closed:
-                return True
-            saturated = False
-            continue
-        if tag == "cmp":
-            _add_atom(core, node)
-            if core.closed:
-                return True
-            saturated = False
-            continue
-        raise SolveError(tag)
+        elif tag == "cmp":
+            core.add(*_fact(node))
+        else:
+            raise SolveError(tag)
+        if core.closed:
+            return True
+        saturated = False
 
     core.saturate()
     if core.closed:
@@ -1202,78 +1102,28 @@ def refute(items, core: Core, universals, budget: Budget, state) -> bool:
         cands = _candidate_terms(core, state["numerals"])
         insts = []
         for u in universals:
-            bound, body = u[1], u[2]
             u_cands = _solve_candidates(u) + cands
-            pools = [
-                [("bool", False), ("bool", True)] if srt == BOOLS else u_cands for _, srt in bound
-            ]
-            for combo in product(*pools):
-                sig = (u, combo)
-                if sig in state["done"]:
-                    continue
-                state["done"].add(sig)
-                inst = body
-                for (nm, _), c in zip(bound, combo):
-                    inst = subst_nnf(inst, nm, c)
-                insts.append(inst)
-                if len(insts) >= 64:
-                    break
+            pools = [[("bool", False), ("bool", True)] if srt == BOOLS else u_cands for _, srt in u[1]]
+            # Up to 64 instances; a universal after the 64th still adds one.
+            insts.extend(islice(_instances(u, pools, state["done"]), max(1, 64 - len(insts))))
         if insts:
             if budget.spend(len(insts)):
                 return False
-            st = dict(state)
-            st["rounds"] = state["rounds"] - 1
-            return refute(insts, core, universals, budget, st)
+            state["rounds"] -= 1  # this call goes on as the next round
+            return refute(insts, core, universals, budget, state)
 
-    # Case split on a product factor whose sign is undetermined.
     if state["splits"] > 0:
-        bounds = core.bounds()
-        for m in sorted(core._monos(), key=lambda x: (len(x), repr(x))):
-            if len(m) < 2:
-                continue
-            for k in m:
-                lo, hi = bounds.get((k,), (None, None))
-                if lo is not None and (lo >= 2 or (lo >= 0 and hi is not None and hi <= 1)):
-                    continue
-                if hi is not None and hi <= 0:
-                    continue
-                kp = pvar(k)
-                cases = (
-                    (kp, LE0),  # k <= 0
-                    (psub(kp, pconst(1)), EQ0),  # k = 1
-                    (psub(pconst(2), kp), LE0),  # k >= 2
-                )
-                ok = True
-                for cp, rel in cases:
-                    sub = core.clone()
-                    sub.add(cp, rel)
-                    st = dict(state)
-                    st["done"] = set(state["done"])
-                    st["splits"] = state["splits"] - 1
-                    if not refute([], sub, universals, budget, st):
-                        ok = False
-                        break
-                if ok:
-                    return True
-
-    # Disequality split, last resort: p != 0 becomes p <= -1 or p >= 1.
-    if state["splits"] > 0:
-        for ne in sorted(core.nes, key=repr):
-            p = thaw(ne)
-            ok = True
-            for shifted in (padd(p, pconst(1)), padd(pneg(p), pconst(1))):
-                sub = core.clone()
-                sub.nes.discard(ne)
-                sub.add(shifted, LE0)
-                st = dict(state)
-                st["done"] = set(state["done"])
-                st["splits"] = state["splits"] - 1
-                if not refute([], sub, universals, budget, st):
-                    ok = False
-                    break
-            if ok:
+        splits = state["splits"] - 1
+        # Case split on a product factor whose sign is undetermined.
+        for facts in core.sign_splits():
+            if _every_case_closes((([], core.branch(p, rel)) for p, rel in facts), universals, budget, state, splits):
                 return True
-            break
+        # Disequality split, last resort: p != 0 becomes p <= -1 or p >= 1.
+        split = core.ne_split()
+        if split is not None:
+            ne, shifted = split
+            cases = (([], core.branch(q, LE0, drop=ne)) for q in shifted)
+            return _every_case_closes(cases, universals, budget, state, splits)
     return False
 
 

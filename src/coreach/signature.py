@@ -236,13 +236,18 @@ class Signature:
 
     def _preregularity(self, name: str, ops: list[Operation]) -> list[Violation]:
         # Bounded check: for every argument-sort tuple at a declared arity, the
-        # set of applicable overloads must admit a least result sort.
+        # set of applicable overloads must admit a least result sort.  Only a
+        # word whose i-th sort lies below some overload's i-th argument sort
+        # has an overload applicable, so position i ranges over those sorts,
+        # in name order.
         out = []
-        arities = {op.arity for op in ops}
         all_sorts = sorted(self.sorts.values(), key=lambda s: s.name)
-        for n in arities:
+        for n in {op.arity for op in ops}:
             cands = [op for op in ops if op.arity == n]
-            for word in product(all_sorts, repeat=n):
+            pools = [
+                [s for s in all_sorts if any(self.is_subsort(s, op.arg_sorts[i]) for op in cands)] for i in range(n)
+            ]
+            for word in product(*pools):
                 applicable = [op for op in cands if self.leq_word(word, op.arg_sorts)]
                 if not applicable:
                     continue

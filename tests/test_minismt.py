@@ -97,34 +97,91 @@ def test_divisor_step_residual():
     assert verdict(f"{STEP_PRE}(assert {STEP_POST})(check-sat)") == "sat"
 
 
-def _count_clones(monkeypatch) -> list:
+def _count_forks(monkeypatch) -> list:
+    """The states `refute` forks, one per case of a split."""
     calls = []
-    clone = Core.clone
+    fork = solver._fork
 
-    def counting(self):
-        calls.append(self)
-        return clone(self)
+    def counting(state, splits):
+        calls.append(splits)
+        return fork(state, splits)
 
-    monkeypatch.setattr(Core, "clone", counting)
+    monkeypatch.setattr(solver, "_fork", counting)
     return calls
 
 
 def test_divisor_step_refutation_splits_narrowly(monkeypatch):
-    clones = _count_clones(monkeypatch)
+    forks = _count_forks(monkeypatch)
     assert verdict(f"{STEP_PRE}(assert (not {STEP_POST}))(check-sat)") == "unsat"
-    assert len(clones) <= 8
+    assert len(forks) <= 8
 
 
 def test_unit_clause_is_asserted_before_a_wide_split(monkeypatch):
     # The three-way clause is popped first; by then y > 0 has left the other
     # clause the single alternative x = 0, which refutes all three cases.
-    clones = _count_clones(monkeypatch)
+    forks = _count_forks(monkeypatch)
     script = (
         "(declare-const x Int)(declare-const y Int)(assert (< 0 y))"
         "(assert (or (< y 0) (= x 0)))(assert (or (= x 1) (= x 2) (= x 3)))(check-sat)"
     )
     assert verdict(script) == "unsat"
-    assert clones == []
+    assert forks == []
+
+
+def test_a_probe_sees_what_its_literals_imply_together(monkeypatch):
+    # x <= 0 and x >= 0 give x = 0, which x != 0 contradicts, so the first
+    # clause leaves the single alternative y = 1 and the second clause none:
+    # unsat with no split.
+    forks = _count_forks(monkeypatch)
+    script = (
+        "(declare-const x Int)(declare-const y Int)"
+        "(assert (or (and (<= x 0) (>= x 0) (not (= x 0))) (= y 1)))"
+        "(assert (or (= y 2) (= y 3)))(check-sat)"
+    )
+    assert verdict(script) == "unsat"
+    assert forks == []
+
+
+_LINEAR = st.tuples(
+    st.sampled_from(["le", "eq", "ne"]), st.integers(-2, 2), st.integers(-2, 2), st.integers(-3, 3)
+)
+
+
+def _linear_atom(lit):
+    """The comparison atom a*x + b*y + c op 0 of (op, a, b, c)."""
+    op, a, b, c = lit
+    term = ("+", ("+", ("*", ("int", a), ("var", "x")), ("*", ("int", b), ("var", "y"))), ("int", c))
+    return ("cmp", op, term, ("int", 0))
+
+
+@given(st.lists(_LINEAR, max_size=3), st.lists(_LINEAR, min_size=1, max_size=3))
+@example([], [("ne", 0, 0, 3)])
+@example([("eq", 1, 0, -3)], [("ne", 1, 0, -5)])
+def test_a_probe_reports_only_real_contradictions(facts, probe):
+    # The branch's facts are asserted into a core, the probe's literals are
+    # probed against it; a contradiction it reports leaves no model of both
+    # in [-6, 6]^2.
+    core = Core()
+    for lit in facts:
+        core.add(*solver._fact(_linear_atom(lit)))
+    if not solver._probe_contradicts(core, [_linear_atom(lit) for lit in probe]):
+        return
+    holds = {"le": lambda v: v <= 0, "eq": lambda v: v == 0, "ne": lambda v: v != 0}
+    for x, y in product(range(-6, 7), repeat=2):
+        assert not all(holds[op](a * x + b * y + c) for op, a, b, c in facts + probe), (x, y)
+
+
+@pytest.mark.parametrize(
+    "script",
+    [
+        "(declare-const y Int)(assert (not (= 3 5)))(assert (> y 1000))(check-sat)",
+        "(declare-const x Int)(declare-const y Int)(assert (= x 3))(assert (not (= x 5)))(assert (> y 1000))(check-sat)",
+    ],
+)
+def test_a_true_disequality_of_constants_refutes_nothing(script):
+    # 3 != 5 holds, whether written so or left once x := 3 is eliminated;
+    # the model y = 1001 lies beyond the scan, so the answer is unknown.
+    assert verdict(script) == "unknown"
 
 
 def _golden(name: str) -> list:
@@ -491,6 +548,37 @@ def test_fuzzed_verdicts_match_exhaustive_truth():
         if miss:
             mismatches.append(miss)
     assert not mismatches, mismatches[:3]
+
+
+class _NoModelScan:
+    """A model scan that has given up before it starts."""
+
+    done, timed_out = True, False
+
+    def __init__(self, check):
+        pass
+
+    def run(self, visits, deadline):
+        return None, None
+
+
+def test_refutation_alone_never_closes_a_satisfiable_formula(monkeypatch):
+    # In the test above the model scan answers a satisfiable formula before
+    # refutation can close it; here refutation runs alone, so a closed
+    # satisfiable formula shows as unsat.
+    import random
+
+    monkeypatch.setattr(solver, "ModelScan", _NoModelScan)
+    closed = []
+    for seed in range(300):
+        rng = random.Random(seed)
+        names = ["x", "y"][: rng.randint(1, 2)]
+        asserted = ["and", *(_in_range(v) for v in names), _rand_formula(rng, 3, names)]
+        if _truth_over_range(asserted, names):
+            decls = "".join(f"(declare-const {v} Int)" for v in names)
+            if verdict(f"{decls}(assert {_smt(asserted)})(check-sat)") == "unsat":
+                closed.append(_smt(asserted))
+    assert closed == []
 
 
 def test_nested_and_bool_quantifiers_match_exhaustive_truth():

@@ -160,3 +160,45 @@ def test_least_sort_is_minimal_over_memberships():
             if member(t, s):
                 assert sig.is_subsort(ls, s), (t, s)
         assert member(t, ls)
+
+
+def test_preregularity_violation_names_the_first_word():
+    # D < C, C < A and C < B.  At (C, A) both overloads of g apply and their
+    # results A and B have no least one; the words before it in name order
+    # have one overload or none.
+    sig = Signature()
+    a, b, c, d = (sig.add_sort(n) for n in "ABCD")
+    sig.add_subsort("D", "C")
+    sig.add_subsort("C", "A")
+    sig.add_subsort("C", "B")
+    sig.add_operation("d0", [], d)
+    sig.add_operation("g", [a, a], a)
+    sig.add_operation("g", [b, a], b)
+    found = [str(v) for v in sig.validate()]
+    assert found == ["preregularity: g at ('C', 'A') has no least result sort"]
+
+
+def test_preregularity_visits_only_words_below_an_overload(monkeypatch):
+    # Position i of a word ranges over the sorts below some overload's i-th
+    # argument sort, not over every sort: no word of k holds B, Int or
+    # Bool, and no builtin's word holds a user sort.
+    import coreach.signature as signature
+
+    visited = []
+    product = signature.product
+
+    def recording(*pools, **kwargs):
+        for word in product(*pools, **kwargs):
+            visited.append(tuple(s.name for s in word))
+            yield word
+
+    monkeypatch.setattr(signature, "product", recording)
+    sig = Signature()
+    a, b, c = (sig.add_sort(n) for n in "ABC")
+    sig.add_subsort("C", "A")
+    sig.add_operation("c0", [], c)
+    sig.add_operation("b0", [], b)
+    sig.add_operation("k", [a, a], a)
+    assert sig.validate() == []
+    user_words = [w for w in visited if set(w) - {"Int", "Bool"}]
+    assert user_words == [("A", "A"), ("A", "C"), ("C", "A"), ("C", "C")]
