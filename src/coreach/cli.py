@@ -6,12 +6,14 @@
     coreach check-graph FILE  export the reachable transition graph
     coreach validate FILE     signature and spec checks only
 
-Exit codes: 0 proved/valid, 1 failure, 2 inconclusive, 3 input error.
+Exit codes: 0 proved/valid, 1 failure, 2 inconclusive, 3 input error,
+141 (128 + SIGPIPE) stdout closed by its reader, which claims no verdict.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from contextlib import closing
 
@@ -228,10 +230,15 @@ def main(argv: list[str] | None = None) -> int:
         spec, violations = _load(args.file)
         if args.command == "validate":
             print(f"{args.file}: {len(spec.system.rules)} rules, {len(spec.goals)} goals, {len(violations)} violations")
-            return 1 if violations else 0
-        if violations:
-            return 3
-        return args.run(args, spec)
+            code = 1 if violations else 0
+        else:
+            code = 3 if violations else args.run(args, spec)
+        sys.stdout.flush()  # a closed stdout raises here, not in the flush at exit
+        return code
+    except BrokenPipeError:
+        # stdout now writes to devnull, so the flush at exit cannot raise again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except (FileNotFoundError, CoreachError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

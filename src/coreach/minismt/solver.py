@@ -7,17 +7,19 @@ work, not time, so a verdict does not depend on the clock; the per-query
 deadline is only a safety net, and `(get-info :reason-unknown)` tells an
 unknown it cut ("timeout") from one the budgets gave ("incomplete").
 
-Formulas are kept in negation normal form.  Model search compiles each
-top-level conjunct once per query into closures over a positional valuation
-and enumerates the declared names level by level, in a pinned order
-(integers, then booleans, each by name; values 0, 1, -1, 2, ...): a
-conjunct is checked at the level of the last name it mentions, and linear
-le/eq conjuncts bound their level's name.  Candidates ruled out early are
-still charged to the candidate budget one by one, so the first model and
-the budget cut-off are those of a plain scan.  Refutation works on the tree
-itself, whose atoms hold term trees that are lowered to polynomial
-constraints only when asserted into a refutation core; a refutation step
-is a bounded amount of work (see `Budget`).  `Core.add` alone decides
+Formulas are kept in negation normal form, and each comparison is read
+straight into one atom p rel 0 over an `arith` polynomial p, with rel one
+of LE0, EQ0 and NE0; both strategies work on these atoms.  Model search
+compiles each top-level conjunct once per query into closures over a
+positional valuation and enumerates the declared names level by level, in
+a pinned order (integers, then booleans, each by name; values 0, 1, -1, 2,
+...): a conjunct is checked at the level of the last name it mentions, and
+p <= 0 and p = 0 conjuncts linear in their level's name bound it.
+Candidates ruled out early are still charged to the candidate budget one
+by one, so the first model and the budget cut-off are those of a plain
+scan.  Refutation works on the tree itself and asserts an atom's
+polynomial into a refutation core as it is; a refutation step is a
+bounded amount of work (see `Budget`).  `Core.add` alone decides
 whether a literal contradicts a branch's facts: a probe asserts literals
 into a copy of the branch's core, and each case of a split refutes on a
 copy of its own (`_every_case_closes`).  Quantifier evaluation during
@@ -30,7 +32,7 @@ from __future__ import annotations
 
 import time
 from collections.abc import Iterable, Iterator
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import islice, product
 from operator import itemgetter
 
@@ -40,13 +42,16 @@ from .arith import (
     LE0,
     NE0,
     Core,
+    freeze,
     padd,
     pconst,
     pdivmod,
     pmul,
     pneg,
+    poly_key_set,
     psub,
     pvar,
+    subst_poly,
     thaw,
 )
 from .sexpr import parse_all, symbol
@@ -106,61 +111,50 @@ class SolveError(ValueError):
     pass
 
 
-# -- terms and NNF formulas -------------------------------------------------------
+# -- polynomials and NNF formulas ------------------------------------------------
 #
-# term   := ("int", k) | ("var", name) | (op, t1, t2) for op in ARITH_OPS
+# An integer term is read straight into an `arith` polynomial (a dict from
+# monomials to coefficients), and a comparison into one atom p rel 0 whose
+# polynomial is frozen, so that formulas hash:
 # nnf    := ("true",) | ("false",) | ("and", parts) | ("or", parts)
-#         | ("cmp", "le"|"eq"|"ne", ta, tb) | ("bvar", name, pol)
+#         | ("cmp", LE0|EQ0|NE0, frozen p) | ("bvar", name, pol)
 #         | ("exists"|"forall", ((name, sort), ...), body)
 
 CMP_OPS = {"<", "<=", ">", ">=", "="}
+_POLY_OPS = {"+": padd, "-": psub, "*": pmul}
 
 
-def to_term(sx, scope: dict):
+def to_poly(sx, scope: dict):
+    """The polynomial of an integer term."""
     if isinstance(sx, bool):
         raise SolveError("boolean in integer position")
     if isinstance(sx, int):
-        return ("int", sx)
+        return pconst(sx)
     if isinstance(sx, str):
         if scope.get(sx) != INT:
             raise SolveError(f"unknown integer symbol {sx}")
-        return ("var", sx)
+        return pvar(("v", sx))
     if isinstance(sx, list) and sx and sx[0] in ARITH_OPS:
-        args = [to_term(a, scope) for a in sx[1:]]
-        if sx[0] == "-" and len(args) == 1:
-            return ("-", ("int", 0), args[0])
-        if sx[0] in ("+", "*") and len(args) > 2:
-            t = args[0]
-            for a in args[1:]:
-                t = (sx[0], t, a)
-            return t
-        if len(args) != 2:
-            raise SolveError(f"bad arity for {sx[0]}")
-        return (sx[0], args[0], args[1])
+        op, args = sx[0], [to_poly(a, scope) for a in sx[1:]]
+        if op == "-" and len(args) == 1:
+            return pneg(args[0])
+        if len(args) != 2 and not (op in ("+", "*") and len(args) > 2):
+            raise SolveError(f"bad arity for {op}")
+        if op in ("div", "mod"):
+            return pdivmod(op, *args)
+        return reduce(_POLY_OPS[op], args)
     raise SolveError(f"cannot read term {sx!r}")
 
 
-def _cmp(op: str, ta, tb, pol: bool):
-    """Normalize a comparison under a polarity to le/eq/ne atoms over Int."""
-    plus1 = lambda t: ("+", t, ("int", 1))
-    match (op, pol):
-        case ("<=", True):
-            return ("cmp", "le", ta, tb)
-        case ("<=", False):
-            return ("cmp", "le", plus1(tb), ta)
-        case ("<", True):
-            return ("cmp", "le", plus1(ta), tb)
-        case ("<", False):
-            return ("cmp", "le", tb, ta)
-        case (">=", _):
-            return _cmp("<=", tb, ta, pol)
-        case (">", _):
-            return _cmp("<", tb, ta, pol)
-        case ("=", True):
-            return ("cmp", "eq", ta, tb)
-        case ("=", False):
-            return ("cmp", "ne", ta, tb)
-    raise SolveError(op)
+def _cmp(op: str, a, b, pol: bool):
+    """The atom of `a op b` over Int under a polarity: a < b is a - b + 1 <= 0."""
+    if op == "=":
+        return ("cmp", EQ0 if pol else NE0, freeze(psub(a, b)))
+    p = psub(a, b) if op in ("<", "<=") else psub(b, a)
+    if op in ("<", ">"):
+        p = padd(p, pconst(1))
+    atom = ("cmp", LE0, freeze(p))
+    return atom if pol else negate_nnf(atom)
 
 
 def _sort_of(sx, scope: dict) -> str:
@@ -225,7 +219,7 @@ def to_formula(sx, scope: dict, pol: bool):
             one = ("and", (a, nb))
             other = ("and", (na, b))
             return ("or", (both, neither)) if pol else ("or", (one, other))
-        return _cmp(head, to_term(sx[1], scope), to_term(sx[2], scope), pol)
+        return _cmp(head, to_poly(sx[1], scope), to_poly(sx[2], scope), pol)
     raise SolveError(f"unsupported operator {head}")
 
 
@@ -242,12 +236,10 @@ def negate_nnf(node):
     if tag == "bvar":
         return ("bvar", node[1], not node[2])
     if tag == "cmp":
-        _, op, ta, tb = node
-        if op == "eq":
-            return ("cmp", "ne", ta, tb)
-        if op == "ne":
-            return ("cmp", "eq", ta, tb)
-        return ("cmp", "le", ("+", tb, ("int", 1)), ta)
+        rel, fp = node[1], node[2]
+        if rel == LE0:  # not p <= 0 is 1 - p <= 0
+            return ("cmp", LE0, freeze(psub(pconst(1), thaw(fp))))
+        return ("cmp", NE0 if rel == EQ0 else EQ0, fp)
     if tag == "exists":
         return ("forall", node[1], negate_nnf(node[2]))
     if tag == "forall":
@@ -255,60 +247,40 @@ def negate_nnf(node):
     raise SolveError(tag)
 
 
-def subst_nnf(node, name: str, term):
+def subst_nnf(node, name: str, by):
+    """`node` with `name` replaced where it is free: an Int name by a frozen
+    polynomial, a Bool name by a bool or by another name."""
     tag = node[0]
     if tag in ("true", "false"):
         return node
     if tag == "and" or tag == "or":
-        return (tag, tuple(subst_nnf(p, name, term) for p in node[1]))
+        return (tag, tuple(subst_nnf(p, name, by) for p in node[1]))
     if tag == "bvar":
         if node[1] != name:
             return node
-        if term == ("bool", True):
-            return ("true",) if node[2] else ("false",)
-        if term == ("bool", False):
-            return ("false",) if node[2] else ("true",)
-        assert term[0] == "var"
-        return ("bvar", term[1], node[2])
+        if isinstance(by, bool):
+            return ("true",) if by == node[2] else ("false",)
+        return ("bvar", by, node[2])
     if tag == "cmp":
-        return ("cmp", node[1], _subst_term(node[2], name, term), _subst_term(node[3], name, term))
+        if name not in _names(node[2]):
+            return node
+        return ("cmp", node[1], freeze(subst_poly(thaw(node[2]), ("v", name), thaw(by))))
     if tag in ("exists", "forall"):
         if any(n == name for n, _ in node[1]):
             return node
-        return (tag, node[1], subst_nnf(node[2], name, term))
+        return (tag, node[1], subst_nnf(node[2], name, by))
     raise SolveError(tag)
 
 
-def _subst_term(t, name: str, term):
-    if t[0] == "int":
-        return t
-    if t[0] == "var":
-        return term if t[1] == name else t
-    return (t[0], *(_subst_term(a, name, term) for a in t[1:]))
-
-
-def term_numerals(node) -> set[int]:
-    out: set[int] = set()
-
-    def walk_t(t):
-        if t[0] == "int":
-            out.add(t[1])
-        elif t[0] != "var":
-            for a in t[1:]:
-                walk_t(a)
-
-    def walk_f(n):
-        tag = n[0]
-        if tag in ("and", "or"):
-            for p in n[1]:
-                walk_f(p)
-        elif tag == "cmp":
-            walk_t(n[2])
-            walk_t(n[3])
-        elif tag in ("exists", "forall"):
-            walk_f(n[2])
-
-    walk_f(node)
+def _numerals(forms) -> set[int]:
+    """The integer literals of a list of s-expressions."""
+    out, todo = set(), [forms]
+    while todo:
+        for sx in todo.pop():
+            if type(sx) is list:
+                todo.append(sx)
+            elif type(sx) is int:  # not a bool
+                out.add(sx)
     return out
 
 
@@ -319,38 +291,58 @@ def term_numerals(node) -> set[int]:
 # first, then booleans, each in name order) and a fresh slot for every
 # quantifier-bound variable, so an inner binder shadows an outer name without
 # copying the valuation.  A formula closure returns True, False, or None when a
-# quantifier could not be decided; a term closure returns an int.
+# quantifier could not be decided; a polynomial closure returns an int.
 
 
 def _const(v):
     return lambda env: v
 
 
-def _term_code(t, slots: dict):
-    tag = t[0]
-    if tag == "int":
-        return _const(t[1])
-    if tag == "var":
-        return itemgetter(slots[t[1]])
-    op, a, b = ARITH_OPS[tag], _term_code(t[1], slots), _term_code(t[2], slots)
+def _poly_code(p, slots: dict):
+    """Code giving the value of the polynomial `p`, a dict or frozen."""
+    p = dict(p)
+    c0 = p.pop((), 0)
+    monos = [(c, [_key_code(k, slots) for k in m]) for m, c in p.items()]
+    if not monos:
+        return _const(c0)
+
+    def value(env):
+        total = c0
+        for c, keys in monos:
+            for k in keys:
+                c *= k(env)
+            total += c
+        return total
+
+    return value
+
+
+def _key_code(k, slots: dict):
+    if k[0] == "v":
+        return itemgetter(slots[k[1]])
+    op, a, b = ARITH_OPS[k[0]], _poly_code(k[1], slots), _poly_code(k[2], slots)
     return lambda env: op(a(env), b(env))
 
 
-def _cmp_code(op: str, ta, tb, slots: dict):
-    a, b = _term_code(ta, slots), _term_code(tb, slots)
-    if op == "le":
-        return lambda env: a(env) <= b(env)
-    if op == "eq":
-        return lambda env: a(env) == b(env)
-    return lambda env: a(env) != b(env)
+def _cmp_code(rel: str, fp, slots: dict):
+    value = _poly_code(fp, slots)
+    if rel == LE0:
+        return lambda env: value(env) <= 0
+    if rel == EQ0:
+        return lambda env: value(env) == 0
+    return lambda env: value(env) != 0
 
 
 class _ModelCompiler:
     """Compiles NNF trees for model search; `size` is the valuation length
-    the compiled code needs."""
+    the compiled code needs.  An unbounded quantified integer ranges over
+    `window`: the values up to WINDOW apart from 0 and those next to one of
+    the query's `numerals`."""
 
-    def __init__(self, size: int):
+    def __init__(self, size: int, numerals: Iterable[int] = ()):
         self.size = size
+        near = {k + d for k in numerals for d in (-1, 0, 1)}
+        self.window = sorted(near.union(range(-WINDOW, WINDOW + 1)))
 
     def formula(self, node, slots: dict):
         """(code, may_be_none): only code under a quantifier can answer None."""
@@ -361,7 +353,7 @@ class _ModelCompiler:
             i, pol = slots[node[1]], node[2]
             return (lambda env: env[i] is pol), False
         if tag == "cmp":
-            return _cmp_code(node[1], node[2], node[3], slots), False
+            return _cmp_code(node[1], node[2], slots), False
         if tag in ("and", "or"):
             return self._junction(tag, node[1], slots)
         if tag in ("exists", "forall"):
@@ -422,7 +414,7 @@ class _ModelCompiler:
                 candidates = _const(([False, True], True))
             else:
                 deeper = {n for n, _ in bound[k + 1 :]}
-                candidates = _candidates_code(name, matrix, deeper, inner_slots)
+                candidates = _candidates_code(name, matrix, deeper, inner_slots, self.window)
             code = _level(own[k], candidates, code, want)
         return code
 
@@ -449,8 +441,7 @@ def _spine_atoms(node, skip: set[str]):
     """Atoms implied by the formula, ignoring anything under a variable in `skip`."""
     tag = node[0]
     if tag == "cmp":
-        names = _term_names(node[2]) | _term_names(node[3])
-        return [] if names & skip else [node]
+        return [] if _names(node[2]) & skip else [node]
     if tag == "and":
         out = []
         for p in node[1]:
@@ -461,88 +452,47 @@ def _spine_atoms(node, skip: set[str]):
     return []
 
 
-def _term_names(t) -> set[str]:
-    if t[0] == "var":
-        return {t[1]}
-    if t[0] == "int":
-        return set()
-    out = set()
-    for a in t[1:]:
-        out |= _term_names(a)
-    return out
+def _names(fp) -> set[str]:
+    """The names a frozen polynomial mentions, inside div/mod keys too."""
+    return {k[1] for k in poly_key_set(thaw(fp)) if k[0] == "v"}
 
 
-def _linear_code(t, name: str, slots: dict):
-    """Code giving (a, c) with value = a*name + c under the valuation, or None
-    if `t` is not linear in `name` there."""
-    code, degree = _linear_parts(t, name, slots)
-    return code if degree else _offset(code)
-
-
-def _offset(value):
-    return lambda env: (0, value(env))
-
-
-def _linear_parts(t, name: str, slots: dict):
-    """(code, degree): the degree is 0 when `t` does not mention `name`, 1
-    when it is linear in it whatever the other names' values, else 2; the
-    code is that of `_linear_code` when `t` mentions `name`, else the code of
-    its value."""
-    if name not in _term_names(t):
-        return _term_code(t, slots), 0
-    tag = t[0]
-    if tag == "var":
-        return _const((1, 0)), 1
-    fa, da = _linear_parts(t[1], name, slots)
-    fb, db = _linear_parts(t[2], name, slots)
-    if tag in ("+", "-"):
-        degree = max(da, db)
-    else:
-        degree = min(da + db, 2) if tag == "*" else 2
-    fa = fa if da else _offset(fa)
-    fb = fb if db else _offset(fb)
-
-    def linear(env):
-        la = fa(env)
-        lb = fb(env)
-        if la is None or lb is None:
-            return None
-        a1, c1 = la
-        a2, c2 = lb
-        if tag == "+":
-            return (a1 + a2, c1 + c2)
-        if tag == "-":
-            return (a1 - a2, c1 - c2)
-        if tag == "*":
-            if a1 == 0:
-                return (c1 * a2, c1 * c2)
-            if a2 == 0:
-                return (a1 * c2, c1 * c2)
-            return None
-        if a1 == 0 and a2 == 0:  # div or mod of values not depending on name
-            return (0, ARITH_OPS[tag](c1, c2))
+def _linear_bound(node, name: str, slots: dict):
+    """The bound reader's (rel, code) pair for an atom p rel 0, rel LE0 or
+    EQ0, that is linear in `name`: the code gives (a, c) with p = a*name + c
+    under the valuation, and neither depends on `name`.  None for any other
+    node, and when `name` occurs twice in a monomial or inside a div/mod key.
+    The bounds decide such an atom on their own when it mentions `name`."""
+    if node[0] != "cmp" or node[1] == NE0:
         return None
-
-    return linear, degree
+    key = ("v", name)
+    a, c = {}, {}
+    for m, coef in node[2]:
+        if key in m:
+            i = m.index(key)
+            a[m[:i] + m[i + 1 :]] = coef
+        else:
+            c[m] = coef
+    if key in poly_key_set(a) | poly_key_set(c):
+        return None
+    a_code, c_code = _poly_code(a, slots), _poly_code(c, slots)
+    return node[1], lambda env: (a_code(env), c_code(env))
 
 
 def _bounds_code(linear):
     """The bound reader shared by model search and quantifier evaluation.
 
-    `linear` holds pairs (op, code) for atoms `a*x + c op 0` over an integer
-    x, op "le" or "eq", where the code gives (a, c) under the valuation, or
-    None where the atom is not linear in x.  The reader gives (lo, hi, eq),
-    each None when there is no such bound (eq is a value x must equal), or
-    None when no value of x satisfies the atoms."""
+    `linear` holds pairs (rel, code) for atoms `a*x + c rel 0` over an
+    integer x, rel LE0 or EQ0, where the code gives (a, c) under the
+    valuation.  The reader gives (lo, hi, eq), each None when there is no
+    such bound (eq is a value x must equal), or None when no value of x
+    satisfies the atoms."""
 
     def bounds(env):
         lo = hi = eq = None
-        for op, diff in linear:
-            ac = diff(env)
-            if ac is None:
-                continue
-            a, c = ac  # the atom is (a*name + c) op 0
-            if op == "le":
+        for rel, code in linear:
+            a, c = code(env)  # the atom is (a*name + c) rel 0
+            if rel == LE0:
                 if a > 0:
                     b = (-c) // a  # floor(-c/a)
                     hi = b if hi is None else min(hi, b)
@@ -565,15 +515,12 @@ def _bounds_code(linear):
     return bounds
 
 
-def _candidates_code(name: str, matrix, deeper: set[str], slots: dict):
+def _candidates_code(name: str, matrix, deeper: set[str], slots: dict, window: list[int]):
     """Code giving the candidate values of a quantified integer variable and
-    whether they are exhaustive, from the atoms that bound it."""
-    atoms = _spine_atoms(matrix, deeper)
-    bounds = _bounds_code([(op, _linear_code(("-", ta, tb), name, slots)) for _, op, ta, tb in atoms if op != "ne"])
-    window = set(range(-WINDOW, WINDOW + 1))
-    for k in term_numerals(matrix):
-        window.update((k - 1, k, k + 1))
-    unbounded = sorted(window)
+    whether they are exhaustive, from the atoms that bound it linearly; with
+    no bound on either side they are the `window`."""
+    linear = (_linear_bound(atom, name, slots) for atom in _spine_atoms(matrix, deeper))
+    bounds = _bounds_code([b for b in linear if b is not None])
 
     def candidates(env):
         found = bounds(env)
@@ -590,7 +537,7 @@ def _candidates_code(name: str, matrix, deeper: set[str], slots: dict):
             return sorted({v for v in window if v >= lo} | {lo, lo + 1}), False
         if hi is not None:
             return sorted({v for v in window if v <= hi} | {hi, hi - 1}), False
-        return unbounded, False
+        return window, False
 
     return candidates
 
@@ -608,7 +555,7 @@ def _last_slot(node, slots: dict) -> int:
     """The largest slot of a name the formula mentions freely, -1 for none."""
     tag = node[0]
     if tag == "cmp":
-        return max(_term_last_slot(node[2], slots), _term_last_slot(node[3], slots))
+        return max((slots.get(n, -1) for n in _names(node[2])), default=-1)
     if tag == "bvar":
         return slots.get(node[1], -1)
     if tag in ("and", "or"):
@@ -619,20 +566,6 @@ def _last_slot(node, slots: dict) -> int:
     return -1
 
 
-def _term_last_slot(t, slots: dict) -> int:
-    return max((slots.get(n, -1) for n in _term_names(t)), default=-1)
-
-
-def _exact_bound(node, name: str, slots: dict):
-    """The bound reader's (op, code) pair for an le or eq atom that is linear
-    in `name` whatever the other names' values, so that the bounds decide it
-    on their own; None for any other conjunct."""
-    if node[0] != "cmp" or node[1] == "ne":
-        return None
-    code, degree = _linear_parts(("-", node[2], node[3]), name, slots)
-    return (node[1], code) if degree == 1 else None
-
-
 class ModelCheck:
     """The asserted tree compiled for level-wise model search.
 
@@ -641,16 +574,17 @@ class ModelCheck:
     conjunct belongs to the level of the last name it mentions freely;
     `tests[k]` decides the conjuncts of level k (None when it has none),
     cheap atoms before quantifiers, and for an integer level `bounds[k]`
-    reads the bounds its linear le/eq conjuncts put on the name (None when
-    it has none).  `root` decides the conjuncts that mention no declared
-    name; `size` is the valuation length the code needs."""
+    reads the bounds its linear p <= 0 and p = 0 conjuncts put on the name
+    (None when it has none).  `root` decides the conjuncts that mention no
+    declared name; `size` is the valuation length the code needs.
+    `numerals` are the query's integer literals (see `_ModelCompiler`)."""
 
-    def __init__(self, tree, decls: dict[str, str]):
+    def __init__(self, tree, decls: dict[str, str], numerals: Iterable[int] = ()):
         ints = sorted(n for n, s in decls.items() if s == INT)
         self.names = ints + sorted(n for n, s in decls.items() if s == BOOLS)
         self.n_ints = len(ints)
         slots = {n: i for i, n in enumerate(self.names)}
-        comp = _ModelCompiler(len(self.names))
+        comp = _ModelCompiler(len(self.names), numerals)
         per_level: list[list] = [[] for _ in range(len(self.names) + 1)]
         for part in _conjuncts(tree, []):
             per_level[_last_slot(part, slots) + 1].append(part)
@@ -660,7 +594,7 @@ class ModelCheck:
         for k, parts in enumerate(per_level):
             linear, rest = [], []
             for p in parts:
-                bound = _exact_bound(p, self.names[k], slots) if k < self.n_ints else None
+                bound = _linear_bound(p, self.names[k], slots) if k < self.n_ints else None
                 if bound is None:
                     rest.append(p)
                 else:
@@ -806,60 +740,18 @@ def _value_order(b: int) -> list[int]:
 # -- refutation -------------------------------------------------------------------
 
 
-def _poly_of_term(t):
-    tag = t[0]
-    if tag == "int":
-        return pconst(t[1])
-    if tag == "var":
-        return pvar(("v", t[1]))
-    pa = _poly_of_term(t[1])
-    pb = _poly_of_term(t[2])
-    if tag == "+":
-        return padd(pa, pb)
-    if tag == "-":
-        return psub(pa, pb)
-    if tag == "*":
-        return pmul(pa, pb)
-    return pdivmod(tag, pa, pb)  # div or mod
-
-
 def _fact(node) -> tuple:
-    """The (p, rel) fact of a comparison atom: p rel 0 over polynomials."""
-    _, op, ta, tb = node
-    return psub(_poly_of_term(ta), _poly_of_term(tb)), {"le": LE0, "eq": EQ0, "ne": NE0}[op]
-
-
-def _poly_to_term(p):
-    terms = []
-    for m, c in sorted(p.items(), key=lambda kv: repr(kv[0])):
-        t = ("int", c) if m == () else None
-        for k in m:
-            kt = _key_to_term(k)
-            t = kt if t is None else ("*", t, kt)
-        if m != () and c != 1:
-            t = ("*", ("int", c), t)
-        terms.append(t)
-    if not terms:
-        return ("int", 0)
-    out = terms[0]
-    for t in terms[1:]:
-        out = ("+", out, t)
-    return out
-
-
-def _key_to_term(k):
-    if k[0] == "v":
-        return ("var", k[1])
-    return (k[0], _poly_to_term(thaw(k[1])), _poly_to_term(thaw(k[2])))
+    """The (p, rel) fact of a comparison atom: p rel 0."""
+    return thaw(node[2]), node[1]
 
 
 def _candidate_terms(core: Core, numerals: set[int]) -> list:
-    """Ground instantiation candidates: variables first, then numerals, then
-    the opaque div/mod terms of the branch."""
+    """Ground instantiation candidates, frozen: variables first, then
+    numerals, then the opaque div/mod terms of the branch."""
     plain, opaque = [], []
     for key in sorted(core.all_keys(), key=repr):
-        (plain if key[0] == "v" else opaque).append(_key_to_term(key))
-    nums = [("int", k) for k in sorted(set(numerals) | {0, 1})]
+        (plain if key[0] == "v" else opaque).append(freeze(pvar(key)))
+    nums = [freeze(pconst(k)) for k in sorted(set(numerals) | {0, 1})]
     return (plain + nums[:8] + opaque)[:24]
 
 
@@ -897,9 +789,9 @@ def _definitely_true(core: Core, atoms) -> bool:
 
 @lru_cache(maxsize=4096)
 def _solve_candidates(node) -> list:
-    """Instantiation candidates solved from the linear atoms of a quantified
-    body: an atom a*x = t suggests x := t when a = ±1 and x := t div a
-    otherwise (the usual equation trigger)."""
+    """Instantiation candidates, frozen, solved from the linear atoms of a
+    quantified body: an atom a*x = t suggests x := t when a = ±1 and
+    x := t div a otherwise (the usual equation trigger)."""
     bound_names = [nm for nm, srt in node[1] if srt == INT]
     out = []
 
@@ -922,9 +814,9 @@ def _solve_candidates(node) -> list:
                 a = p[mono]
                 rest = {m: c for m, c in p.items() if m != mono}
                 if all(c % a == 0 for c in rest.values()):
-                    out.append(_poly_to_term({m: -(c // a) for m, c in rest.items()}))
+                    out.append(freeze({m: -(c // a) for m, c in rest.items()}))
                 elif abs(a) > 1:
-                    out.append(("div", _poly_to_term(pneg(rest) if a > 0 else rest), ("int", abs(a))))
+                    out.append(freeze(pdivmod("div", pneg(rest) if a > 0 else rest, pconst(abs(a)))))
 
     scan(node[2])
     seen = []
@@ -1066,10 +958,10 @@ def refute(items, core: Core, universals, budget: Budget, state) -> bool:
             return _every_case_closes(cases, universals, budget, state, state["splits"])
         if tag == "exists":
             body = node[2]
-            for nm, _srt in node[1]:
+            for nm, srt in node[1]:
                 fresh = f"$sk{state['sk'][0]}"
                 state["sk"][0] += 1
-                body = subst_nnf(body, nm, ("var", fresh))
+                body = subst_nnf(body, nm, fresh if srt == BOOLS else freeze(pvar(("v", fresh))))
             items.append(body)
             continue
         if tag == "forall":
@@ -1103,7 +995,7 @@ def refute(items, core: Core, universals, budget: Budget, state) -> bool:
         insts = []
         for u in universals:
             u_cands = _solve_candidates(u) + cands
-            pools = [[("bool", False), ("bool", True)] if srt == BOOLS else u_cands for _, srt in u[1]]
+            pools = [[False, True] if srt == BOOLS else u_cands for _, srt in u[1]]
             # Up to 64 instances; a universal after the 64th still adds one.
             insts.extend(islice(_instances(u, pools, state["done"]), max(1, 64 - len(insts))))
         if insts:
@@ -1147,8 +1039,8 @@ def check_formula(assertions, decls: dict[str, str], timeout_s: float):
     scope = dict(decls)
     tree = ("and", tuple(to_formula(a, scope, True) for a in assertions))
     deadline = time.monotonic() + timeout_s
-    scan = ModelScan(ModelCheck(tree, decls))
-    numerals = None
+    numerals = _numerals(assertions)
+    scan = ModelScan(ModelCheck(tree, decls, numerals))
     scan_slice, refute_slice = SCAN_SLICE, REFUTE_SLICE
     refuting = True
     while True:
@@ -1158,8 +1050,6 @@ def check_formula(assertions, decls: dict[str, str], timeout_s: float):
         if scan.timed_out:
             return "unknown", None, "timeout"
         if refuting:
-            if numerals is None:
-                numerals = term_numerals(tree)
             budget = Budget(refute_slice, deadline)
             state = {"sk": [0], "rounds": MAX_INST_ROUNDS, "splits": MAX_SPLITS, "done": set(), "numerals": numerals}
             if refute([tree], Core(budget), [], budget, state):

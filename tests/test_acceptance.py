@@ -10,7 +10,7 @@ Criteria, at their stated tolerances:
      an independently computed reference on sampled inputs via the oracle;
   4. symbolic one-step successors match the ground one-step image exactly
      on >= 20 constrained terms per system over domain bound 8 (systems
-     whose goals have at most two variables) or 4 (the rest), under 60 s;
+     whose goals have at most two variables) or 5 (the rest), under 60 s;
   5. solver verdicts on inclusion conditions agree with brute-force
      inclusion on >= 50 generated pairs over bound 5, zero disagreements;
   6. graph validity checking agrees with independent path semantics on 100

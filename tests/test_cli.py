@@ -39,6 +39,17 @@ def test_prove_failure_without_circularity(tmp_path):
     assert "open [depth]" in proc.stderr
 
 
+def test_a_closed_stdout_ends_quietly_without_a_verdict():
+    # The reader closes the pipe before the proof is written: exit 141
+    # (128 + SIGPIPE), not 1, which would claim a failed goal.
+    cmd = [sys.executable, "-m", "coreach.cli", "prove", "systems/sum.lrw", "--solver", "builtin", "--dump-proof", "json"]
+    proc = subprocess.Popen(cmd, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    proc.stdout.close()
+    _, stderr = proc.communicate(timeout=240)
+    assert proc.returncode == 141
+    assert "Traceback" not in stderr
+
+
 def test_bundled_solver_verdicts_do_not_follow_the_timeout(tmp_path):
     # Without its circularity the compositeness goal reaches queries the
     # bundled solver cannot decide.  Its limits count work, not time, so the

@@ -2,6 +2,7 @@
 
 import json
 import math
+import operator
 import re
 import subprocess
 import sys
@@ -15,7 +16,7 @@ from hypothesis import example, given, settings, strategies as st
 from coreach.constraints import fold_term
 from coreach.formulas import Eq
 from coreach.minismt import solver
-from coreach.minismt.arith import Core, euclid_div, euclid_mod
+from coreach.minismt.arith import ARITH_OPS, Core, euclid_div, euclid_mod, freeze, pconst
 from coreach.minismt.sexpr import SexprError, parse_all, read_forms, tokenize
 from coreach.minismt.solver import MODEL_BOUNDS, ModelCheck, ModelScan, SolveError, run_script
 from coreach.oracle import Domain, eval_formula
@@ -147,11 +148,15 @@ _LINEAR = st.tuples(
 )
 
 
+_SMT_REL = {"le": "(<= {} 0)", "eq": "(= {} 0)", "ne": "(not (= {} 0))"}
+
+
 def _linear_atom(lit):
-    """The comparison atom a*x + b*y + c op 0 of (op, a, b, c)."""
+    """The comparison atom a*x + b*y + c op 0 of (op, a, b, c), read from
+    SMT-LIB text."""
     op, a, b, c = lit
-    term = ("+", ("+", ("*", ("int", a), ("var", "x")), ("*", ("int", b), ("var", "y"))), ("int", c))
-    return ("cmp", op, term, ("int", 0))
+    text = _SMT_REL[op].format(f"(+ (* {_num(a)} x) (* {_num(b)} y) {_num(c)})")
+    return solver.to_formula(parse_all(text)[0], {"x": "Int", "y": "Int"}, True)
 
 
 @given(st.lists(_LINEAR, max_size=3), st.lists(_LINEAR, min_size=1, max_size=3))
@@ -169,6 +174,58 @@ def test_a_probe_reports_only_real_contradictions(facts, probe):
     holds = {"le": lambda v: v <= 0, "eq": lambda v: v == 0, "ne": lambda v: v != 0}
     for x, y in product(range(-6, 7), repeat=2):
         assert not all(holds[op](a * x + b * y + c) for op, a, b, c in facts + probe), (x, y)
+
+
+_TERM = st.recursive(
+    st.one_of(st.sampled_from(["x", "y"]), st.integers(-3, 3)),
+    lambda sub: st.one_of(
+        st.tuples(st.sampled_from(["+", "-", "*", "div", "mod"]), sub, sub).map(list),
+        sub.map(lambda a: ["-", a]),
+    ),
+    max_leaves=5,
+)
+_COMPARISON = st.tuples(st.sampled_from(["<", "<=", "=", ">", ">="]), _TERM, _TERM).map(list)
+_RELS = {"<": operator.lt, "<=": operator.le, "=": operator.eq, ">": operator.gt, ">=": operator.ge}
+
+
+def _value(sx, env: dict):
+    """The value of a parsed term or comparison, read without the solver."""
+    if isinstance(sx, int):
+        return sx
+    if isinstance(sx, str):
+        return env[sx]
+    args = [_value(a, env) for a in sx[1:]]
+    if sx[0] == "not":
+        return not args[0]
+    if sx[0] in _RELS:
+        return _RELS[sx[0]](*args)
+    return -args[0] if len(args) == 1 else ARITH_OPS[sx[0]](*args)
+
+
+@given(_COMPARISON, st.integers(0, 2))
+def test_a_comparison_reads_into_an_atom_of_its_value(comparison, nots):
+    # Brute force on [-3, 3]^2: the atom read at either polarity, the
+    # negation of the positive atom, and the positive atom with x replaced
+    # by each constant, against the comparison evaluated directly.
+    sx = comparison
+    for _ in range(nots):
+        sx = ["not", sx]
+    scope = {"x": "Int", "y": "Int"}
+    pos, neg = solver.to_formula(sx, scope, True), solver.to_formula(sx, scope, False)
+
+    def code(node):
+        return solver._ModelCompiler(2).formula(node, {"x": 0, "y": 1})[0]
+
+    read, read_neg, negated = code(pos), code(neg), code(solver.negate_nnf(pos))
+    box = range(-3, 4)
+    for x in box:
+        fixed = code(solver.subst_nnf(pos, "x", freeze(pconst(x))))
+        for y in box:
+            want = _value(sx, {"x": x, "y": y})
+            assert read([x, y]) is want, (x, y)
+            assert read_neg([x, y]) is (not want), (x, y)
+            assert negated([x, y]) is (not want), (x, y)
+            assert fixed([None, y]) is want, (x, y)
 
 
 @pytest.mark.parametrize(
