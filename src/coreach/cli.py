@@ -15,18 +15,18 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from contextlib import closing
+from contextlib import closing, suppress
 
 from .errors import CoreachError, DerivativeRefused, MalformedSolverOutput, SolverUnavailable
 from .formulas import pretty_constrained, pretty_formula, pretty_term
 from .prover import (
+    AUDIT,
     FAILED,
     INCONCLUSIVE,
     PROVED,
     UNKNOWN,
     Prover,
     SearchConfig,
-    check_guarded,
     render_json,
     render_text,
 )
@@ -131,8 +131,6 @@ def cmd_prove(args, spec: SpecFile) -> int:
         label = f"{decl.kind} {pretty_constrained(decl.formula.lhs)} => {pretty_constrained(decl.formula.rhs)}"
         print(f"[{res.status}] {label}")
         if res.status == PROVED:
-            if not check_guarded(res.tree):
-                print("  WARNING: tree not guarded", file=sys.stderr)
             if args.dump_proof == "text":
                 print(render_text(res.tree, indent=1))
             elif args.dump_proof == "json":
@@ -146,7 +144,7 @@ def cmd_prove(args, spec: SpecFile) -> int:
                 if og.reason == UNKNOWN:
                     print(f"    query: {pretty_formula(og.query)}", file=sys.stderr)
                 elif og.detail:
-                    print(f"    refused: {og.detail}", file=sys.stderr)
+                    print(f"    {'defect' if og.reason == AUDIT else 'refused'}: {og.detail}", file=sys.stderr)
         else:
             inconclusive = True
             print(f"  aborted: {res.detail}", file=sys.stderr)
@@ -240,7 +238,8 @@ def main(argv: list[str] | None = None) -> int:
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 141
     except (FileNotFoundError, CoreachError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        with suppress(BrokenPipeError):  # a closed stderr leaves the input error's exit code
+            print(f"error: {exc}", file=sys.stderr)
         return 3
 
 

@@ -52,10 +52,6 @@ class SolvedForm:
         return conj(eqs + list(self.residual))
 
 
-def _is_builtin_valued(sig: Signature, t: Term) -> bool:
-    return sig.least_sort(t).builtin
-
-
 def unify_modulo_builtins(sig: Signature, t1: Term, t2: Term) -> SolvedForm | None:
     """The solved form equivalent to t1 = t2 in the term model.
 
@@ -63,8 +59,7 @@ def unify_modulo_builtins(sig: Signature, t1: Term, t2: Term) -> SolvedForm | No
     supersort, a constructor clash or a cyclic constructor equation).  Every
     builtin equation stays residual.
     """
-    s1, s2 = sig.least_sort(t1), sig.least_sort(t2)
-    if not sig.connected(s1, s2):
+    if not sig.connected(t1.sort, t2.sort):
         return None
 
     work: list[tuple[Term, Term]] = [(t1, t2)]
@@ -79,8 +74,7 @@ def unify_modulo_builtins(sig: Signature, t1: Term, t2: Term) -> SolvedForm | No
         a, b = resolve(a), resolve(b)
         if a == b:
             continue
-        a_builtin = _is_builtin_valued(sig, a)
-        b_builtin = _is_builtin_valued(sig, b)
+        a_builtin, b_builtin = a.sort.builtin, b.sort.builtin
         if a_builtin and b_builtin:
             if isinstance(a, Lit) and isinstance(b, Lit):
                 return None  # distinct literals
@@ -411,7 +405,7 @@ def _elimination(parts: list[Formula], protected: frozenset[str]) -> tuple[Subst
 
 def reduced_equation(sig: Signature, t1: Term, t2: Term) -> Formula:
     """t1 = t2 as a constructor-free formula: its solved form, or false."""
-    if _is_builtin_valued(sig, t1) and _is_builtin_valued(sig, t2):
+    if t1.sort.builtin and t2.sort.builtin:
         return Eq(t1, t2)
     sf = unify_modulo_builtins(sig, t1, t2)
     return FALSE if sf is None else sf.as_formula()

@@ -8,11 +8,13 @@ construction marks every truncation (step budget, out-of-domain successors)
 so validity checking can answer "inconclusive" instead of guessing.
 
 Every ground term the oracle builds is hash-consed: one shared node per
-value, from intern tables kept per signature (one per symbol and sort, keyed
-by the argument tuple, and one of integer literals).  Instances, value pools
-and rule right-hand sides built for one signature are then the same objects,
-so table lookups and set operations on them succeed on identity.  The tables
-die with the signature.
+ground term, from intern tables kept per signature (one per symbol, keyed by
+the argument tuple, and one of integer literals).  A term is its symbol and
+arguments, so a node asked for at two sorts, as overloads and rule
+right-hand sides may ask, is still one node; it keeps the sort it was first
+built at.  Instances, value pools and rule right-hand sides built for one
+signature are then the same objects, so table lookups and set operations on
+them succeed on identity.  The tables die with the signature.
 
 Each ground state is stepped once per system and domain: `ground_step`
 keeps a successor table (folded state -> its successors) beside the rules
@@ -102,13 +104,16 @@ def _key(t: Term) -> str:
 
 
 class _Apps(dict):
-    """The interned applications of one symbol at one sort, keyed by their
-    argument tuple: the sort stays out of the key, as hashing it is not free."""
+    """The interned applications of one symbol, keyed by their argument
+    tuple: a ground term is one node, whatever sort it is asked for at."""
 
-    __slots__ = ("symbol", "sort")
+    __slots__ = ("symbol",)
 
-    def __missing__(self, args: tuple) -> App:
-        node = self[args] = App(self.symbol, args, self.sort)
+    def node(self, args: tuple, sort) -> App:
+        """The node of `args`; a new one is built at `sort`."""
+        node = self.get(args)
+        if node is None:
+            node = self[args] = App(self.symbol, args, sort)
         return node
 
 
@@ -130,14 +135,14 @@ class _Terms:
     __slots__ = ("apps", "ints")
 
     def __init__(self):
-        self.apps: dict[tuple, _Apps] = {}
+        self.apps: dict[str, _Apps] = {}
         self.ints = _Ints()
 
-    def table(self, symbol: str, sort) -> _Apps:
-        table = self.apps.get((symbol, sort))
+    def table(self, symbol: str) -> _Apps:
+        table = self.apps.get(symbol)
         if table is None:
-            table = self.apps[(symbol, sort)] = _Apps()
-            table.symbol, table.sort = symbol, sort
+            table = self.apps[symbol] = _Apps()
+            table.symbol = symbol
         return table
 
     def of(self, v) -> Term:
@@ -155,7 +160,7 @@ class _Terms:
         new = self.replace_at(old, pos[1:], s)
         if new is old:
             return t
-        return self.table(t.symbol, t.sort)[t.args[:i] + (new,) + t.args[i + 1 :]]
+        return self.table(t.symbol).node(t.args[:i] + (new,) + t.args[i + 1 :], t.sort)
 
 
 # The keys are weak, so the tables live no longer than their signature.
@@ -266,17 +271,17 @@ class _Compiler:
         if t.args and _builtin(t) is not None:
             v, of = self.value(t, slots), terms.of
             return lambda env: of(v(env))
-        table = terms.table(t.symbol, t.sort)
+        node, sort = terms.table(t.symbol).node, t.sort
         if not t.args:
-            return _const(table[()])
+            return _const(node((), sort))
         args = tuple(self.term(a, slots) for a in t.args)
         if len(args) == 1:
             (a,) = args
-            return lambda env: table[(a(env),)]
+            return lambda env: node((a(env),), sort)
         if len(args) == 2:
             a, b = args
-            return lambda env: table[(a(env), b(env))]
-        return lambda env: table[tuple([a(env) for a in args])]
+            return lambda env: node((a(env), b(env)), sort)
+        return lambda env: node(tuple([a(env) for a in args]), sort)
 
     def formula(self, f: Formula, slots: dict[Var, int]) -> Code:
         """Code deciding `f`; quantifiers range over the domain only."""
@@ -396,8 +401,9 @@ def eval_formula(sig: Signature, f: Formula, val: dict[Var, object], dom: Domain
 
 
 def sort_values(sig: Signature, sort, dom: Domain, _seen: frozenset = frozenset()):
-    """All ground values of a sort with literals inside the domain; terms are
-    interned."""
+    """All ground values of a sort with literals inside the domain, each
+    once; terms are interned.  Overloads at a smaller sort build some terms
+    again, and those are not listed twice."""
     if sort.builtin:
         if sort.name == "Bool":
             return [False, True]
@@ -406,15 +412,15 @@ def sort_values(sig: Signature, sort, dom: Domain, _seen: frozenset = frozenset(
         raise UnsupportedQuantifier(f"sort {sort.name} is recursive")
     seen = _seen | {sort.name}
     terms = _terms(sig)
-    out = []
+    out = {}
     for op in sig.operations:
         if op.builtin or not sig.is_subsort(op.result, sort):
             continue
         pools = [sort_values(sig, a, dom, seen) for a in op.arg_sorts]
-        table = terms.table(op.name, op.result)
+        node = terms.table(op.name).node
         for combo in product(*pools):
-            out.append(table[tuple(map(terms.of, combo))])
-    return out
+            out[node(tuple(map(terms.of, combo)), op.result)] = None
+    return list(out)
 
 
 # -- state predicates ---------------------------------------------------------------
@@ -603,7 +609,7 @@ def _step(sig: Signature, rules: list[_RuleCode], gamma: Term) -> StatePredicate
     out = set()
     for pos in positions(gamma):
         sub = subterm_at(gamma, pos)
-        if isinstance(sub, Lit) or (isinstance(sub, App) and sig.least_sort(sub).builtin):
+        if isinstance(sub, Lit) or (isinstance(sub, App) and sub.sort.builtin):
             continue  # builtin values are never rewritten
         for code in rules:
             env = [None] * code.size

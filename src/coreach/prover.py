@@ -17,6 +17,7 @@ from __future__ import annotations
 import json
 from contextlib import closing
 from dataclasses import dataclass, field, replace
+from itertools import count
 
 from .constraints import instance_condition, simplify, simplify_constrained
 from .errors import (
@@ -41,6 +42,7 @@ from .formulas import (
     free_vars,
     pretty_constrained,
     pretty_formula,
+    rebuild,
     subst_constrained,
 )
 from .rewriting import (
@@ -51,7 +53,7 @@ from .rewriting import (
 )
 from .signature import Signature
 from .smt import SolverConfig, Verdict, check_sat
-from .terms import App, FreshCounter, Lit, Substitution, Term, Var, renaming_for
+from .terms import App, FreshCounter, Substitution, Term, Var, rebuild_app, renaming_for
 
 AXIOM, SUBS, DER, CIRC, DISJ, OPEN = "axiom", "subs", "der", "circ", "disj", "open"
 
@@ -121,17 +123,18 @@ class SearchConfig:
 @dataclass(frozen=True)
 class OpenGoal:
     formula: ReachabilityFormula
-    reason: str  # depth | no-rule | budget | unknown | der-refused
+    reason: str  # depth | no-rule | budget | unknown | der-refused | audit
     role: str | None = None  # for `unknown`: the side condition that got the verdict
     query: Formula | None = None  # for `unknown`: exactly what was sent to the solver
-    detail: str | None = None  # for `der-refused`: why the step was refused
+    detail: str | None = None  # for `der-refused`: why the step was refused; for `audit`: the defect
 
 
 # A goal is inconclusive when its search failed and an unknown verdict or a
 # refused derivative step blocked a rule somewhere in it: that rule might
-# have closed the goal.
+# have closed the goal.  It is inconclusive too when the search closed a
+# tree that fails the audit.
 PROVED, FAILED, INCONCLUSIVE, ABORTED = "proved", "failed", "inconclusive", "aborted"
-UNKNOWN, DER_REFUSED = "unknown", "der-refused"
+UNKNOWN, DER_REFUSED, AUDIT = "unknown", "der-refused", "audit"
 BLOCKED = (UNKNOWN, DER_REFUSED)
 
 
@@ -222,7 +225,7 @@ class Prover:
             raise GuardednessViolation("circularity needs a derivative step above it")
         rf = goal.formula
         circ = self.goals[index]
-        ren = _match_onto(self.sig, circ.rhs, rf.rhs)
+        ren = _match_onto(circ.rhs, rf.rhs)
         if ren is None:
             return None  # goals are only usable against their own right-hand side
         fresh = renaming_for(free_vars(circ.lhs) - free_vars(circ.rhs), self.ctr)
@@ -286,7 +289,10 @@ class Prover:
         except (SolverUnavailable, MalformedSolverOutput) as exc:
             return GoalResult(ABORTED, detail=str(exc))
         if node is not None:
-            return GoalResult(PROVED, node)
+            defects = audit(node)
+            if not defects:
+                return GoalResult(PROVED, node)
+            return GoalResult(INCONCLUSIVE, frontier=[OpenGoal(node.goal, AUDIT, detail=d) for d in defects])
         status = INCONCLUSIVE if any(og.reason in BLOCKED for og in frontier) else FAILED
         return GoalResult(status, frontier=frontier)
 
@@ -358,57 +364,41 @@ def _rhs_names(rf: ReachabilityFormula) -> frozenset[str]:
     return frozenset(v.name for v in free_vars(rf.rhs))
 
 
-def _match_onto(sig: Signature, pattern: ConstrainedTerm, target: ConstrainedTerm) -> Substitution | None:
-    """Variable renaming mapping `pattern` syntactically onto `target`, if any."""
-    mapping: dict[Var, Term] = {}
+def _canonical(ct: ConstrainedTerm) -> tuple[ConstrainedTerm, list[Var]]:
+    """`ct` with its variables renamed to names the spec parser rejects, and
+    its free variables in order of first occurrence.  The free variables
+    become ?0, ?1, ... in that order (the term first, then the constraint
+    in preorder); the variables of each binder become ?b0, ?b1, ... in
+    preorder.  Two constrained terms are renamings of each other exactly
+    when their canonical forms are equal."""
+    free: dict[Var, Var] = {}
+    bound = count()
 
-    def terms(p: Term, t: Term) -> bool:
-        if isinstance(p, Var):
-            if not isinstance(t, Var) or p.sort != t.sort:
-                return False
-            if p in mapping:
-                return mapping[p] == t
-            if any(v == t for v in mapping.values()):
-                return False  # keep the renaming injective
-            mapping[p] = t
-            return True
-        if isinstance(p, Lit):
-            return p == t
-        if not isinstance(t, App) or not isinstance(p, App):
-            return False
-        return (
-            p.symbol == t.symbol
-            and len(p.args) == len(t.args)
-            and all(terms(a, b) for a, b in zip(p.args, t.args))
-        )
+    def term(t: Term, scope: dict[Var, Var]) -> Term:
+        if type(t) is Var:
+            img = scope.get(t) or free.get(t)
+            if img is None:
+                img = free[t] = Var(f"?{len(free)}", t.sort)
+            return img
+        return rebuild_app(t, [term(a, scope) for a in t.args]) if type(t) is App else t
 
-    def formulas(p: Formula, t: Formula) -> bool:
-        kids = children(p), children(t)
-        if type(p) is not type(t) or len(kids[0]) != len(kids[1]):
-            return False
-        if not all(map(terms, atom_terms(p), atom_terms(t))):
-            return False
-        if not isinstance(p, BINDERS):
-            return all(map(formulas, *kids))
-        if [a.sort for a in p.bound] != [b.sort for b in t.bound]:
-            return False
-        # Inside, the binders pair up, and an outer variable whose image the
-        # target's binder shadows matches nothing; after, the outer mapping
-        # holds again.
-        outer = dict(mapping)
-        mapping.update({v: None for v, img in outer.items() if img in t.bound})
-        mapping.update(zip(p.bound, t.bound))
-        ok = all(map(formulas, *kids))
-        for a in p.bound:
-            mapping.pop(a, None)
-        mapping.update({v: img for v, img in outer.items() if v in p.bound or img in t.bound})
-        return ok
+    def formula(f: Formula, scope: dict[Var, Var]) -> Formula:
+        if isinstance(f, BINDERS):
+            inner = dict(scope)
+            for v in f.bound:
+                inner[v] = Var(f"?b{next(bound)}", v.sort)
+            return type(f)(tuple(inner[v] for v in f.bound), formula(f.body, inner))
+        return rebuild(f, [term(t, scope) for t in atom_terms(f)], [formula(k, scope) for k in children(f)])
 
-    if not terms(pattern.term, target.term):
-        return None
-    if not formulas(pattern.constraint, target.constraint):
-        return None
-    return Substitution(dict(mapping))
+    form = ConstrainedTerm(term(ct.term, {}), formula(ct.constraint, {}))
+    return form, list(free)
+
+
+def _match_onto(pattern: ConstrainedTerm, target: ConstrainedTerm) -> Substitution | None:
+    """The variable renaming that maps `pattern` onto `target`, if any."""
+    p, p_free = _canonical(pattern)
+    t, t_free = _canonical(target)
+    return Substitution(dict(zip(p_free, t_free))) if p == t else None
 
 
 # -- audits -------------------------------------------------------------------------
@@ -444,6 +434,13 @@ def audit_structure(tree: ProofNode) -> list[str]:
         if node.kind == OPEN:
             problems.append("open leaf in a closed tree")
     return problems
+
+
+def audit(tree: ProofNode) -> list[str]:
+    """The defects of a closed tree: an unguarded circularity, then each
+    structural defect."""
+    guarded = [] if check_guarded(tree) else ["circularity without a derivative step above it"]
+    return guarded + audit_structure(tree)
 
 
 def reverify(sig: Signature, tree: ProofNode, cfg: SolverConfig) -> list[str]:

@@ -88,7 +88,7 @@ class Lctrs:
     rules: list[RewriteRule] = field(default_factory=list)
 
     def add_rule(self, rule: RewriteRule) -> None:
-        ls, rs = self.signature.least_sort(rule.lhs), self.signature.least_sort(rule.rhs)
+        ls, rs = rule.lhs.sort, rule.rhs.sort
         if not self.signature.connected(ls, rs):
             raise SortMismatch(f"rule sides have unrelated sorts {ls} and {rs}")
         self.rules.append(rule)
@@ -108,18 +108,13 @@ class Derivative:
     verdict: Verdict
 
 
-class _RuleFacts(NamedTuple):
-    lhs_sort: Sort
-    # The rule's variables in name order, each with the stem of its fresh
-    # names: the i-th gets stem + str(first fresh index + i).
-    fresh: tuple[tuple[Var, str], ...]
-
-
 class _Facts(NamedTuple):
     """What matching needs of one system, computed once."""
 
     stamp: tuple
-    rules: list[_RuleFacts]
+    # Per rule, its variables in name order, each with the stem of its fresh
+    # names: the i-th gets stem + str(first fresh index + i).
+    fresh: list[tuple[tuple[Var, str], ...]]
     redex_sorts: frozenset[str]  # names of the sorts that can hold a redex
 
 
@@ -128,21 +123,14 @@ _FACTS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
 def _facts(system: Lctrs) -> _Facts:
-    sig = system.signature
     stamp = system.stamp
     hit = _FACTS.get(system)
     if hit is None or hit.stamp != stamp:
-        rules = [
-            _RuleFacts(
-                sig.least_sort(r.lhs),
-                tuple(
-                    (v, v.name.split(FRESH_SEP, 1)[0] + FRESH_SEP)
-                    for v in sorted(r.variables(), key=lambda v: v.name)
-                ),
-            )
+        fresh = [
+            tuple((v, v.name.split(FRESH_SEP, 1)[0] + FRESH_SEP) for v in sorted(r.variables(), key=lambda v: v.name))
             for r in system.rules
         ]
-        hit = _FACTS[system] = _Facts(stamp, rules, _redex_sorts(system))
+        hit = _FACTS[system] = _Facts(stamp, fresh, _redex_sorts(system))
     return hit
 
 
@@ -269,30 +257,29 @@ def derivatives_detailed(
     out: list[Derivative] = []
     # The constructor-sorted non-variable positions in preorder, and by root
     # symbol; builtin values are computed, never rewritten.
-    every: list[tuple[Position, App, Sort]] = []
+    every: list[tuple[Position, App]] = []
     for pos in non_variable_positions(ct.term):
         sub = subterm_at(ct.term, pos)
-        sub_sort = sig.least_sort(sub)
-        if not sub_sort.builtin:
-            every.append((pos, sub, sub_sort))
-    sites: dict[str, list[tuple[Position, App, Sort]]] = {}
+        if not sub.sort.builtin:
+            every.append((pos, sub))
+    sites: dict[str, list[tuple[Position, App]]] = {}
     for site in every:
         sites.setdefault(site[1].symbol, []).append(site)
-    for rule, rf in zip(system.rules, facts.rules):
+    for rule, fresh in zip(system.rules, facts.fresh):
         # Every rule spends one fresh index per variable, matched or not, so
         # each fresh name is the one a renaming of every rule would give.
         start = ctr.next_index
-        ctr.next_index += len(rf.fresh)
+        ctr.next_index += len(fresh)
         cands = sites.get(rule.lhs.symbol, ()) if isinstance(rule.lhs, App) else every
-        for pos, sub, sub_sort in cands:
-            if not sig.connected(sub_sort, rf.lhs_sort):
+        for pos, sub in cands:
+            if not sig.connected(sub.sort, rule.lhs.sort):
                 continue
             found = _match(sig, sub, rule.lhs)
             if found is None:
                 continue
             binds, eqs, images = found
             mapping = dict(binds)
-            for i, (v, stem) in enumerate(rf.fresh):
+            for i, (v, stem) in enumerate(fresh):
                 if v not in binds:
                     mapping[v] = Var(stem + str(start + i), v.sort)
             # Rule-side terms only: the subject may use the rule's own names.

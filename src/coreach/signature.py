@@ -187,6 +187,8 @@ class Signature:
         return App(name, args, op.result)
 
     def least_sort(self, t: Term) -> Sort:
+        """Where `t` sits in the subsort order; the sort `t` was built at
+        may lie above it (see `terms`)."""
         if isinstance(t, Var):
             return t.sort
         if isinstance(t, Lit):

@@ -445,12 +445,12 @@ class Parser:
             self.next()
             rhs = self.parse_term()
             if op == "=":
-                ls, rs = self.sig.least_sort(lhs), self.sig.least_sort(rhs)
+                ls, rs = lhs.sort, rhs.sort
                 if ls.builtin != rs.builtin:
                     raise ParseError(f"equation between {ls.name} and {rs.name}", tok.line, tok.column)
                 return Eq(lhs, rhs)
             return Atom(self._mk(op, (lhs, rhs), tok))
-        if self.sig.least_sort(lhs) == BOOL:
+        if lhs.sort == BOOL:
             if isinstance(lhs, Lit):
                 return TRUE if lhs.value else FalseF()
             return Atom(lhs)

@@ -1,14 +1,23 @@
 """Order-sorted terms: variables, builtin literals, applications.
 
-Terms are immutable values; equality is structural.  Applications cache the
-result sort they were built with, so terms can travel without a signature
-handle.  `Signature.least_sort` recomputes the exact least sort when subsort
-refinement matters.  Applications also hash once, when built, and keep
-their variable set once `term_vars` first asks for it (a slot set on first
-use, never in the constructor, so building a term takes no longer).  The rewriters here return their input node wherever nothing
-changed, and `Substitution.apply` returns it at once when none of its
-variables is free there, so an unchanged subterm is shared rather than
-copied or walked.
+Terms are immutable values.  A term is its symbol and its arguments: two
+applications are the same term when those agree, whatever sort each was
+built at.  By preregularity that is all a term's least sort depends on,
+and `Signature.least_sort` alone answers where a term sits in the subsort
+order.  An application still keeps the sort it was built at, so terms can
+travel without a signature handle; substitution may put a smaller-sorted
+argument under an overloaded symbol, so that sort can lie above the least
+one, but it is exact in the two respects callers read off a term: whether
+it is builtin, and its connected component of the subsort order
+(substitution only shrinks argument sorts, and the monotonicity that
+admission checks keeps the least sort inside that component).
+
+Applications hash once, when built, and keep their variable set once
+`term_vars` first asks for it (a slot set on first use, never in the
+constructor, so building a term takes no longer).  The rewriters here
+return their input node wherever nothing changed, and `Substitution.apply`
+returns it at once when none of its variables is free there, so an
+unchanged subterm is shared rather than copied or walked.
 """
 
 from __future__ import annotations
@@ -82,21 +91,20 @@ class App:
         _put(self, "symbol", symbol)
         _put(self, "args", args)
         _put(self, "sort", sort)
-        # The sort stays out of the hash: equal symbols and arguments almost
-        # always mean equal sorts, and hashing a sort is not free.
         _put(self, "_hash", hash((symbol, args)))
 
     def __hash__(self) -> int:
         return self._hash
 
-    # Arguments compare with their own equality, so `true` and `1` stay apart
-    # inside an application too.
+    # The symbol and the arguments, not the sort built at (see the module
+    # docstring).  Arguments compare with their own equality, so `true` and
+    # `1` stay apart inside an application too.
     def __eq__(self, other) -> bool:
         if self is other:
             return True
         if type(other) is not App or self._hash != other._hash:
             return False
-        return self.symbol == other.symbol and self.args == other.args and self.sort == other.sort
+        return self.symbol == other.symbol and self.args == other.args
 
     def __repr__(self) -> str:
         if not self.args:

@@ -50,6 +50,20 @@ def test_a_closed_stdout_ends_quietly_without_a_verdict():
     assert "Traceback" not in stderr
 
 
+def test_an_input_error_with_a_closed_stderr_still_exits_three():
+    # The reader of stderr is gone before the error is printed: the run is
+    # still an input error (3), not a failed goal (1).
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        cmd = [sys.executable, "-m", "coreach.cli", "prove", "missing.lrw"]
+        proc = subprocess.run(cmd, stdout=subprocess.PIPE, stderr=write_end, timeout=240)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 3
+    assert proc.stdout == b""
+
+
 def test_bundled_solver_verdicts_do_not_follow_the_timeout(tmp_path):
     # Without its circularity the compositeness goal reaches queries the
     # bundled solver cannot decide.  Its limits count work, not time, so the
@@ -419,6 +433,25 @@ def test_a_goal_the_oracle_refutes_is_never_proved(name, counterexample):
     proc = run_cli("oracle", path, "--bound", "2")
     assert proc.stdout == f"[invalid] prove goal: counterexample {counterexample}\n"
     assert proc.returncode == 1
+
+
+def test_the_oracle_never_refutes_a_proved_spec(capsys):
+    # Whatever `prove` proves, the oracle must not find a counterexample to
+    # at small bounds; `inconclusive` is allowed.
+    from coreach import cli
+
+    proved = []
+    for path in sorted(Path("systems").glob("*.lrw")) + sorted(Path("tests/specs").glob("*.lrw")):
+        code = cli.main(["prove", str(path), "--solver", "builtin"])
+        capsys.readouterr()
+        if code != 0:
+            continue
+        proved.append(path.stem)
+        for bound in (1, 2, 3, 4):
+            code = cli.main(["oracle", str(path), "--bound", str(bound)])
+            out = capsys.readouterr().out
+            assert code != 1 and "[invalid]" not in out, (path, bound, out)
+    assert proved == ["compositeness", "gcd_div", "gcd_sub", "mul", "sum", "sum_squares", "overload_subsort"]
 
 
 def test_derive_refuses_to_narrow():

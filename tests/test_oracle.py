@@ -223,6 +223,18 @@ def test_intern_tables_do_not_keep_the_signature_alive():
     assert len(oracle._TERMS) == before
 
 
+def test_an_overload_at_a_smaller_sort_lists_its_terms_once():
+    # f : A -> C and f : B -> D with D < C both build f(b) for the values
+    # of C: one term, so one value and one interned node.
+    with open("tests/specs/overload_subsort.lrw", encoding="utf-8") as handle:
+        sig = parse_spec(handle.read()).signature
+    values = sort_values(sig, sig.sorts["C"], Domain(1))
+    assert [repr(v) for v in values] == ["f(b)", "g(b)"]
+    (low,) = sort_values(sig, sig.sorts["D"], Domain(1))
+    assert low is values[0]
+    assert set(oracle._terms(sig).apps) == {"b", "f", "g"}  # one table per symbol
+
+
 def test_enumerated_states_are_the_successors_ground_step_returns(comp_sig):
     # Instances and rule right-hand sides come from the same intern tables,
     # so an equal successor is the very same object.

@@ -251,6 +251,28 @@ def test_audit_structure_names_each_defect(problem, comp_goals):
     assert audit_structure(AUDIT_DEFECTS[problem](comp_goals[0])) == [problem]
 
 
+# A tree only the guardedness check rejects: its circularity has no
+# derivative step above it.
+AUDIT_FAILURES = {
+    **AUDIT_DEFECTS,
+    "circularity without a derivative step above it": lambda g: ProofNode(
+        CIRC, g, children=(ProofNode(AXIOM, g), ProofNode(AXIOM, g))
+    ),
+}
+
+
+@pytest.mark.parametrize("problem", sorted(AUDIT_FAILURES))
+def test_a_tree_that_fails_the_audit_is_never_proved(problem, monkeypatch, capsys):
+    from coreach import cli
+
+    monkeypatch.setattr(Prover, "_search", lambda self, goal: (AUDIT_FAILURES[problem](goal.formula), []))
+    assert cli.main(["prove", "systems/compositeness.lrw", "--solver", "builtin", "--dump-proof", "json"]) == 2
+    out, err = capsys.readouterr()
+    assert "[proved]" not in out and out.count("[inconclusive]") == 2
+    assert err.count("  open [") == err.count("  open [audit]: ") == err.count("    defect: ") >= 2
+    assert err.count(f"    defect: {problem}\n") == 2
+
+
 def test_reverify_skips_a_condition_recorded_unknown(comp_sig, comp_goals, solver_cfg):
     # `true` is sat, so only the condition recorded unsat disagrees
     node = ProofNode(
@@ -378,23 +400,35 @@ RENAMING_SPEC = (
 )
 
 
+BINDER_PATTERN = "init(x) /\\ x > 0 /\\ (exists x : Int . x = 1) /\\ x < 5"
+
+
 @pytest.mark.parametrize(
-    "target, expected",
+    "pattern, target, expected",
     [
         # the shadowing binder must not end x's outer binding to y
-        ("init(y) /\\ y > 0 /\\ (exists y : Int . y = 1) /\\ z < 5", None),
-        ("init(y) /\\ y > 0 /\\ (exists y : Int . y = 1) /\\ y < 5", {"x": "y"}),
-        ("init(y) /\\ y > 0 /\\ (exists z : Int . z = 1) /\\ y < 5", {"x": "y"}),
-        ("init(1) /\\ 1 > 0 /\\ (exists y : Int . y = 1) /\\ 1 < 5", None),
-        ("init(y) /\\ y > 0 /\\ (forall y : Int . y = 1) /\\ y < 5", None),
-        ("init(y) /\\ y > 0 /\\ (exists y : Bool . y) /\\ y < 5", None),
+        (BINDER_PATTERN, "init(y) /\\ y > 0 /\\ (exists y : Int . y = 1) /\\ z < 5", None),
+        (BINDER_PATTERN, "init(y) /\\ y > 0 /\\ (exists y : Int . y = 1) /\\ y < 5", {"x": "y"}),
+        (BINDER_PATTERN, "init(y) /\\ y > 0 /\\ (exists z : Int . z = 1) /\\ y < 5", {"x": "y"}),
+        (BINDER_PATTERN, "init(1) /\\ 1 > 0 /\\ (exists y : Int . y = 1) /\\ 1 < 5", None),
+        (BINDER_PATTERN, "init(y) /\\ y > 0 /\\ (forall y : Int . y = 1) /\\ y < 5", None),
+        (BINDER_PATTERN, "init(y) /\\ y > 0 /\\ (exists y : Bool . y) /\\ y < 5", None),
+        # a binder's variables pair up by position, not by use
+        ("init(x) /\\ (exists y : Int, z : Int . y < z)", "init(x) /\\ (exists z : Int, y : Int . y < z)", None),
     ],
-    ids=["rebound-elsewhere", "restored", "renamed-binder", "literal", "other-binder", "other-binder-sort"],
+    ids=[
+        "rebound-elsewhere",
+        "restored",
+        "renamed-binder",
+        "literal",
+        "other-binder",
+        "other-binder-sort",
+        "swapped-binder-variables",
+    ],
 )
-def test_match_onto_is_a_renaming_across_binders(target, expected):
+def test_match_onto_is_a_renaming_across_binders(pattern, target, expected):
     spec = parse_spec(RENAMING_SPEC)
-    pattern = parse_cterm_in(spec, "init(x) /\\ x > 0 /\\ (exists x : Int . x = 1) /\\ x < 5")
-    ren = _match_onto(spec.signature, pattern, parse_cterm_in(spec, target))
+    ren = _match_onto(parse_cterm_in(spec, pattern), parse_cterm_in(spec, target))
     if expected is None:
         assert ren is None
     else:
@@ -406,7 +440,7 @@ def test_match_onto_rejects_a_variable_captured_by_the_target_binder():
     spec = parse_spec(RENAMING_SPEC)
     pattern = parse_cterm_in(spec, "init(x) /\\ (exists w : Int . w = x)")
     target = parse_cterm_in(spec, "init(y) /\\ (exists y : Int . y = y)")
-    assert _match_onto(spec.signature, pattern, target) is None
+    assert _match_onto(pattern, target) is None
 
 
 def test_rule_attempts_on_the_corpus_are_pinned(monkeypatch):

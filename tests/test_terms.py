@@ -6,6 +6,7 @@ from coreach.signature import Signature
 from coreach.terms import (
     INT,
     App,
+    Sort,
     FreshCounter,
     Lit,
     Substitution,
@@ -182,3 +183,23 @@ def test_equal_apps_hash_equal_and_stably(t):
     assert twin is not wrapped and twin == wrapped
     assert hash(twin) == hash(wrapped) == hash(wrapped)
     assert len({wrapped, twin}) == 1
+
+
+def test_a_term_is_its_symbol_and_arguments_not_the_sort_it_was_built_at():
+    # f(x) with x : A is built at C; putting b : B under it leaves that sort,
+    # while building f(b) afresh picks the smaller overload, D.
+    over = Signature()
+    a, b_sort, c, d = (over.add_sort(s) for s in "ABCD")
+    over.add_subsort("B", "A")
+    over.add_subsort("D", "C")
+    over.add_operation("b", [], b_sort)
+    over.add_operation("f", [a], c)
+    over.add_operation("f", [b_sort], d)
+    b = over.make_app("b", ())
+    substituted = Substitution({Var("x", a): b}).apply(over.make_app("f", (Var("x", a),)))
+    built = over.make_app("f", (b,))
+    assert (substituted.sort, built.sort) == (c, d)
+    assert substituted == built and hash(substituted) == hash(built)
+    assert len({substituted, built}) == 1
+    assert over.least_sort(substituted) == over.least_sort(built) == d
+    assert App("f", (b,), Sort("E")) == built  # whatever sort it carries
