@@ -46,6 +46,13 @@ class _ArgumentParser(argparse.ArgumentParser):
         self.exit(3, f"{self.prog}: error: {message}\n")
 
 
+def _diagnostic(line: str) -> None:
+    """Print a diagnostic on stderr.  A closed stderr drops it and leaves the
+    exit code as it is: only a closed stdout exits 141."""
+    with suppress(BrokenPipeError):
+        print(line, file=sys.stderr)
+
+
 def _solver_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--solver", default=None, help="solver command (default: $RMT_SOLVER, z3, or builtin)")
     p.add_argument("--timeout-ms", type=int, default=None, help="per-query solver timeout")
@@ -93,7 +100,7 @@ def _load(path: str) -> tuple[SpecFile, list[Violation]]:
         spec = parse_spec(handle.read())
     violations = spec.signature.validate()
     for v in violations:
-        print(f"violation: {v}", file=sys.stderr)
+        _diagnostic(f"violation: {v}")
     return spec, violations
 
 
@@ -140,14 +147,14 @@ def cmd_prove(args, spec: SpecFile) -> int:
             inconclusive = inconclusive or res.status == INCONCLUSIVE
             for og in res.frontier:
                 reason = f"{og.reason} {og.role}" if og.reason == UNKNOWN else og.reason
-                print(f"  open [{reason}]: {pretty_constrained(og.formula.lhs)}", file=sys.stderr)
+                _diagnostic(f"  open [{reason}]: {pretty_constrained(og.formula.lhs)}")
                 if og.reason == UNKNOWN:
-                    print(f"    query: {pretty_formula(og.query)}", file=sys.stderr)
+                    _diagnostic(f"    query: {pretty_formula(og.query)}")
                 elif og.detail:
-                    print(f"    {'defect' if og.reason == AUDIT else 'refused'}: {og.detail}", file=sys.stderr)
+                    _diagnostic(f"    {'defect' if og.reason == AUDIT else 'refused'}: {og.detail}")
         else:
             inconclusive = True
-            print(f"  aborted: {res.detail}", file=sys.stderr)
+            _diagnostic(f"  aborted: {res.detail}")
     if had_failure:
         return 1
     if inconclusive:
@@ -162,10 +169,10 @@ def cmd_derive(args, spec: SpecFile) -> int:
         with closing(cfg.session):
             successors = derivatives(spec.system, ct, FreshCounter(), cfg)
     except (SolverUnavailable, MalformedSolverOutput) as exc:
-        print(f"aborted: {exc}", file=sys.stderr)  # a solver failure, not an input error
+        _diagnostic(f"aborted: {exc}")  # a solver failure, not an input error
         return 2
     except DerivativeRefused as exc:
-        print(f"refused: {exc}", file=sys.stderr)  # successors could be missing
+        _diagnostic(f"refused: {exc}")  # successors could be missing
         return 2
     for d in successors:
         print(pretty_constrained(d))
@@ -214,10 +221,9 @@ def cmd_check_graph(args, spec: SpecFile) -> int:
         print(f"wrote {args.dot} ({len(graph.nodes)} nodes)")
     else:
         print(edge_list(graph))
-    print(
+    _diagnostic(
         f"# {len(graph.nodes)} nodes, {sum(len(s) for s in graph.edges.values())} edges, "
-        f"{len(graph.frontier_exceeded)} frontier",
-        file=sys.stderr,
+        f"{len(graph.frontier_exceeded)} frontier"
     )
     return 0
 
@@ -238,8 +244,7 @@ def main(argv: list[str] | None = None) -> int:
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 141
     except (FileNotFoundError, CoreachError) as exc:
-        with suppress(BrokenPipeError):  # a closed stderr leaves the input error's exit code
-            print(f"error: {exc}", file=sys.stderr)
+        _diagnostic(f"error: {exc}")
         return 3
 
 

@@ -1,4 +1,11 @@
-"""S-expression reader for the SMT-LIB 2 subset this solver accepts."""
+"""S-expressions of the SMT-LIB 2 subset this solver accepts.
+
+A form is a symbol (`str`), a numeral (`int`) or a tuple of forms: the same
+nested tuples whether `parse_all` read them from text or a caller built them
+in the process.  A bar-quoted symbol reads without its bars, and `unparse`
+puts them back where the symbol needs them, so text and forms convert both
+ways without loss.
+"""
 
 from __future__ import annotations
 
@@ -25,14 +32,14 @@ def tokenize(text: str) -> list[str]:
     return out
 
 
-def parse_all(text: str) -> list:
+def parse_all(text: str) -> tuple:
     tokens = tokenize(text)
     pos = 0
     forms = []
     while pos < len(tokens):
         form, pos = _parse(tokens, pos)
         forms.append(form)
-    return forms
+    return tuple(forms)
 
 
 def read_forms(lines: Iterable[str]) -> Iterator:
@@ -76,7 +83,7 @@ def _parse(tokens: list[str], pos: int):
             items.append(item)
         if pos >= len(tokens):
             raise SexprError("missing )")
-        return items, pos + 1
+        return tuple(items), pos + 1
     if tok == ")":
         raise SexprError("unexpected )")
     return _atom(tok), pos + 1
@@ -101,5 +108,17 @@ _SIMPLE_SYMBOL = re.compile(r"[A-Za-z~!@$%^&*_+=<>.?/-][A-Za-z0-9~!@$%^&*_+=<>.?
 
 
 def symbol(name: str) -> str:
-    """`name` written as an SMT-LIB symbol: bare if simple, else quoted in bars."""
-    return name if _SIMPLE_SYMBOL.fullmatch(name) else f"|{name}|"
+    """`name` written as an SMT-LIB symbol: bare if simple, else quoted in
+    bars; also quoted when it would read as a numeral, as `-5` does here."""
+    if _SIMPLE_SYMBOL.fullmatch(name) and not _NUMERAL.fullmatch(name):
+        return name
+    return f"|{name}|"
+
+
+def unparse(form) -> str:
+    """The SMT-LIB text of a form, which `parse_all` reads back as it is."""
+    if isinstance(form, tuple):
+        return "(" + " ".join(map(unparse, form)) + ")"
+    if isinstance(form, int):
+        return str(form)
+    return symbol(form)

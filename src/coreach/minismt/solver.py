@@ -134,7 +134,7 @@ def to_poly(sx, scope: dict):
         if scope.get(sx) != INT:
             raise SolveError(f"unknown integer symbol {sx}")
         return pvar(("v", sx))
-    if isinstance(sx, list) and sx and sx[0] in ARITH_OPS:
+    if isinstance(sx, tuple) and sx and sx[0] in ARITH_OPS:
         op, args = sx[0], [to_poly(a, scope) for a in sx[1:]]
         if op == "-" and len(args) == 1:
             return pneg(args[0])
@@ -168,7 +168,7 @@ def _sort_of(sx, scope: dict) -> str:
         if sx in scope:
             return scope[sx]
         raise SolveError(f"unknown symbol {sx}")
-    if isinstance(sx, list) and sx:
+    if isinstance(sx, tuple) and sx:
         if sx[0] in ARITH_OPS:
             return INT
         return BOOLS
@@ -184,7 +184,7 @@ def to_formula(sx, scope: dict, pol: bool):
         if scope.get(sx) == BOOLS:
             return ("bvar", sx, pol)
         raise SolveError(f"unknown boolean symbol {sx}")
-    if not isinstance(sx, list) or not sx:
+    if not isinstance(sx, tuple) or not sx:
         raise SolveError(f"cannot read formula {sx!r}")
     head = sx[0]
     if head == "not":
@@ -273,11 +273,11 @@ def subst_nnf(node, name: str, by):
 
 
 def _numerals(forms) -> set[int]:
-    """The integer literals of a list of s-expressions."""
+    """The integer literals of a sequence of s-expressions."""
     out, todo = set(), [forms]
     while todo:
         for sx in todo.pop():
-            if type(sx) is list:
+            if type(sx) is tuple:
                 todo.append(sx)
             elif type(sx) is int:  # not a bool
                 out.add(sx)
@@ -1064,16 +1064,17 @@ def check_formula(assertions, decls: dict[str, str], timeout_s: float):
 
 
 def run_commands(forms: Iterable, timeout_s: float = 30.0) -> Iterator[str]:
-    """The output of each SMT-LIB command in `forms`, yielded as soon as the
-    command has run, so a reader of a stream can answer before the next
-    command arrives.  (reset) forgets every declaration and assertion.
-    Each check-sat has its own `timeout_s`."""
+    """The output of each SMT-LIB command in `forms` (`sexpr` forms, read
+    from text or built in the process), yielded as soon as the command has
+    run, so a reader of a stream can answer before the next command
+    arrives.  (reset) forgets every declaration and assertion.  Each
+    check-sat has its own `timeout_s`."""
     decls: dict[str, str] = {}
     assertions = []
     model: dict | None = None
     reason: str | None = None
     for form in forms:
-        if not isinstance(form, list) or not form:
+        if not isinstance(form, tuple) or not form:
             raise SolveError(f"bad command {form!r}")
         cmd = form[0]
         if cmd in ("set-logic", "set-option", "set-info"):
@@ -1081,7 +1082,7 @@ def run_commands(forms: Iterable, timeout_s: float = 30.0) -> Iterator[str]:
         if cmd == "declare-const":
             decls[str(form[1])] = form[2]
         elif cmd == "declare-fun":
-            if form[2] != []:
+            if form[2] != ():
                 raise SolveError("only constant declarations are supported")
             decls[str(form[1])] = form[3]
         elif cmd == "assert":
@@ -1100,7 +1101,7 @@ def run_commands(forms: Iterable, timeout_s: float = 30.0) -> Iterator[str]:
                     rows.append(f"  (define-fun {symbol(name)} () {decls[name]} {sv})")
                 yield "(\n" + "\n".join(rows) + "\n)"
         elif cmd == "get-info":
-            if form[1:] != [":reason-unknown"]:
+            if form[1:] != (":reason-unknown",):
                 yield "unsupported"
             elif reason is None:
                 yield '(error "the last check-sat did not answer unknown")'

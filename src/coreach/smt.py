@@ -1,24 +1,28 @@
-"""SMT backend: encode constraints to SMT-LIB 2 and drive a solver.
+"""SMT backend: write constraints as SMT-LIB 2 queries and drive a solver.
 
 `check_sat` is the only entry point: every query passes through it, and it
 alone decides what an answer means.  The constants true and false are
-answered without a solver.  The solver is an external executable (z3 by
-default) speaking SMT-LIB over stdin/stdout; the bundled pure-Python solver
-serves as the fallback and runs either in-process (command "builtin") or as
-a real subprocess (command "builtin-subprocess").  An unknown answer is
+answered without a solver.  Every other formula becomes one query, built
+once as SMT-LIB forms (`query`).  The solver is an external executable (z3
+by default) speaking SMT-LIB over stdin/stdout; the bundled pure-Python
+solver serves as the fallback and runs either in-process (command
+"builtin"), where it reads the query's forms and no text is written or
+parsed, or as a real subprocess (command "builtin-subprocess").  Only a
+solver process gets the query's text (`encode`).  An unknown answer is
 always legal and never enables a proof rule.
 
 A `SolverConfig` carries a solver session (`Session`): each prover run has
 its own, and the oracle's derivative cross-check has one for the whole
-process.  A session remembers the verdict of every script it got `sat` or
-`unsat` for and answers a repeated script without a solver run; `unknown`
-is never remembered, so a query that got it is sent again.  For
-"builtin-subprocess" the session keeps one solver process that reads
-commands as they come and answers each query after a `(reset)`; a process
-that died, or has not answered `timeout_ms` + 2 s after the query was sent,
-answers that query unknown and is killed, and the next query starts a new
-one.  Closing the session stops its process.  An external solver gets one
-process per query and is read for the first line of its output.
+process.  A session remembers the verdict of every query it got `sat` or
+`unsat` for, keyed by the query's forms, and answers a repeated query
+without a solver run; `unknown` is never remembered, so a query that got it
+is sent again.  For "builtin-subprocess" the session keeps one solver
+process that reads commands as they come and answers each query after a
+`(reset)`; a process that died, or has not answered `timeout_ms` + 2 s
+after the query was sent, answers that query unknown and is killed, and the
+next query starts a new one.  Closing the session stops its process.  An
+external solver gets one process per query and is read for the first line
+of its output.
 """
 
 from __future__ import annotations
@@ -53,7 +57,7 @@ from .formulas import (
     children,
     free_vars,
 )
-from .minismt.sexpr import symbol
+from .minismt.sexpr import unparse
 from .signature import Signature
 from .terms import Lit, Term, Var
 
@@ -73,11 +77,11 @@ class SmtResult:
 
 
 class Session:
-    """The solver state of one run: the verdict of every script answered sat
+    """The solver state of one run: the verdict of every query answered sat
     or unsat, and the run's solver process, if it keeps one."""
 
     def __init__(self):
-        self.verdicts: dict[str, Verdict] = {}
+        self.verdicts: dict[tuple, Verdict] = {}  # keyed by the query's forms
         self.proc: subprocess.Popen | None = None  # the latest process started
         self._stop = None  # stops `proc`, at the latest when the session is collected
         self._pending = b""  # what the process wrote past the last line read
@@ -173,20 +177,23 @@ def resolve_solver(spec: str | None = None, timeout_ms: int = DEFAULT_TIMEOUT_MS
 
 
 # -- encoding ---------------------------------------------------------------------
+#
+# A query is built once as SMT-LIB forms (`minismt.sexpr`'s nested tuples of
+# `str` and `int`); a negative literal is the form ("-", 5), as `(- 5)` reads.
 
-def _enc_term(sig: Signature, t: Term) -> str:
+
+def _enc_term(sig: Signature, t: Term):
     if isinstance(t, Var):
         if not t.sort.builtin:
             raise NonBuiltinResidue(f"variable {t.name} of sort {t.sort.name}")
-        return symbol(t.name)
+        return t.name
     if isinstance(t, Lit):
         if isinstance(t.value, bool):
             return "true" if t.value else "false"
-        return str(t.value) if t.value >= 0 else f"(- {-t.value})"
+        return t.value if t.value >= 0 else ("-", -t.value)
     if not sig.is_builtin_symbol(t.symbol, len(t.args)):
         raise NonBuiltinResidue(f"constructor {t.symbol} survived reduction")
-    args = " ".join(_enc_term(sig, a) for a in t.args)
-    return f"({t.symbol} {args})"
+    return (t.symbol, *(_enc_term(sig, a) for a in t.args))
 
 
 # The SMT-LIB operator of each connective; an And or Or without parts is
@@ -194,7 +201,7 @@ def _enc_term(sig: Signature, t: Term) -> str:
 _SMT_OP = {Eq: "=", Not: "not", And: "and", Or: "or", Implies: "=>", Iff: "=", Exists: "exists", Forall: "forall"}
 
 
-def _enc_formula(sig: Signature, f: Formula) -> str:
+def _enc_formula(sig: Signature, f: Formula):
     if isinstance(f, Atom):
         (t,) = atom_terms(f)
         return _enc_term(sig, t)
@@ -203,25 +210,36 @@ def _enc_formula(sig: Signature, f: Formula) -> str:
         for v in f.bound:
             if not v.sort.builtin:
                 raise NonBuiltinResidue(f"quantifier over {v.sort.name}")
-        args.append("(" + " ".join(f"({symbol(v.name)} {v.sort.name})" for v in f.bound) + ")")
+        args.append(tuple((v.name, v.sort.name) for v in f.bound))
     args += [_enc_term(sig, t) for t in atom_terms(f)]
     args += [_enc_formula(sig, k) for k in children(f)]
     if not args:
         return "true" if isinstance(f, (TrueF, And)) else "false"
-    return f"({_SMT_OP[type(f)]} {' '.join(args)})"
+    return (_SMT_OP[type(f)], *args)
 
 
-def encode(sig: Signature, f: Formula) -> str:
-    """Deterministic SMT-LIB 2 script: declarations, one assertion, check-sat."""
+def query(sig: Signature, f: Formula) -> tuple:
+    """The deterministic SMT-LIB commands that ask for f: declarations, one
+    assertion, check-sat."""
     body = _enc_formula(sig, f)
-    lines = ["(set-logic ALL)"]
+    forms = [("set-logic", "ALL")]
     for v in sorted(free_vars(f), key=lambda v: v.name):
         if not v.sort.builtin:
             raise NonBuiltinResidue(f"variable {v.name} of sort {v.sort.name}")
-        lines.append(f"(declare-const {symbol(v.name)} {v.sort.name})")
-    lines.append(f"(assert {body})")
-    lines.append("(check-sat)")
-    return "\n".join(lines) + "\n"
+        forms.append(("declare-const", v.name, v.sort.name))
+    forms.append(("assert", body))
+    forms.append(("check-sat",))
+    return tuple(forms)
+
+
+def _script(forms: tuple) -> str:
+    """The text of a query's forms, one command a line."""
+    return "".join(unparse(form) + "\n" for form in forms)
+
+
+def encode(sig: Signature, f: Formula) -> str:
+    """The SMT-LIB 2 script of `query(sig, f)`."""
+    return _script(query(sig, f))
 
 
 # -- driving the solver -------------------------------------------------------------
@@ -232,15 +250,18 @@ def _builtin_argv(timeout_s: float) -> list[str]:
     return [sys.executable, "-m", "coreach.minismt", str(timeout_s)]
 
 
-def _run_solver(script: str, cfg: SolverConfig) -> str:
+def _run_solver(forms: tuple, cfg: SolverConfig) -> str:
+    """The solver's output for a query: the bundled solver in-process reads
+    its forms, every other solver its text."""
     timeout_s = cfg.timeout_ms / 1000.0
     if cfg.command == ("builtin",):
-        from .minismt import run_script
+        from .minismt import solver
 
         try:
-            return "\n".join(run_script(script, timeout_s))
+            return "\n".join(solver.run_commands(forms, timeout_s))
         except Exception as exc:
             raise MalformedSolverOutput(str(exc)) from exc
+    script = _script(forms)
     if cfg.command == ("builtin-subprocess",):
         return cfg.session.ask(_builtin_argv(timeout_s), script, timeout_s + 2.0)
     argv = list(cfg.command)
@@ -274,8 +295,8 @@ def _parse_answer(output: str) -> Verdict:
 
 def check_sat(sig: Signature, f: Formula, cfg: SolverConfig) -> SmtResult:
     """Satisfiability of f in the builtin model, the only solver entry point.
-    True and false need no solver, nor does a script the session already
-    got sat or unsat for.  A formula `encode` cannot write and a timeout
+    True and false need no solver, nor does a query the session already
+    got sat or unsat for.  A formula `query` cannot write and a timeout
     answer unknown; a solver that cannot start or whose answer is unreadable
     raises (SolverUnavailable, MalformedSolverOutput)."""
     if isinstance(f, TrueF):
@@ -283,14 +304,13 @@ def check_sat(sig: Signature, f: Formula, cfg: SolverConfig) -> SmtResult:
     if isinstance(f, FalseF):
         return SmtResult(Verdict.UNSAT)
     try:
-        script = encode(sig, f)
+        forms = query(sig, f)
     except NonBuiltinResidue:
         return SmtResult(Verdict.UNKNOWN)
     verdicts = cfg.session.verdicts
-    verdict = verdicts.get(script)
+    verdict = verdicts.get(forms)
     if verdict is None:
-        verdict = _parse_answer(_run_solver(script, cfg))
+        verdict = _parse_answer(_run_solver(forms, cfg))
         if verdict != Verdict.UNKNOWN:
-            verdicts[script] = verdict
+            verdicts[forms] = verdict
     return SmtResult(verdict)
-

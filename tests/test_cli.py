@@ -50,18 +50,31 @@ def test_a_closed_stdout_ends_quietly_without_a_verdict():
     assert "Traceback" not in stderr
 
 
-def test_an_input_error_with_a_closed_stderr_still_exits_three():
-    # The reader of stderr is gone before the error is printed: the run is
-    # still an input error (3), not a failed goal (1).
+@pytest.mark.parametrize(
+    "spec, text, code, stdout",
+    [
+        ("missing.lrw", None, 3, b""),
+        ("overlap.lrw", "sorts Cfg;\nsymbols div : Int Int -> Cfg;\nvars n : Int;\n", 3, b""),
+        ("tests/specs/narrow_subsort.lrw", None, 2, b"[inconclusive] prove wrap(c) /\\ true => done(c) /\\ true\n"),
+    ],
+    ids=["input-error", "violation", "inconclusive"],
+)
+def test_a_closed_stderr_keeps_the_exit_code(tmp_path, spec, text, code, stdout):
+    # The reader of stderr is gone before the first diagnostic is printed:
+    # an input error, a spec with violations and an inconclusive run keep
+    # their exit codes (3, 3, 2); only a closed stdout exits 141.
+    if text is not None:
+        spec = tmp_path / spec
+        spec.write_text(text)
     read_end, write_end = os.pipe()
     os.close(read_end)
     try:
-        cmd = [sys.executable, "-m", "coreach.cli", "prove", "missing.lrw"]
+        cmd = [sys.executable, "-m", "coreach.cli", "prove", str(spec), "--solver", "builtin"]
         proc = subprocess.run(cmd, stdout=subprocess.PIPE, stderr=write_end, timeout=240)
     finally:
         os.close(write_end)
-    assert proc.returncode == 3
-    assert proc.stdout == b""
+    assert proc.returncode == code
+    assert proc.stdout == stdout
 
 
 def test_bundled_solver_verdicts_do_not_follow_the_timeout(tmp_path):
@@ -393,7 +406,7 @@ def test_builtin_subprocess_answers_as_builtin_from_one_process_per_run(monkeypa
 
     monkeypatch.setattr(cli, "search_config", recording_config)
     monkeypatch.setattr(subprocess, "Popen", recording_popen)
-    for path in sorted(Path("systems").glob("*.lrw")):
+    for path in sorted(Path("systems").glob("*.lrw")) + sorted(Path("tests/specs").glob("*.lrw")):
         runs = []
         for solver in ("builtin", "builtin-subprocess"):
             out, err = io.StringIO(), io.StringIO()

@@ -179,12 +179,12 @@ def test_a_probe_reports_only_real_contradictions(facts, probe):
 _TERM = st.recursive(
     st.one_of(st.sampled_from(["x", "y"]), st.integers(-3, 3)),
     lambda sub: st.one_of(
-        st.tuples(st.sampled_from(["+", "-", "*", "div", "mod"]), sub, sub).map(list),
-        sub.map(lambda a: ["-", a]),
+        st.tuples(st.sampled_from(["+", "-", "*", "div", "mod"]), sub, sub),
+        sub.map(lambda a: ("-", a)),
     ),
     max_leaves=5,
 )
-_COMPARISON = st.tuples(st.sampled_from(["<", "<=", "=", ">", ">="]), _TERM, _TERM).map(list)
+_COMPARISON = st.tuples(st.sampled_from(["<", "<=", "=", ">", ">="]), _TERM, _TERM)
 _RELS = {"<": operator.lt, "<=": operator.le, "=": operator.eq, ">": operator.gt, ">=": operator.ge}
 
 
@@ -209,7 +209,7 @@ def test_a_comparison_reads_into_an_atom_of_its_value(comparison, nots):
     # by each constant, against the comparison evaluated directly.
     sx = comparison
     for _ in range(nots):
-        sx = ["not", sx]
+        sx = ("not", sx)
     scope = {"x": "Int", "y": "Int"}
     pos, neg = solver.to_formula(sx, scope, True), solver.to_formula(sx, scope, False)
 
@@ -432,9 +432,9 @@ def test_read_forms_yields_each_form_once_its_line_is_read():
             yield line
 
     forms = read_forms(lines())
-    assert (next(forms), len(read)) == (["declare-const", "x", "Int"], 1)
-    assert (next(forms), len(read)) == (["assert", ["<", "x", "a\nb"]], 3)
-    assert (next(forms), len(read)) == (["check-sat"], 3)
+    assert (next(forms), len(read)) == (("declare-const", "x", "Int"), 1)
+    assert (next(forms), len(read)) == (("assert", ("<", "x", "a\nb")), 3)
+    assert (next(forms), len(read)) == (("check-sat",), 3)
     assert list(forms) == []
     with pytest.raises(SexprError, match="missing \\)"):
         list(read_forms(["(check-sat\n"]))
@@ -442,12 +442,12 @@ def test_read_forms_yields_each_form_once_its_line_is_read():
 
 def test_sexpr_parser_handles_comments_and_quotes():
     forms = parse_all("; comment\n(assert (= |weird name| 3))")
-    assert forms == [["assert", ["=", "weird name", 3]]]
+    assert forms == (("assert", ("=", "weird name", 3)),)
 
 
 def test_only_decimal_numerals_read_as_integers():
     # `--5` is a simple symbol and `²` is no ASCII digit: both are symbols.
-    assert parse_all("(- -5 007 --5 \u00b2 -)") == [["-", -5, 7, "--5", "\u00b2", "-"]]
+    assert parse_all("(- -5 007 --5 \u00b2 -)") == (("-", -5, 7, "--5", "\u00b2", "-"),)
     assert run_script("(declare-const --5 Int)(assert (= --5 1))(check-sat)") == ["sat"]
 
 

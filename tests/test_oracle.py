@@ -8,7 +8,7 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from coreach import cli, minismt, oracle
+from coreach import cli, oracle
 from coreach.constraints import fold_term
 from coreach.errors import DerivativeRefused, UnsupportedQuantifier
 from coreach.formulas import (
@@ -26,6 +26,7 @@ from coreach.formulas import (
     conj,
     free_vars,
 )
+from coreach.minismt import solver
 from coreach.oracle import (
     Domain,
     TransitionGraph,
@@ -511,7 +512,7 @@ def test_delta_image_agreement_examples(comp_sig, comp_system):
 def counted(monkeypatch):
     """Counts of the cross-check's `derivatives` calls and of bundled-solver
     runs, starting from an empty cross-check session."""
-    calls = {"derivatives": 0, "run_script": 0}
+    calls = {"derivatives": 0, "solver": 0}
 
     def counting(name, fn):
         def wrapper(*args, **kwargs):
@@ -522,7 +523,7 @@ def counted(monkeypatch):
 
     monkeypatch.setattr(oracle, "_SOLVER", SolverConfig())
     monkeypatch.setattr(oracle, "derivatives", counting("derivatives", oracle.derivatives))
-    monkeypatch.setattr(minismt, "run_script", counting("run_script", minismt.run_script))
+    monkeypatch.setattr(solver, "run_commands", counting("solver", solver.run_commands))
     return calls
 
 
@@ -533,12 +534,12 @@ def _composite_init(mk):
 def test_a_repeated_check_runs_no_derivatives_and_no_solver(comp_sig, comp_system, counted):
     mk = comp_sig.make_app
     first = check_derivative_theorem(comp_system, _composite_init(mk), Domain(6))
-    assert counted == {"derivatives": 1, "run_script": 1}
+    assert counted == {"derivatives": 1, "solver": 1}
     again = check_derivative_theorem(comp_system, _composite_init(mk), Domain(6))  # an equal, new term
     assert again is first and first.ok
-    assert counted == {"derivatives": 1, "run_script": 1}
+    assert counted == {"derivatives": 1, "solver": 1}
     check_derivative_theorem(comp_system, _composite_init(mk), Domain(5))  # another domain: its own report
-    assert counted == {"derivatives": 2, "run_script": 1}
+    assert counted == {"derivatives": 2, "solver": 1}
 
 
 def test_a_second_system_with_the_same_scripts_sends_none(comp_sig, comp_system, counted):
@@ -547,9 +548,9 @@ def test_a_second_system_with_the_same_scripts_sends_none(comp_sig, comp_system,
     for rule in comp_system.rules:
         twin.add_rule(rule)
     assert check_derivative_theorem(comp_system, _composite_init(mk), Domain(6)).ok
-    assert counted == {"derivatives": 1, "run_script": 1}
+    assert counted == {"derivatives": 1, "solver": 1}
     assert check_derivative_theorem(twin, _composite_init(mk), Domain(6)).ok
-    assert counted == {"derivatives": 2, "run_script": 1}
+    assert counted == {"derivatives": 2, "solver": 1}
 
 
 def test_a_new_rule_changes_the_next_report(counted):
@@ -605,7 +606,7 @@ def test_each_prove_run_keeps_its_own_session(counted, capsys):
     runs = []
     for _ in range(2):
         assert cli.main(["prove", "systems/sum.lrw", "--solver", "builtin"]) == 0
-        runs.append(counted["run_script"] - sum(runs))
+        runs.append(counted["solver"] - sum(runs))
     capsys.readouterr()
     assert runs[0] == runs[1] > 0
 

@@ -1,22 +1,29 @@
 """Encoding and solver-driving behavior, including the subprocess path."""
 
+import io
 import stat
 import sys
+from contextlib import redirect_stdout
+from pathlib import Path
 
 import pytest
+from hypothesis import given, strategies as st
 
 import coreach.smt as smt
 from coreach.errors import InvalidOption, MalformedSolverOutput, NonBuiltinResidue, SolverUnavailable
-from coreach.formulas import Atom, Eq, Exists, FALSE, Not, TRUE, conj
+from coreach.formulas import FALSE, TRUE, And, Atom, Eq, Exists, Forall, Iff, Implies, Not, Or, conj
+from coreach.minismt import sexpr
 from coreach.minismt.sexpr import parse_all
 from coreach.smt import (
     SolverConfig,
     Verdict,
     check_sat,
     encode,
+    query,
     resolve_solver,
 )
-from coreach.terms import INT, Lit, Var
+from coreach.signature import Signature
+from coreach.terms import BOOL, INT, App, Lit, Var
 
 n, k, u = Var("n", INT), Var("k", INT), Var("u", INT)
 
@@ -56,7 +63,88 @@ def test_encode_deterministic_and_sexpr_roundtrip(comp_sig):
     assert s1 == s2
     forms = parse_all(s1)
     assert [form[0] for form in forms] == ["set-logic", "declare-const", "assert", "check-sat"]
-    assert forms[2][1][-1] == ["<", 0, "n"]
+    assert forms[2][1][-1] == ("<", 0, "n")
+
+
+def test_the_corpus_queries_read_back_as_their_forms(monkeypatch):
+    # `builtin` reads a query's forms and `builtin-subprocess` its text:
+    # both read the same query, for every formula the six systems send.
+    import coreach.prover
+    import coreach.rewriting
+    from coreach import cli
+
+    sent, real = [], smt.check_sat
+
+    def recording(sig, f, cfg):
+        sent.append((sig, f))
+        return real(sig, f, cfg)
+
+    for module in (smt, coreach.prover, coreach.rewriting):
+        monkeypatch.setattr(module, "check_sat", recording)
+    with redirect_stdout(io.StringIO()):
+        for path in sorted(Path("systems").glob("*.lrw")):
+            assert cli.main(["prove", str(path), "--solver", "builtin"]) == 0
+    assert len(sent) == 197
+    for sig, f in sent:
+        assert parse_all(encode(sig, f)) == query(sig, f)
+
+
+_INTS = [Var(name, INT) for name in ("n", "k#10", "1x", "-5")]
+_BOOLS = [Var(name, BOOL) for name in ("b", "p#3")]
+
+
+def _formulas():
+    """Formulas over Int and Bool variables whose names need bars, with
+    negative literals and nested binders."""
+    leaf = st.one_of(st.sampled_from(_INTS), st.integers(-12, 12).map(Lit))
+    terms = st.recursive(
+        leaf,
+        lambda sub: st.one_of(
+            st.tuples(st.sampled_from(["+", "-", "*", "div", "mod"]), sub, sub).map(lambda t: App(t[0], t[1:], INT)),
+            sub.map(lambda a: App("-", (a,), INT)),
+        ),
+        max_leaves=4,
+    )
+    atoms = st.one_of(
+        st.tuples(st.sampled_from(["<", "<=", ">", ">="]), terms, terms).map(lambda t: Atom(App(t[0], t[1:], BOOL))),
+        st.tuples(terms, terms).map(lambda t: Eq(*t)),
+        st.sampled_from(_BOOLS + [Lit(True), Lit(False)]).map(Atom),
+        st.sampled_from([TRUE, FALSE]),
+    )
+    bound = st.lists(st.sampled_from(_INTS + _BOOLS), min_size=1, max_size=2, unique=True).map(tuple)
+    return st.recursive(
+        atoms,
+        lambda sub: st.one_of(
+            sub.map(Not),
+            st.lists(sub, max_size=3).map(lambda ps: And(tuple(ps))),
+            st.lists(sub, max_size=3).map(lambda ps: Or(tuple(ps))),
+            st.tuples(sub, sub).map(lambda t: Implies(*t)),
+            st.tuples(sub, sub).map(lambda t: Iff(*t)),
+            st.tuples(bound, sub).map(lambda t: Exists(*t)),
+            st.tuples(bound, sub).map(lambda t: Forall(*t)),
+        ),
+        max_leaves=6,
+    )
+
+
+@given(_formulas())
+def test_a_query_reads_back_from_its_text(f):
+    assert parse_all(encode(Signature(), f)) == query(Signature(), f)
+
+
+def test_the_in_process_solver_reads_no_text(monkeypatch, capsys):
+    # `builtin` hands the solver the query's forms: no SMT-LIB text is read.
+    from coreach import cli
+
+    assert cli.main(["prove", "systems/sum.lrw", "--solver", "builtin"]) == 0
+    expected = capsys.readouterr()
+
+    def no_text(_text):
+        raise AssertionError("SMT-LIB text tokenized")
+
+    monkeypatch.setattr(sexpr, "tokenize", no_text)
+    assert cli.main(["prove", "systems/sum.lrw", "--solver", "builtin"]) == 0
+    assert capsys.readouterr() == expected
 
 
 def test_encode_rejects_constructor_residue(comp_sig):
