@@ -13,6 +13,7 @@ Exit codes: 0 proved/valid, 1 failure, 2 inconclusive, 3 input error,
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from contextlib import closing, suppress
@@ -63,7 +64,12 @@ def _domain_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--steps", type=int, default=None, help="graph expansion budget (default 10000)")
 
 
+@functools.cache
 def build_arg_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call and shared by every
+    later one in the process: each `main` of a batch would otherwise rebuild
+    the whole tree.  `set_defaults(run=cmd_*)` binds the command functions
+    once, so patching one of them after the first `main` has no effect."""
     top = _ArgumentParser(prog="coreach", description=__doc__.splitlines()[0])
     sub = top.add_subparsers(dest="command", required=True)
 

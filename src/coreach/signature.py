@@ -49,7 +49,7 @@ class Operation:
 
 @dataclass
 class Violation:
-    kind: str  # monotonicity | preregularity | builtin-overlap | uninhabited | builtin-result
+    kind: str  # subsort-cycle | builtin-overlap | builtin-result | monotonicity | preregularity | uninhabited
     detail: str
 
     def __str__(self) -> str:
@@ -202,22 +202,32 @@ class Signature:
 
     def validate(self) -> list[Violation]:
         """Every violated admission condition; empty iff the signature is admitted."""
-        out: list[Violation] = []
+        out = [
+            Violation("subsort-cycle", f"the subsort order loops through {', '.join(cycle)}")
+            for cycle in self._subsort_cycles()
+        ]
         user_ops = [op for op in self.operations if not op.builtin]
 
         for op in user_ops:
             if self.is_builtin_symbol(op.name, op.arity):
                 out.append(Violation("builtin-overlap", f"user symbol {op.name}/{op.arity} clashes with a builtin"))
-            if any(self.is_subsort(op.result, b) for b in (INT, BOOL)):
+            builtin = next((b for b in (INT, BOOL) if self.is_subsort(op.result, b)), None)
+            if builtin == op.result:
+                out.append(Violation("builtin-result", f"{op.name} constructs into builtin sort {builtin.name}"))
+            elif builtin is not None:
                 out.append(
-                    Violation("builtin-result", f"{op.name} constructs into builtin sort {op.result.name}")
+                    Violation("builtin-result", f"{op.name} constructs into {op.result.name}, below builtin {builtin.name}")
                 )
 
         by_name: dict[tuple[str, int], list[Operation]] = {}
         for op in self.operations:
             by_name.setdefault((op.name, op.arity), []).append(op)
 
+        # A lone declaration is monotone and never has two applicable
+        # overloads, so only a name declared twice at one arity is checked.
         for (name, _arity), ops in sorted(by_name.items()):
+            if len(ops) < 2:
+                continue
             for a in ops:
                 for b in ops:
                     if a is not b and self.leq_word(a.arg_sorts, b.arg_sorts):
@@ -236,33 +246,34 @@ class Signature:
                 out.append(Violation("uninhabited", f"sort {s.name} has no ground constructor term"))
         return out
 
+    def _subsort_cycles(self) -> list[list[str]]:
+        """The sorts that lie strictly above themselves, grouped by cycle and
+        in name order: the subsort order must be a partial order."""
+        cycles = []
+        for s in sorted(self._above):
+            if s in self._above[s] and not any(s in c for c in cycles):
+                cycles.append(sorted(t for t in self._above[s] if s in self._above[t]))
+        return cycles
+
     def _preregularity(self, name: str, ops: list[Operation]) -> list[Violation]:
-        # Bounded check: for every argument-sort tuple at a declared arity, the
-        # set of applicable overloads must admit a least result sort.  Only a
-        # word whose i-th sort lies below some overload's i-th argument sort
-        # has an overload applicable, so position i ranges over those sorts,
-        # in name order.
-        out = []
+        # Bounded check over `ops`, the declarations of `name` at one arity:
+        # for every argument-sort tuple, the set of applicable declarations
+        # must admit a least result sort.  Only a word whose i-th sort lies
+        # below some declaration's i-th argument sort has one applicable, so
+        # position i ranges over those sorts, in name order.
         all_sorts = sorted(self.sorts.values(), key=lambda s: s.name)
-        for n in {op.arity for op in ops}:
-            cands = [op for op in ops if op.arity == n]
-            pools = [
-                [s for s in all_sorts if any(self.is_subsort(s, op.arg_sorts[i]) for op in cands)] for i in range(n)
-            ]
-            for word in product(*pools):
-                applicable = [op for op in cands if self.leq_word(word, op.arg_sorts)]
-                if not applicable:
-                    continue
-                results = [op.result for op in applicable]
-                if not any(all(self.is_subsort(r, other) for other in results) for r in results):
-                    out.append(
-                        Violation(
-                            "preregularity",
-                            f"{name} at {tuple(s.name for s in word)} has no least result sort",
-                        )
-                    )
-                    break
-        return out
+        pools = [
+            [s for s in all_sorts if any(self.is_subsort(s, op.arg_sorts[i]) for op in ops)]
+            for i in range(ops[0].arity)
+        ]
+        for word in product(*pools):
+            applicable = [op for op in ops if self.leq_word(word, op.arg_sorts)]
+            if not applicable:
+                continue
+            results = [op.result for op in applicable]
+            if not any(all(self.is_subsort(r, other) for other in results) for r in results):
+                return [Violation("preregularity", f"{name} at {tuple(s.name for s in word)} has no least result sort")]
+        return []
 
     def _inhabited_sorts(self) -> set[str]:
         done = set()

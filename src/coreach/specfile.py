@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import IllTyped, ParseError, ResolutionError, UnknownSort
 from .formulas import (
@@ -62,8 +63,7 @@ _TOKEN = re.compile(
 )
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # int | ident | op | eof
     text: str
     line: int
@@ -71,23 +71,27 @@ class Token:
 
 
 def tokenize(text: str) -> list[Token]:
+    """The tokens of `text` in one scan, closed by an `eof` token.  A column
+    is the token's offset from the start of its line, so only whitespace and
+    comments are searched for line ends."""
     out = []
-    pos, line, col = 0, 1, 1
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if m is None:
-            raise ParseError(f"unexpected character {text[pos]!r}", line, col)
-        lexeme = m.group(0)
-        if m.lastgroup != "ws":
-            out.append(Token(m.lastgroup, lexeme, line, col))
-        newlines = lexeme.count("\n")
-        if newlines:
-            line += newlines
-            col = len(lexeme) - lexeme.rfind("\n")
+    pos, line, line_start = 0, 1, 0
+    for m in _TOKEN.finditer(text):
+        start = m.start()
+        if start != pos:
+            break  # text[pos] starts no lexeme
+        kind, lexeme = m.lastgroup, m.group()
+        if kind == "ws":
+            newline = lexeme.rfind("\n")
+            if newline >= 0:
+                line += lexeme.count("\n")
+                line_start = start + newline + 1
         else:
-            col += len(lexeme)
+            out.append(Token(kind, lexeme, line, start - line_start + 1))
         pos = m.end()
-    out.append(Token("eof", "", line, col))
+    if pos < len(text):
+        raise ParseError(f"unexpected character {text[pos]!r}", line, pos - line_start + 1)
+    out.append(Token("eof", "", line, pos - line_start + 1))
     return out
 
 
@@ -118,6 +122,7 @@ OPTION_KEYS = {"max-depth", "timeout-ms", "bound", "steps"}
 class Parser:
     def __init__(self, text: str, sig: Signature | None = None):
         self.tokens = tokenize(text)
+        self.last = len(self.tokens) - 1  # the eof token, which every peek past the end sees
         self.pos = 0
         self.sig = sig or Signature()
         self.goals: list[GoalDecl] = []
@@ -128,7 +133,8 @@ class Parser:
     # -- token helpers ---------------------------------------------------------
 
     def peek(self, ahead: int = 0) -> Token:
-        return self.tokens[min(self.pos + ahead, len(self.tokens) - 1)]
+        i = self.pos + ahead
+        return self.tokens[i if i < self.last else self.last]
 
     def next(self) -> Token:
         tok = self.peek()
@@ -136,7 +142,7 @@ class Parser:
         return tok
 
     def at(self, text: str) -> bool:
-        return self.peek().text == text and self.peek().kind in ("op", "ident", "int")
+        return self.peek().text == text  # only the eof token has empty text
 
     def expect(self, text: str) -> Token:
         tok = self.next()
@@ -279,6 +285,8 @@ class Parser:
                 name += "-" + self.expect_ident().text
             if name not in OPTION_KEYS:
                 raise ParseError(f"unknown option {name}", key.line, key.column)
+            if name in self.options:
+                raise ParseError(f"option {name} given twice", key.line, key.column)
             self.expect("=")
             tok = self.next()
             if tok.kind != "int":

@@ -326,6 +326,20 @@ def test_validate_reports_clean_and_violations(tmp_path, command, flags):
     assert proc3.stderr.splitlines() == proc2.stderr.splitlines()
 
 
+def test_a_subsort_cycle_is_refused(tmp_path):
+    # The subsort order must be a partial order: validate reports the cycle
+    # and exits 1, and prove refuses the spec with exit 3.
+    from coreach import cli
+
+    cyclic = tmp_path / "cyclic.lrw"
+    cyclic.write_text("sorts A, B;\nsubsort A < B;\nsubsort B < A;\nsymbols a : -> A;\n")
+    for args, code in [(["validate", str(cyclic)], 1), (["prove", str(cyclic), "--solver", "builtin"], 3)]:
+        err = io.StringIO()
+        with redirect_stdout(io.StringIO()), redirect_stderr(err):
+            assert cli.main(args) == code
+        assert err.getvalue() == "violation: subsort-cycle: the subsort order loops through A, B\n"
+
+
 @pytest.mark.parametrize(
     "args",
     [
@@ -349,6 +363,39 @@ def test_help_exits_zero():
     proc = run_cli("prove", "--help")
     assert proc.returncode == 0
     assert "--max-depth" in proc.stdout and "--max-branch" not in proc.stdout
+
+
+SEQUENCE = [
+    ["prove", "systems/sum.lrw", "--solver", "builtin"],
+    ["prove", "tests/specs/narrow_subsort.lrw", "--solver", "builtin"],
+    ["derive", COMP, "--solver", "builtin", "--term", "init(n) /\\ n > 0"],
+    ["validate", COMP],
+    ["oracle", "systems/sum.lrw", "--bound", "3"],
+    ["check-graph", COMP, "--bound", "4", "--steps", "200"],
+    ["prove", "systems/sum.lrw", "--bogus"],
+    ["prove", "--help"],
+    ["--help"],
+    ["prove", "systems/sum.lrw", "--solver", "builtin", "--dump-proof", "text"],
+]
+
+
+def test_one_process_answers_a_sequence_as_fresh_processes(monkeypatch):
+    # main reuses one argument parser per process: each call of a sequence
+    # prints and exits as the same command does in a process of its own,
+    # after a usage error and after --help too.
+    from coreach import cli
+
+    monkeypatch.setenv("COLUMNS", "80")  # help text wraps at the same width in both
+    for args in SEQUENCE:
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            try:
+                code = cli.main(args)
+            except SystemExit as exc:  # argparse ends a usage error and --help so
+                code = exc.code
+        proc = run_cli(*args)
+        assert (out.getvalue(), err.getvalue(), code) == (proc.stdout, proc.stderr, proc.returncode), args
+    assert cli.build_arg_parser() is cli.build_arg_parser()
 
 
 def test_missing_file_exit_three():

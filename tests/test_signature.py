@@ -43,6 +43,38 @@ def test_constructor_into_builtin_sort_is_reported():
     assert "builtin-result" in kinds
 
 
+def test_constructor_below_a_builtin_sort_names_both_sorts():
+    sig = Signature()
+    a = sig.add_sort("A")
+    sig.add_subsort("A", "Int")
+    sig.add_operation("a", [], a)
+    sig.add_operation("w", [], INT)
+    found = [str(v) for v in sig.validate() if v.kind == "builtin-result"]
+    assert found == [
+        "builtin-result: a constructs into A, below builtin Int",
+        "builtin-result: w constructs into builtin sort Int",
+    ]
+
+
+def test_each_subsort_cycle_is_one_violation():
+    # The subsort order must be a partial order; a cycle names its sorts.
+    sig = Signature()
+    for name in "ABCDE":
+        sig.add_sort(name)
+        sig.add_operation(name.lower(), [], sig.sorts[name])
+    for sub, sup in [("A", "B"), ("B", "C"), ("C", "A"), ("D", "E"), ("E", "D"), ("C", "D")]:
+        sig.add_subsort(sub, sup)
+    assert [str(v) for v in sig.validate()] == [
+        "subsort-cycle: the subsort order loops through A, B, C",
+        "subsort-cycle: the subsort order loops through D, E",
+    ]
+    sig = Signature()
+    sig.add_sort("A")
+    sig.add_subsort("A", "Int")
+    sig.add_subsort("Int", "A")
+    assert "subsort-cycle: the subsort order loops through A, Int" in [str(v) for v in sig.validate()]
+
+
 def test_least_sort_examples(comp_sig):
     mk = comp_sig.make_app
     assert comp_sig.least_sort(mk("init", (Lit(3),))).name == "Cfg"
@@ -181,7 +213,8 @@ def test_preregularity_violation_names_the_first_word():
 def test_preregularity_visits_only_words_below_an_overload(monkeypatch):
     # Position i of a word ranges over the sorts below some overload's i-th
     # argument sort, not over every sort: no word of k holds B, Int or
-    # Bool, and no builtin's word holds a user sort.
+    # Bool, and no builtin's word holds a user sort.  Only a name declared
+    # twice at one arity is checked, so k has a second overload.
     import coreach.signature as signature
 
     visited = []
@@ -199,6 +232,7 @@ def test_preregularity_visits_only_words_below_an_overload(monkeypatch):
     sig.add_operation("c0", [], c)
     sig.add_operation("b0", [], b)
     sig.add_operation("k", [a, a], a)
+    sig.add_operation("k", [c, c], c)
     assert sig.validate() == []
     user_words = [w for w in visited if set(w) - {"Int", "Bool"}]
     assert user_words == [("A", "A"), ("A", "C"), ("C", "A"), ("C", "C")]

@@ -3,13 +3,16 @@
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from coreach.errors import ParseError, ResolutionError
 from coreach.formulas import And, Atom, Exists, Iff, Implies, Not, Or, TrueF, pretty_formula
-from coreach.specfile import parse_cterm_in, parse_spec, render_spec
+from coreach.specfile import _TOKEN, parse_cterm_in, parse_spec, render_spec, tokenize
 from coreach.terms import BOOL, Var
 
 COMPOSITENESS = Path("systems/compositeness.lrw").read_text()
+SPEC_PATHS = sorted(Path("systems").glob("*.lrw")) + sorted(Path("tests/specs").glob("*.lrw"))
 
 
 def test_three_rules_with_expected_guards():
@@ -97,6 +100,22 @@ def test_cases_annotation_and_options():
         parse_spec(text.replace("max-depth = 7", "max-depth = 7, enable-disj = on"))
 
 
+@pytest.mark.parametrize(
+    "options, line, column",
+    [
+        ("options max-depth = 3, max-depth = 4;", 3, 24),
+        ("options max-depth = 3, bound = 2;\noptions steps = 9, max-depth = 4;", 4, 20),
+    ],
+    ids=["one-section", "across-sections"],
+)
+def test_an_option_key_is_given_once(options, line, column):
+    # The second key is the error, as a second declaration of a sort or a
+    # variable is; the last value does not silently win.
+    with pytest.raises(ParseError, match="option max-depth given twice") as err:
+        parse_spec("sorts Cfg;\nsymbols c : -> Cfg;\n" + options)
+    assert (err.value.line, err.value.column) == (line, column)
+
+
 def test_parse_cterm_in_context():
     spec = parse_spec(COMPOSITENESS)
     ct = parse_cterm_in(spec, "loop(n, 2) /\\ n > 0")
@@ -105,9 +124,7 @@ def test_parse_cterm_in_context():
         parse_cterm_in(spec, "loop(n, 2) /\\ n > 0 trailing")
 
 
-@pytest.mark.parametrize(
-    "path", sorted(Path("systems").glob("*.lrw")) + sorted(Path("tests/specs").glob("*.lrw")), ids=lambda p: p.stem
-)
+@pytest.mark.parametrize("path", SPEC_PATHS, ids=lambda p: p.stem)
 def test_parse_print_roundtrip(path):
     spec = parse_spec(path.read_text())
     printed = render_spec(spec)
@@ -197,3 +214,54 @@ def test_every_connective_roundtrips_through_the_printer():
         ct = ConstrainedTerm(term, f)
         text = pretty_constrained(ct)
         assert parse_cterm_in(spec, text) == ct, text
+
+
+def _reference_tokenize(text):
+    """One regex match per lexeme, counting lines and columns lexeme by
+    lexeme: the tokenizer's specification."""
+    out = []
+    pos, line, col = 0, 1, 1
+    while pos < len(text):
+        m = _TOKEN.match(text, pos)
+        if m is None:
+            raise ParseError(f"unexpected character {text[pos]!r}", line, col)
+        lexeme = m.group(0)
+        if m.lastgroup != "ws":
+            out.append((m.lastgroup, lexeme, line, col))
+        newlines = lexeme.count("\n")
+        if newlines:
+            line += newlines
+            col = len(lexeme) - lexeme.rfind("\n")
+        else:
+            col += len(lexeme)
+        pos = m.end()
+    out.append(("eof", "", line, col))
+    return out
+
+
+def _tokens_or_error(tokenizer, text):
+    try:
+        return [tuple(tok) for tok in tokenizer(text)]
+    except ParseError as exc:
+        return str(exc), exc.line, exc.column
+
+
+TOKENIZER_TEXTS = {
+    "crlf-tabs-trailing-comment": "sorts Cfg;\r\nsymbols\r\n\tc : -> Cfg;\r\n\t// no newline after this",
+    "bad-character-after-comment": "sorts Cfg; // note\n\t  vars n#1 : Int;\n",
+    "bad-character-first": "#",
+    "bad-character-after-crlf": "sorts Cfg;\r\n  @",
+    "comment-only": "// nothing here",
+    "blank-lines": "\n\n  x\n\n",
+    **{p.stem: p.read_text() for p in SPEC_PATHS},
+}
+
+
+@pytest.mark.parametrize("text", TOKENIZER_TEXTS.values(), ids=TOKENIZER_TEXTS.keys())
+def test_tokens_and_errors_match_the_reference(text):
+    assert _tokens_or_error(tokenize, text) == _tokens_or_error(_reference_tokenize, text)
+
+
+@given(st.text(alphabet="ab1 \t\r\n/#(),;:.<>=-~\\", max_size=40))
+def test_tokens_of_any_text_match_the_reference(text):
+    assert _tokens_or_error(tokenize, text) == _tokens_or_error(_reference_tokenize, text)
