@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Regenerate the golden solver scripts under tests/data/.
+"""Regenerate the golden solver scripts and CLI transcript under tests/data/.
 
     python scripts/capture_queries.py [--oracle-seed N] [--out DIR]
 
@@ -14,6 +14,16 @@ run, as the SMT-LIB script `smt.encode` writes for it.  Each distinct script
 is then replayed with a `(get-model)` after its `(check-sat)`; the files keep
 the scripts in first-sent order with the verdict and the `(get-model)` line
 the bundled solver answered (`null` unless the verdict is sat).
+
+It also writes
+
+  cli_transcript.json   stdout, stderr and exit code of `prove --solver
+                        builtin` (plain and `--dump-proof json`), `derive
+                        --solver builtin --term` (the first goal's left-hand
+                        side), `validate`, `oracle --bound 3` and
+                        `check-graph --bound 3 --steps 500` on each
+                        systems/*.lrw and tests/specs/*.lrw, run in-process
+                        through `cli.main` from the repository root.
 """
 
 from __future__ import annotations
@@ -22,6 +32,7 @@ import argparse
 import contextlib
 import io
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -35,6 +46,7 @@ import coreach.smt
 from coreach import cli
 from coreach.errors import NonBuiltinResidue
 from coreach.minismt import run_script
+from coreach.formulas import pretty_constrained
 from coreach.specfile import parse_spec
 
 TIMEOUT_MS = 60_000
@@ -80,6 +92,36 @@ def oracle_scripts(seed: int) -> list[str]:
     return scripts
 
 
+def transcript_commands() -> list[list[str]]:
+    """The transcript's command lines, paths relative to the repository root."""
+    commands = []
+    for path in sorted(ROOT.glob("systems/*.lrw")) + sorted(ROOT.glob("tests/specs/*.lrw")):
+        rel = path.relative_to(ROOT).as_posix()
+        lhs = pretty_constrained(parse_spec(path.read_text(encoding="utf-8")).goals[0].formula.lhs)
+        commands += [
+            ["prove", rel, "--solver", "builtin"],
+            ["prove", rel, "--solver", "builtin", "--dump-proof", "json"],
+            ["derive", rel, "--solver", "builtin", "--term", lhs],
+            ["validate", rel],
+            ["oracle", rel, "--bound", "3"],
+            ["check-graph", rel, "--bound", "3", "--steps", "500"],
+        ]
+    return commands
+
+
+def run_in_process(argv: list[str]) -> dict:
+    """stdout, stderr and exit code of `cli.main(argv)` run from the repository root."""
+    out, err = io.StringIO(), io.StringIO()
+    cwd = os.getcwd()
+    os.chdir(ROOT)
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(argv)
+    finally:
+        os.chdir(cwd)
+    return {"argv": argv, "stdout": out.getvalue(), "stderr": err.getvalue(), "exit": code}
+
+
 def golden(scripts: list[str]) -> list[dict]:
     out = []
     for script in dict.fromkeys(scripts):
@@ -101,6 +143,9 @@ def main() -> int:
         data = golden(scripts)
         (args.out / name).write_text(json.dumps(data, indent=1) + "\n", encoding="utf-8")
         print(f"{name}: {len(scripts)} queries, {len(data)} distinct")
+    runs = [run_in_process(argv) for argv in transcript_commands()]
+    (args.out / "cli_transcript.json").write_text(json.dumps(runs, indent=1) + "\n", encoding="utf-8")
+    print(f"cli_transcript.json: {len(runs)} commands")
     return 0
 
 

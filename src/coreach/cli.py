@@ -38,6 +38,16 @@ from .specfile import SpecFile, parse_spec, parse_cterm_in
 from .terms import FreshCounter
 
 
+# The default of each spec option, which the option overrides and the flag
+# of the same name overrides in turn.
+DEFAULTS = {
+    "max-depth": SearchConfig.max_der_depth,
+    "timeout-ms": DEFAULT_TIMEOUT_MS,
+    "bound": 8,
+    "steps": 10_000,
+}
+
+
 class _ArgumentParser(argparse.ArgumentParser):
     """Usage errors are input errors: they exit 3, not argparse's 2, which
     this CLI reserves for inconclusive runs."""
@@ -60,8 +70,8 @@ def _solver_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _domain_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--bound", type=int, default=None, help="integer domain bound (default 8)")
-    p.add_argument("--steps", type=int, default=None, help="graph expansion budget (default 10000)")
+    p.add_argument("--bound", type=int, default=None, help=f"integer domain bound (default {DEFAULTS['bound']})")
+    p.add_argument("--steps", type=int, default=None, help=f"graph expansion budget (default {DEFAULTS['steps']})")
 
 
 @functools.cache
@@ -81,7 +91,8 @@ def build_arg_parser() -> argparse.ArgumentParser:
 
     p = command("prove", cmd_prove, "prove the reachability goals")
     _solver_flags(p)
-    p.add_argument("--max-depth", type=int, default=None, help="derivative-step bound (default 20)")
+    depth_help = f"derivative-step bound (default {DEFAULTS['max-depth']})"
+    p.add_argument("--max-depth", type=int, default=None, help=depth_help)
     p.add_argument("--dump-proof", choices=["text", "json"], default=None)
 
     p = command("derive", cmd_derive, "print the symbolic successors of a constrained term")
@@ -111,13 +122,13 @@ def _load(path: str) -> tuple[SpecFile, list[Violation]]:
 
 
 def _solver_config(spec: SpecFile, solver: str | None, timeout_ms: int | None) -> SolverConfig:
-    return resolve_solver(solver, timeout_ms=_pick(timeout_ms, spec, "timeout-ms", DEFAULT_TIMEOUT_MS))
+    return resolve_solver(solver, timeout_ms=_pick(timeout_ms, spec, "timeout-ms"))
 
 
-def _pick(cli_value, spec: SpecFile, key: str, default):
+def _pick(cli_value, spec: SpecFile, key: str):
     if cli_value is not None:
         return cli_value
-    return spec.options.get(key, default)
+    return spec.options.get(key, DEFAULTS[key])
 
 
 def search_config(
@@ -129,7 +140,7 @@ def search_config(
     """The prover's settings for a spec, shared with scripts/run_corpus.py:
     a flag wins over the spec's option, which wins over the default."""
     return SearchConfig(
-        max_der_depth=_pick(max_depth, spec, "max-depth", SearchConfig.max_der_depth),
+        max_der_depth=_pick(max_depth, spec, "max-depth"),
         solver=_solver_config(spec, solver, timeout_ms),
     )
 
@@ -188,8 +199,8 @@ def cmd_derive(args, spec: SpecFile) -> int:
 def cmd_oracle(args, spec: SpecFile) -> int:
     from .oracle import Domain, build_graph, check_dvp, goal_instances
 
-    dom = Domain(_pick(args.bound, spec, "bound", 8))
-    steps = _pick(args.steps, spec, "steps", 10_000)
+    dom = Domain(_pick(args.bound, spec, "bound"))
+    steps = _pick(args.steps, spec, "steps")
     worst = 0  # 0 valid, 1 inconclusive, 2 invalid
     for decl in spec.goals:
         verdicts = []
@@ -215,8 +226,8 @@ def cmd_oracle(args, spec: SpecFile) -> int:
 def cmd_check_graph(args, spec: SpecFile) -> int:
     from .oracle import Domain, build_graph, edge_list, enumerate_instances, to_dot
 
-    dom = Domain(_pick(args.bound, spec, "bound", 8))
-    steps = _pick(args.steps, spec, "steps", 10_000)
+    dom = Domain(_pick(args.bound, spec, "bound"))
+    steps = _pick(args.steps, spec, "steps")
     seeds = set()
     for decl in spec.goals:
         seeds |= enumerate_instances(spec.signature, decl.formula.lhs, dom)

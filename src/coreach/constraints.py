@@ -31,13 +31,14 @@ from .formulas import (
     atom_terms,
     children,
     conj,
+    conjuncts,
     exists,
     free_vars,
     junction,
     subst_formula,
 )
 from .signature import BUILTIN_FUNCTIONS, Signature
-from .terms import App, FRESH_SEP, Lit, Substitution, Term, Var, rebuild_app, term_vars
+from .terms import App, Lit, Substitution, Term, Var, is_fresh, rebuild_app, term_vars
 
 
 @dataclass(frozen=True)
@@ -93,7 +94,7 @@ def unify_modulo_builtins(sig: Signature, t1: Term, t2: Term) -> SolvedForm | No
                     a, b = b, a
                 else:
                     return None
-                if a.sort == b.sort and FRESH_SEP in b.name and FRESH_SEP not in a.name:
+                if a.sort == b.sort and is_fresh(b) and not is_fresh(a):
                     a, b = b, a  # a renaming: keep the user's name
                 bindings = _bind(bindings, a, b)
                 continue
@@ -305,7 +306,7 @@ def _propagate_bindings(sig: Signature, parts: list[Formula]) -> list[Formula]:
         x, t = hit
         if not isinstance(t, (Var, Lit)):
             continue
-        if isinstance(t, Var) and FRESH_SEP not in x.name and FRESH_SEP in t.name:
+        if isinstance(t, Var) and not is_fresh(x) and is_fresh(t):
             x, t = t, x  # prefer to keep user-named variables in view
         sigma = Substitution({x: t})
         changed = False
@@ -328,7 +329,7 @@ def _one_point(sig: Signature, bound: tuple[Var, ...], body: Formula):
     changed = True
     while changed and bound:
         changed = False
-        parts = list(children(body)) if isinstance(body, And) else [body]
+        parts = conjuncts(body)
         for i, p in enumerate(parts):
             hit = _eligible_binding(p, lambda v: v in bound)
             if hit is None:
@@ -356,7 +357,7 @@ def simplify_constrained(
     for _ in range(SIMPLIFY_PASS_CAP):
         if isinstance(constraint, FalseF):
             return ConstrainedTerm(term, FALSE)
-        parts = list(children(constraint)) if isinstance(constraint, And) else [constraint]
+        parts = conjuncts(constraint)
         sigma, rest = _elimination(parts, protected)
         if not sigma:
             return ConstrainedTerm(term, constraint)
@@ -383,16 +384,16 @@ def _elimination(parts: list[Formula], protected: frozenset[str]) -> tuple[Subst
         x, t = found
         if isinstance(t, Var) and t.name not in protected:
             # Both ends disposable: drop the fresh-named one if we can.
-            if FRESH_SEP in t.name and FRESH_SEP not in x.name:
+            if is_fresh(t) and not is_fresh(x):
                 x, t = t, x
-        if FRESH_SEP in x.name and isinstance(t, (Var, Lit)) and x not in bindings:
+        if is_fresh(x) and isinstance(t, (Var, Lit)) and x not in bindings:
             t = bindings.get(t, t)
             if t != x:  # otherwise the conjunct reads x = x once bound
                 bindings = {v: t if u == x else u for v, u in bindings.items()}
                 bindings[x] = t
             continue
         rest.append(p)
-        if hit is None or (FRESH_SEP in x.name and FRESH_SEP not in hit[0].name):
+        if hit is None or (is_fresh(x) and not is_fresh(hit[0])):
             hit = (x, t, i)
     if bindings or hit is None:
         return Substitution(bindings), rest

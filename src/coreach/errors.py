@@ -13,6 +13,10 @@ class UnknownSort(CoreachError):
     pass
 
 
+class Redeclared(CoreachError):
+    """A second declaration of a sort, a variable or a symbol at the same sorts."""
+
+
 class IllTyped(CoreachError):
     pass
 

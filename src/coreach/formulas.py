@@ -173,6 +173,14 @@ def conj(parts) -> Formula:
     return junction(And, parts)
 
 
+def conjuncts(f: Formula) -> list[Formula]:
+    """The conjuncts of `f` in order, nested `And`s flattened and `true`
+    dropped: `conj(conjuncts(f))` is `f` up to that flattening."""
+    if type(f) is And:
+        return [c for p in f.parts for c in conjuncts(p)]
+    return [] if type(f) is TrueF else [f]
+
+
 def disj(parts) -> Formula:
     return junction(Or, parts)
 

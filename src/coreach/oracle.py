@@ -57,13 +57,14 @@ from .formulas import (
     TrueF,
     atom_terms,
     children,
+    conjuncts,
     free_vars,
     subst_constrained,
 )
 from .rewriting import Lctrs, ReachabilityFormula, RewriteRule, derivatives
 from .signature import BUILTIN_FUNCTIONS, Signature
 from .smt import SolverConfig
-from .terms import BOOL, App, FreshCounter, Lit, Substitution, Term, Var, positions, replace_at, subterm_at
+from .terms import BOOL, App, FreshCounter, Lit, Substitution, Term, Var, replace_at, subterms
 
 StatePredicate = frozenset  # of ground Terms
 
@@ -426,14 +427,6 @@ def sort_values(sig: Signature, sort, dom: Domain, _seen: frozenset = frozenset(
 # -- state predicates ---------------------------------------------------------------
 
 
-def _conjuncts(f: Formula) -> list[Formula]:
-    """The top-level conjuncts of `f` in order, nested `And`s flattened and
-    `true` dropped."""
-    if isinstance(f, And):
-        return [c for p in f.parts for c in _conjuncts(p)]
-    return [] if isinstance(f, TrueF) else [f]
-
-
 def _quantifies_a_user_sort(f: Formula) -> bool:
     if isinstance(f, BINDERS) and not all(v.sort.builtin for v in f.bound):
         return True
@@ -461,7 +454,7 @@ def enumerate_instances(sig: Signature, ct: ConstrainedTerm, dom: Domain) -> Sta
     slots = {v: comp.new_slot() for v in vs}  # the slot of a variable is its index in `vs`
     checks: dict[int, list[Code]] = {}  # level (variables with a value) -> its checks in order
     top = floor = 0
-    for c in _conjuncts(ct.constraint):
+    for c in conjuncts(ct.constraint):
         at = max([slots[v] + 1 for v in free_vars(c)] + [floor])
         if _quantifies_a_user_sort(c):
             at = floor = max(at, top)
@@ -607,8 +600,7 @@ def ground_step(system: Lctrs, gamma: Term, dom: Domain, stepper: _Stepper | Non
 def _step(sig: Signature, rules: list[_RuleCode], gamma: Term) -> StatePredicate:
     terms = _terms(sig)
     out = set()
-    for pos in positions(gamma):
-        sub = subterm_at(gamma, pos)
+    for pos, sub in subterms(gamma):
         if isinstance(sub, Lit) or (isinstance(sub, App) and sub.sort.builtin):
             continue  # builtin values are never rewritten
         for code in rules:

@@ -47,7 +47,6 @@ from .formulas import (
 from .signature import Signature
 from .smt import SolverConfig, Verdict, check_sat
 from .terms import (
-    FRESH_SEP,
     App,
     Lit,
     FreshCounter,
@@ -56,9 +55,9 @@ from .terms import (
     Substitution,
     Term,
     Var,
-    non_variable_positions,
+    fresh_variant,
     replace_at,
-    subterm_at,
+    subterms,
     term_vars,
 )
 
@@ -112,9 +111,9 @@ class _Facts(NamedTuple):
     """What matching needs of one system, computed once."""
 
     stamp: tuple
-    # Per rule, its variables in name order, each with the stem of its fresh
-    # names: the i-th gets stem + str(first fresh index + i).
-    fresh: list[tuple[tuple[Var, str], ...]]
+    # Per rule, its variables in name order; the i-th is renamed with the
+    # rule's first fresh index + i.
+    fresh: list[list[Var]]
     redex_sorts: frozenset[str]  # names of the sorts that can hold a redex
 
 
@@ -126,10 +125,7 @@ def _facts(system: Lctrs) -> _Facts:
     stamp = system.stamp
     hit = _FACTS.get(system)
     if hit is None or hit.stamp != stamp:
-        fresh = [
-            tuple((v, v.name.split(FRESH_SEP, 1)[0] + FRESH_SEP) for v in sorted(r.variables(), key=lambda v: v.name))
-            for r in system.rules
-        ]
+        fresh = [sorted(r.variables(), key=lambda v: v.name) for r in system.rules]
         hit = _FACTS[system] = _Facts(stamp, fresh, _redex_sorts(system))
     return hit
 
@@ -257,11 +253,9 @@ def derivatives_detailed(
     out: list[Derivative] = []
     # The constructor-sorted non-variable positions in preorder, and by root
     # symbol; builtin values are computed, never rewritten.
-    every: list[tuple[Position, App]] = []
-    for pos in non_variable_positions(ct.term):
-        sub = subterm_at(ct.term, pos)
-        if not sub.sort.builtin:
-            every.append((pos, sub))
+    every: list[tuple[Position, App]] = [
+        (pos, sub) for pos, sub in subterms(ct.term) if type(sub) is App and not sub.sort.builtin
+    ]
     sites: dict[str, list[tuple[Position, App]]] = {}
     for site in every:
         sites.setdefault(site[1].symbol, []).append(site)
@@ -279,9 +273,9 @@ def derivatives_detailed(
                 continue
             binds, eqs, images = found
             mapping = dict(binds)
-            for i, (v, stem) in enumerate(fresh):
+            for i, v in enumerate(fresh):
                 if v not in binds:
-                    mapping[v] = Var(stem + str(start + i), v.sort)
+                    mapping[v] = fresh_variant(v, start + i)
             # Rule-side terms only: the subject may use the rule's own names.
             theta = Substitution(mapping)
             new_term = replace_at(ct.term, pos, theta.apply(rule.rhs))

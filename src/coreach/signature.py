@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 from itertools import product
 from typing import Callable
 
-from .errors import IllTyped, UnknownSort
+from .errors import IllTyped, Redeclared, UnknownSort
 from .minismt.arith import ARITH_OPS
 from .terms import App, BOOL, INT, Lit, Sort, Term, Var
 
@@ -45,6 +45,10 @@ class Operation:
     @property
     def arity(self) -> int:
         return len(self.arg_sorts)
+
+    def __str__(self) -> str:
+        """The declaration as a spec file writes it: `f : A B -> C`."""
+        return f"{self.name} :{''.join(' ' + a.name for a in self.arg_sorts)} -> {self.result.name}"
 
 
 @dataclass
@@ -112,10 +116,14 @@ class Signature:
         return (self, len(self.operations), len(self.subsort_pairs))
 
     # -- declaration helpers (used by the frontend and tests) ----------------
+    #
+    # Each name is declared once: a second sort or variable of one name, or
+    # a second user symbol of one name at the same sorts, is `Redeclared`.
+    # A symbol at other sorts is an overload, which `validate` checks.
 
     def add_sort(self, name: str) -> Sort:
         if name in self.sorts:
-            return self.sorts[name]
+            raise Redeclared(f"sort {name} already exists")
         s = Sort(name)
         self.sorts[name] = s
         return s
@@ -129,11 +137,15 @@ class Signature:
 
     def add_operation(self, name: str, arg_sorts: list[Sort], result: Sort) -> Operation:
         op = Operation(name, tuple(arg_sorts), result)
+        if op in self._by_name.get(name, ()):
+            raise Redeclared(f"symbol {op} already declared")
         self.operations.append(op)
         self._index(op)
         return op
 
     def add_variable(self, name: str, sort: Sort) -> Var:
+        if name in self.variables:
+            raise Redeclared(f"variable {name} already declared")
         self.variables[name] = sort
         return Var(name, sort)
 

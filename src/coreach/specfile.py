@@ -26,7 +26,7 @@ import re
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .errors import IllTyped, ParseError, ResolutionError, UnknownSort
+from .errors import IllTyped, ParseError, Redeclared, ResolutionError
 from .formulas import (
     COMPARISONS,
     INFIX,
@@ -36,7 +36,7 @@ from .formulas import (
     ConstrainedTerm,
     Eq,
     Exists,
-    FalseF,
+    FALSE,
     Forall,
     Formula,
     Not,
@@ -49,7 +49,6 @@ from .rewriting import Lctrs, ReachabilityFormula, RewriteRule
 from .signature import Signature
 from .terms import App, BOOL, Lit, Sort, Term, Var
 
-SECTION_KEYWORDS = {"sorts", "subsort", "symbols", "vars", "rules", "prove", "circ", "options"}
 _LEVELS = sorted(set(TERM_PREC.values()))  # the infix precedences, loosest first
 _CONNECTIVES = {symbol: (cls, prec, right) for cls, (prec, symbol, right) in INFIX.items()}
 
@@ -144,6 +143,13 @@ class Parser:
     def at(self, text: str) -> bool:
         return self.peek().text == text  # only the eof token has empty text
 
+    def accept(self, text: str) -> bool:
+        """Whether the next token is `text`, consumed if so."""
+        if self.at(text):
+            self.pos += 1
+            return True
+        return False
+
     def expect(self, text: str) -> Token:
         tok = self.next()
         if tok.text != text:
@@ -160,29 +166,32 @@ class Parser:
         tok = self.peek()
         return ParseError(message, tok.line, tok.column)
 
+    def items(self, item, end: str) -> list:
+        """`item, item, ... end`: one or more of what `item()` reads, `end` consumed."""
+        out = [item()]
+        while self.accept(","):
+            out.append(item())
+        self.expect(end)
+        return out
+
+    def _declare(self, add, name: Token, *args):
+        """`add(name.text, *args)`, a declaration the signature refuses to
+        repeat, with a refusal reported at `name`."""
+        try:
+            return add(name.text, *args)
+        except Redeclared as exc:
+            raise ParseError(str(exc), name.line, name.column) from None
+
     # -- sections -------------------------------------------------------------------
 
     def parse(self) -> SpecFile:
         if self.peek().kind == "eof":
             raise self.fail("empty specification")
         while self.peek().kind != "eof":
-            tok = self.peek()
-            if tok.text == "sorts":
-                self._sorts()
-            elif tok.text == "subsort":
-                self._subsort()
-            elif tok.text == "symbols":
-                self._symbols()
-            elif tok.text == "vars":
-                self._vars()
-            elif tok.text == "rules":
-                self._rules()
-            elif tok.text in ("prove", "circ"):
-                self._goal()
-            elif tok.text == "options":
-                self._options()
-            else:
-                raise self.fail(f"expected a section keyword, found {tok.text!r}")
+            section = SECTIONS.get(self.peek().text)
+            if section is None:
+                raise self.fail(f"expected a section keyword, found {self.peek().text!r}")
+            section(self)
         system = Lctrs(self.sig)
         for r in self.rules:
             system.add_rule(r)
@@ -190,27 +199,15 @@ class Parser:
 
     def _sorts(self):
         self.next()
-        while True:
-            tok = self.expect_ident()
-            if tok.text in self.sig.sorts:
-                raise ParseError(f"sort {tok.text} already exists", tok.line, tok.column)
-            self.sig.add_sort(tok.text)
-            if self.at(","):
-                self.next()
-                continue
-            break
-        self.expect(";")
+        self.items(lambda: self._declare(self.sig.add_sort, self.expect_ident()), ";")
 
     def _subsort(self):
         self.next()
-        sub = self.expect_ident()
+        sub = self._sort_ref()
         self.expect("<")
-        sup = self.expect_ident()
+        sup = self._sort_ref()
         self.expect(";")
-        try:
-            self.sig.add_subsort(sub.text, sup.text)
-        except UnknownSort as exc:
-            raise ParseError(f"unknown sort {exc}", sub.line, sub.column)
+        self.sig.add_subsort(sub.name, sup.name)
 
     def _sort_ref(self) -> Sort:
         tok = self.expect_ident()
@@ -229,22 +226,17 @@ class Parser:
             self.expect("->")
             result = self._sort_ref()
             self.expect(";")
-            self.sig.add_operation(name.text, args, result)
+            self._declare(self.sig.add_operation, name, args, result)
+
+    def _binding(self) -> tuple[Token, Sort]:
+        """`name : Sort`, a variable declaration or a quantifier binder."""
+        name = self.expect_ident()
+        self.expect(":")
+        return name, self._sort_ref()
 
     def _vars(self):
         self.next()
-        while True:
-            name = self.expect_ident()
-            self.expect(":")
-            sort = self._sort_ref()
-            if name.text in self.sig.variables:
-                raise ParseError(f"variable {name.text} already declared", name.line, name.column)
-            self.sig.add_variable(name.text, sort)
-            if self.at(","):
-                self.next()
-                continue
-            break
-        self.expect(";")
+        self.items(lambda: self._declare(self.sig.add_variable, *self._binding()), ";")
 
     def _rules(self):
         self.next()
@@ -256,8 +248,7 @@ class Parser:
             guard = self.parse_formula()
             self.expect(";")
             self.rules.append(RewriteRule(lhs, rhs, guard))
-            nxt = self.peek()
-            if nxt.kind == "eof" or nxt.text in SECTION_KEYWORDS:
+            if self.peek().kind == "eof" or self.peek().text in SECTION_KEYWORDS:
                 break
 
     def _goal(self):
@@ -266,37 +257,32 @@ class Parser:
         self.expect("=>")
         rhs = self.parse_cterm()
         split = None
-        if self.at("cases"):
-            self.next()
+        if self.accept("cases"):
             f1 = self.parse_formula()
             self.expect(",")
-            f2 = self.parse_formula()
-            split = (f1, f2)
+            split = (f1, self.parse_formula())
         self.expect(";")
         self.goals.append(GoalDecl(kind, ReachabilityFormula(lhs, rhs), split))
 
     def _options(self):
         self.next()
-        while True:
-            key = self.expect_ident()
-            name = key.text
-            while self.at("-") and self.peek(1).kind == "ident":
-                self.next()
-                name += "-" + self.expect_ident().text
-            if name not in OPTION_KEYS:
-                raise ParseError(f"unknown option {name}", key.line, key.column)
-            if name in self.options:
-                raise ParseError(f"option {name} given twice", key.line, key.column)
-            self.expect("=")
-            tok = self.next()
-            if tok.kind != "int":
-                raise ParseError(f"bad option value {tok.text!r}", tok.line, tok.column)
-            self.options[name] = int(tok.text)
-            if self.at(","):
-                self.next()
-                continue
-            break
-        self.expect(";")
+        self.items(self._option, ";")
+
+    def _option(self):
+        key = self.expect_ident()
+        name = key.text
+        while self.at("-") and self.peek(1).kind == "ident":
+            self.next()
+            name += "-" + self.expect_ident().text
+        if name not in OPTION_KEYS:
+            raise ParseError(f"unknown option {name}", key.line, key.column)
+        if name in self.options:
+            raise ParseError(f"option {name} given twice", key.line, key.column)
+        self.expect("=")
+        tok = self.next()
+        if tok.kind != "int":
+            raise ParseError(f"bad option value {tok.text!r}", tok.line, tok.column)
+        self.options[name] = int(tok.text)
 
     # -- terms ------------------------------------------------------------------------
 
@@ -328,33 +314,19 @@ class Parser:
         return self._primary()
 
     def _primary(self) -> Term:
-        tok = self.peek()
+        tok = self.next()
         if tok.kind == "int":
-            self.next()
             return Lit(int(tok.text))
-        if tok.text == "true":
-            self.next()
-            return Lit(True)
-        if tok.text == "false":
-            self.next()
-            return Lit(False)
+        if tok.text in ("true", "false"):
+            return Lit(tok.text == "true")
         if tok.text == "(":
-            self.next()
             t = self.parse_term()
             self.expect(")")
             return t
         if tok.kind == "ident":
-            self.next()
-            if self.at("("):
-                self.next()
-                args = []
-                if not self.at(")"):
-                    args.append(self.parse_term())
-                    while self.at(","):
-                        self.next()
-                        args.append(self.parse_term())
-                self.expect(")")
-                return self._mk(tok.text, tuple(args), tok)
+            if self.accept("("):
+                args = () if self.accept(")") else tuple(self.items(self.parse_term, ")"))
+                return self._mk(tok.text, args, tok)
             return self._name(tok)
         raise ParseError(f"expected a term, found {tok.text!r}", tok.line, tok.column)
 
@@ -387,53 +359,41 @@ class Parser:
             cls, p, right = infix
             symbol = self.next().text
             parts = [f, self.parse_formula(p if right else p + 1)]
-            while cls in JUNCTIONS and self.at(symbol):
-                self.next()
+            while cls in JUNCTIONS and self.accept(symbol):
                 parts.append(self.parse_formula(p + 1))
             f = cls(tuple(parts)) if cls in JUNCTIONS else cls(*parts)
         return f
 
     def _neg(self) -> Formula:
-        if self.at("~"):
-            self.next()
+        if self.accept("~"):
             return Not(self._neg())
         if self.peek().text in ("exists", "forall"):
             return self._quantifier()
         return self._atom()
 
     def _quantifier(self) -> Formula:
-        kw = self.next().text
-        bound = []
-        names = set()
-        while True:
-            name = self.expect_ident()
-            if name.text in names:
+        cls = Exists if self.next().text == "exists" else Forall
+        scope: dict[str, Var] = {}
+
+        def binder():
+            name, sort = self._binding()
+            if name.text in scope:
                 raise ParseError(f"duplicate bound variable {name.text}", name.line, name.column)
-            names.add(name.text)
-            self.expect(":")
-            sort = self._sort_ref()
-            bound.append(Var(name.text, sort))
-            if self.at(","):
-                self.next()
-                continue
-            break
-        self.expect(".")
-        self.scopes.append({v.name: v for v in bound})
+            scope[name.text] = Var(name.text, sort)
+
+        self.items(binder, ".")
+        self.scopes.append(scope)
         try:
             body = self.parse_formula()
         finally:
             self.scopes.pop()
-        cls = Exists if kw == "exists" else Forall
-        return cls(tuple(bound), body)
+        return cls(tuple(scope.values()), body)
 
     def _atom(self) -> Formula:
         tok = self.peek()
-        if tok.text == "true" and self.peek(1).text not in COMPARISONS:
+        if tok.text in ("true", "false") and self.peek(1).text not in COMPARISONS:
             self.next()
-            return TRUE
-        if tok.text == "false" and self.peek(1).text not in COMPARISONS:
-            self.next()
-            return FalseF()
+            return TRUE if tok.text == "true" else FALSE
         if tok.text == "(":
             # A parenthesis opens either a formula or an arithmetic term;
             # try the formula reading first and fall back on failure.
@@ -460,9 +420,23 @@ class Parser:
             return Atom(self._mk(op, (lhs, rhs), tok))
         if lhs.sort == BOOL:
             if isinstance(lhs, Lit):
-                return TRUE if lhs.value else FalseF()
+                return TRUE if lhs.value else FALSE
             return Atom(lhs)
         raise ParseError("expected a comparison or a boolean term", tok.line, tok.column)
+
+
+# Each section keyword and the method that reads its section.
+SECTIONS = {
+    "sorts": Parser._sorts,
+    "subsort": Parser._subsort,
+    "symbols": Parser._symbols,
+    "vars": Parser._vars,
+    "rules": Parser._rules,
+    "prove": Parser._goal,
+    "circ": Parser._goal,
+    "options": Parser._options,
+}
+SECTION_KEYWORDS = frozenset(SECTIONS)
 
 
 def parse_spec(text: str) -> SpecFile:
@@ -493,9 +467,7 @@ def render_spec(spec: SpecFile) -> str:
     symbols = [op for op in sig.operations if not op.builtin]
     if symbols:
         out.append("symbols")
-        for op in symbols:
-            arglist = "".join(" " + a.name for a in op.arg_sorts)
-            out.append(f"  {op.name} :{arglist} -> {op.result.name};")
+        out.extend(f"  {op};" for op in symbols)
     if sig.variables:
         out.append("vars " + ", ".join(f"{n} : {s.name}" for n, s in sig.variables.items()) + ";")
     if spec.system.rules:

@@ -158,18 +158,13 @@ def _fits(new: Sort, old: Sort) -> bool:
     return not (old.builtin and not new.builtin) and not (new.builtin and not old.builtin)
 
 
-def positions(t: Term) -> Iterator[Position]:
-    """All positions of `t` in preorder."""
-    yield ()
-    if isinstance(t, App):
+def subterms(t: Term) -> Iterator[tuple[Position, Term]]:
+    """Each subterm of `t` with its position, in preorder."""
+    yield (), t
+    if type(t) is App:
         for i, a in enumerate(t.args, start=1):
-            for p in positions(a):
-                yield (i, *p)
-
-
-def non_variable_positions(t: Term) -> list[Position]:
-    """Preorder positions whose subterm is an application or a literal."""
-    return [p for p in positions(t) if not isinstance(subterm_at(t, p), Var)]
+            for p, s in subterms(a):
+                yield (i, *p), s
 
 
 NO_VARS: frozenset = frozenset()
@@ -210,6 +205,20 @@ class Substitution:
         return bool(self.mapping)
 
 
+# A fresh variable is named by a stem, the name it renames up to and
+# including FRESH_SEP, and an index: `k#3`.  No spec name contains FRESH_SEP.
+FRESH_SEP = "#"
+
+
+def is_fresh(v: Var) -> bool:
+    return FRESH_SEP in v.name
+
+
+def fresh_variant(v: Var, index: int) -> Var:
+    """`v` renamed to its stem and `index`: `k#3` for `k` or `k#1` and 3."""
+    return Var(v.name.split(FRESH_SEP, 1)[0] + FRESH_SEP + str(index), v.sort)
+
+
 class FreshCounter:
     """Monotone index source for fresh variable names within one session."""
 
@@ -231,14 +240,6 @@ class FreshCounter:
                 self.next_index = max(self.next_index, int(k) + 1)
 
 
-FRESH_SEP = "#"
-
-
-def fresh_variant(v: Var, ctr: FreshCounter) -> Var:
-    base = v.name.split(FRESH_SEP, 1)[0]
-    return Var(f"{base}{FRESH_SEP}{ctr.take()}", v.sort)
-
-
 def renaming_for(vs: set[Var], ctr: FreshCounter) -> Substitution:
     """Bijective fresh renaming of `vs`, deterministic in name order."""
-    return Substitution({v: fresh_variant(v, ctr) for v in sorted(vs, key=lambda x: x.name)})
+    return Substitution({v: fresh_variant(v, ctr.take()) for v in sorted(vs, key=lambda x: x.name)})

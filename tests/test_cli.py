@@ -340,6 +340,28 @@ def test_a_subsort_cycle_is_refused(tmp_path):
         assert err.getvalue() == "violation: subsort-cycle: the subsort order loops through A, B\n"
 
 
+def test_a_repeated_symbol_is_an_input_error(tmp_path):
+    # A symbol declared twice is refused as a repeated sort or variable is,
+    # while a user symbol at a builtin's sorts stays validate's violation.
+    from coreach import cli
+
+    def run(*args):
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = cli.main(list(args))
+        return code, out.getvalue(), err.getvalue()
+
+    twice = tmp_path / "twice.lrw"
+    twice.write_text("sorts A;\nsymbols a : -> A;\nsymbols a : -> A;\n")
+    for args in (["validate", str(twice)], ["prove", str(twice), "--solver", "builtin"]):
+        assert run(*args) == (3, "", "error: 3:9: symbol a : -> A already declared\n")
+    overlap = tmp_path / "overlap.lrw"
+    overlap.write_text("sorts A;\nsymbols a : -> A; div : Int Int -> Int;\n")
+    code, _, err = run("validate", str(overlap))
+    assert code == 1
+    assert "violation: builtin-overlap: user symbol div/2 clashes with a builtin" in err.splitlines()
+
+
 @pytest.mark.parametrize(
     "args",
     [
@@ -396,6 +418,28 @@ def test_one_process_answers_a_sequence_as_fresh_processes(monkeypatch):
         proc = run_cli(*args)
         assert (out.getvalue(), err.getvalue(), code) == (proc.stdout, proc.stderr, proc.returncode), args
     assert cli.build_arg_parser() is cli.build_arg_parser()
+
+
+def test_the_cli_answers_as_its_golden_transcript():
+    # tests/data/cli_transcript.json (scripts/capture_queries.py) holds the
+    # stdout, stderr and exit code of sixty commands over the systems and
+    # the test specs; every one answers the same, byte for byte.
+    from coreach import cli
+
+    transcript = json.loads(Path("tests/data/cli_transcript.json").read_text(encoding="utf-8"))
+    assert len(transcript) == 60
+    for run in transcript:
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = cli.main(run["argv"])
+        assert (out.getvalue(), err.getvalue(), code) == (run["stdout"], run["stderr"], run["exit"]), run["argv"]
+
+
+def test_every_spec_option_has_one_default():
+    from coreach import cli
+    from coreach.specfile import OPTION_KEYS
+
+    assert set(cli.DEFAULTS) == OPTION_KEYS
 
 
 def test_missing_file_exit_three():

@@ -7,7 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from coreach.errors import ParseError, ResolutionError
-from coreach.formulas import And, Atom, Exists, Iff, Implies, Not, Or, TrueF, pretty_formula
+from coreach.formulas import TRUE, And, Atom, Exists, Iff, Implies, Not, Or, TrueF, conjuncts, pretty_formula
 from coreach.specfile import _TOKEN, parse_cterm_in, parse_spec, render_spec, tokenize
 from coreach.terms import BOOL, Var
 
@@ -53,6 +53,37 @@ def test_fresh_suffix_is_unlexable():
 def test_duplicate_variable_rejected():
     with pytest.raises(ParseError):
         parse_spec("sorts Cfg;\nvars n : Int, n : Int;")
+
+
+@pytest.mark.parametrize(
+    "text, message, line, column",
+    [
+        ("sorts A, A;", "sort A already exists", 1, 10),
+        ("sorts A;\nvars x : Int, x : Int;", "variable x already declared", 2, 15),
+        ("sorts A;\nsymbols a : -> A; b : -> A;\n  a : -> A;", "symbol a : -> A already declared", 3, 3),
+        ("sorts A;\nsymbols f : A -> A;\nsymbols f : A -> A;", "symbol f : A -> A already declared", 3, 9),
+    ],
+    ids=["sort", "variable", "symbol-one-section", "symbol-across-sections"],
+)
+def test_a_declaration_is_given_once(text, message, line, column):
+    # The signature refuses the repeat; the error points at its name.
+    with pytest.raises(ParseError, match=message) as err:
+        parse_spec(text)
+    assert type(err.value) is ParseError
+    assert (err.value.line, err.value.column) == (line, column)
+
+
+@pytest.mark.parametrize("decl, column", [("subsort A < Nope;", 13), ("subsort Nope < A;", 9)], ids=["super", "sub"])
+def test_an_unknown_sort_in_a_subsort_is_reported_at_its_name(decl, column):
+    with pytest.raises(ResolutionError, match="unknown sort Nope") as err:
+        parse_spec("sorts A;\n" + decl)
+    assert (err.value.line, err.value.column) == (2, column)
+
+
+def test_an_overload_at_other_sorts_is_no_repeat():
+    spec = parse_spec("sorts A, B;\nsymbols a : -> A; b : -> B; f : A -> A; f : B -> B;")
+    assert len(spec.signature.overloads("f")) == 2
+    assert spec.signature.validate() == []
 
 
 def test_one_name_at_two_sorts_rejected():
@@ -114,6 +145,13 @@ def test_an_option_key_is_given_once(options, line, column):
     with pytest.raises(ParseError, match="option max-depth given twice") as err:
         parse_spec("sorts Cfg;\nsymbols c : -> Cfg;\n" + options)
     assert (err.value.line, err.value.column) == (line, column)
+
+
+def test_conjuncts_flatten_a_parsed_conjunction_and_drop_true():
+    ct = parse_cterm_in(parse_spec(COMPOSITENESS), "loop(n, i) /\\ (n > 0 /\\ i < n) /\\ true /\\ n = 4")
+    assert isinstance(ct.constraint, And) and isinstance(ct.constraint.parts[0], And)  # nested as parsed
+    assert [pretty_formula(c) for c in conjuncts(ct.constraint)] == ["n > 0", "i < n", "n = 4"]
+    assert conjuncts(TRUE) == [] and conjuncts(ct.constraint.parts[2]) == [ct.constraint.parts[2]]
 
 
 def test_parse_cterm_in_context():

@@ -11,11 +11,10 @@ from coreach.terms import (
     Lit,
     Substitution,
     Var,
-    non_variable_positions,
-    positions,
     renaming_for,
     replace_at,
     subterm_at,
+    subterms,
     term_vars,
 )
 
@@ -98,11 +97,16 @@ def test_substitution_composition(t, a, b):
     assert _compose(sigma, tau).apply(t) == sigma.apply(tau.apply(t))
 
 
+def _non_variable_positions(t):
+    return [p for p, s in subterms(t) if not isinstance(s, Var)]
+
+
 def test_non_variable_positions_examples():
-    assert non_variable_positions(mk("loop", (n, Lit(2)))) == [(), (2,)]
-    assert non_variable_positions(mk("comp", ())) == [()]
+    assert _non_variable_positions(mk("loop", (n, Lit(2)))) == [(), (2,)]
+    assert _non_variable_positions(mk("comp", ())) == [()]
     t = mk("loop", (mk("*", (i, k)), i))
-    assert non_variable_positions(t) == [(), (1,)]
+    assert _non_variable_positions(t) == [(), (1,)]
+    assert list(subterms(t)) == [((), t), ((1,), t.args[0]), ((1, 1), i), ((1, 2), k), ((2,), i)]
 
 
 def test_replace_at_top_and_child():
@@ -118,8 +122,17 @@ def test_replace_at_invalid_position():
 
 @given(cfg_terms())
 def test_replace_at_roundtrip(t):
-    for p in positions(t):
-        assert replace_at(t, p, subterm_at(t, p)) == t
+    # The walk yields every position of `t` once, in preorder (which on
+    # positions is lexicographic order), with the subterm `subterm_at`
+    # finds there.
+    walk = list(subterms(t))
+    ps = [p for p, _ in walk]
+    assert ps[0] == () and ps == sorted(set(ps))
+    for p, s in walk:
+        assert subterm_at(t, p) is s
+        if isinstance(s, App):
+            assert all((*p, j) in ps for j in range(1, len(s.args) + 1))
+        assert replace_at(t, p, s) == t
 
 
 def test_rename_fresh_disjoint_and_shape_preserving():
